@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .bayes_ttest import TrinomialProbs, direction_prob, hdis, posterior, rope_probs
 from .data import Rope, mean_differences, paired_differences, parse_scores
-from .decisions import LossMatrix, loss_decision, threshold_decision
+from .decisions import LossMatrix, decide
 from .dp import DpPrior, sign_test_params, sign_test_samples, signed_rank_samples, simplex_region_probs
 from .errors import (
     CoverageError,
@@ -104,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cross-validation correlation (default: 1/folds)")
         p.add_argument("--threshold", type=float, default=0.95, help="decision threshold")
         p.add_argument("--loss-matrix", default=None, help="JSON file with a 4x3 loss matrix")
-        p.add_argument("--threads", type=int, default=1, help="worker cap (never changes results)")
         if mc:
             p.add_argument("--seed", type=int, required=True, help="Monte-Carlo seed (required)")
             p.add_argument("--samples", type=int, default=150_000, help="Monte-Carlo draw count")
@@ -135,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub_parser("hierarchical", "hierarchical correlated t-test across datasets")
     common(p, mc=True, pairs=False)
     p.add_argument("--chains", type=int, default=4, help="independent MCMC chains")
-    p.add_argument("--warmup", type=int, default=1000, help="adaptation iterations per chain")
+    p.add_argument("--warmup", type=int, default=1000, help="burn-in sweeps per chain")
     p.add_argument("--draws", type=int, default=1000, help="kept draws per chain")
     return parser
 
@@ -147,12 +146,6 @@ def _load_rule(args):
         with open(args.loss_matrix, encoding="utf-8") as fh:
             return LossMatrix(np.array(json.load(fh), dtype=float))
     return args.threshold
-
-
-def _decide(probs: TrinomialProbs, rule):
-    if isinstance(rule, LossMatrix):
-        return loss_decision(probs, rule)
-    return threshold_decision(probs, rule)
 
 
 def _rule_json(rule):
@@ -183,7 +176,7 @@ def _run_freq_ttest(args, table, rope, rule):
             "t": res.t, "p_two_sided": res.p_two_sided,
             "p_one_sided_greater": res.p_one_sided_greater, "dof": res.dof,
         })
-    return entries, {}
+    return entries, {}, 0
 
 
 def _run_wilcoxon(args, table, rope, rule):
@@ -195,7 +188,7 @@ def _run_wilcoxon(args, table, rope, rule):
             "pair": [a, b], "method": "wilcoxon", "t_stat": res.t_stat, "w": res.w,
             "p_two_sided": res.p_two_sided, "tie_adjust": res.tie_adjust, "exact": res.exact,
         })
-    return entries, {}
+    return entries, {}, 0
 
 
 def _run_bayes_ttest(args, table, rope, rule):
@@ -211,7 +204,7 @@ def _run_bayes_ttest(args, table, rope, rule):
     for d in diffs:
         post = posterior(d)
         probs = rope_probs(post, rope)
-        decision = _decide(probs, rule)
+        decision = decide(probs, rule)
         entry = {
             "pair": [a, b], "method": "bayes-ttest", "dataset": d.dataset,
             "posterior": {"dof": post.dof, "loc": post.loc, "scale2": post.scale2},
@@ -226,7 +219,7 @@ def _run_bayes_ttest(args, table, rope, rule):
                 hdi_lines.append(f"{d.dataset},{level!r},{lo!r},{hi!r}")
         files[f"density_{_slug(d.dataset)}.csv"] = density_data(d.x, bins=30).to_csv()
     files["hdi.csv"] = "\n".join(hdi_lines) + "\n"
-    return entries, files
+    return entries, files, 0
 
 
 def _run_sign(args, table, rope, rule):
@@ -236,11 +229,9 @@ def _run_sign(args, table, rope, rule):
     for index, (a, b) in enumerate(_pairs(args, table)):
         z = mean_differences(paired_differences(table, a, b, rho=args.rho))
         params = sign_test_params(z, rope, prior)
-        samples = sign_test_samples(
-            params, args.samples, RngStream(args.seed).spawn(index), threads=args.threads
-        )
+        samples = sign_test_samples(params, args.samples, RngStream(args.seed).spawn(index))
         probs = simplex_region_probs(samples)
-        decision = _decide(probs, rule)
+        decision = decide(probs, rule)
         entries.append({
             "pair": [a, b], "method": "sign",
             "dirichlet": [params.a_left, params.a_rope, params.a_right],
@@ -250,7 +241,7 @@ def _run_sign(args, table, rope, rule):
         files[f"barycentric_{_slug(a)}_vs_{_slug(b)}.csv"] = barycentric_csv(
             barycentric_points(samples)
         )
-    return entries, files
+    return entries, files, 0
 
 
 def _run_signed_rank(args, table, rope, rule):
@@ -259,11 +250,9 @@ def _run_signed_rank(args, table, rope, rule):
     files = {}
     for index, (a, b) in enumerate(_pairs(args, table)):
         z = mean_differences(paired_differences(table, a, b, rho=args.rho))
-        samples = signed_rank_samples(
-            z, rope, prior, args.samples, RngStream(args.seed).spawn(index), threads=args.threads
-        )
+        samples = signed_rank_samples(z, rope, prior, args.samples, RngStream(args.seed).spawn(index))
         probs = simplex_region_probs(samples)
-        decision = _decide(probs, rule)
+        decision = decide(probs, rule)
         entries.append({
             "pair": [a, b], "method": "signed-rank",
             "probs": _probs_json(probs), "mc_stderr": _stderr_json(probs),
@@ -272,17 +261,17 @@ def _run_signed_rank(args, table, rope, rule):
         files[f"barycentric_{_slug(a)}_vs_{_slug(b)}.csv"] = barycentric_csv(
             barycentric_points(samples)
         )
-    return entries, files
+    return entries, files, 0
 
 
 def _run_hierarchical(args, table, rope, rule):
     a, b = args.pair
     diffs = paired_differences(table, a, b, rho=args.rho)
     cfg = HierConfig(seed=args.seed, chains=args.chains, warmup=args.warmup, draws=args.draws)
-    draws = fit(diffs, cfg, threads=args.threads)
+    draws = fit(diffs, cfg)
     samples = next_dataset_probs(draws, rope, rng=RngStream(args.seed, stream_id=1))
     probs = simplex_region_probs(samples)
-    decision = _decide(probs, rule)
+    decision = decide(probs, rule)
     max_rhat = max(d.rhat for d in draws.diagnostics.values())
     min_ess = min(d.ess for d in draws.diagnostics.values())
     entries = [{
@@ -320,9 +309,7 @@ def run(args) -> int:
     rule = _load_rule(args)
     table = parse_scores(input_path.read_text(encoding="utf-8"))
 
-    result = _HANDLERS[args.method](args, table, rope, rule)
-    entries, files = result[0], result[1]
-    exit_code = result[2] if len(result) > 2 else 0
+    entries, files, exit_code = _HANDLERS[args.method](args, table, rope, rule)
 
     report = {
         "method": args.method,

@@ -23,6 +23,7 @@ __all__ = [
     "LossMatrix",
     "threshold_decision",
     "loss_decision",
+    "decide",
     "DecisionRow",
     "DecisionTable",
     "decision_table",
@@ -137,7 +138,8 @@ class DecisionTable:
     alpha: float | None
 
 
-def _decide(p: TrinomialProbs, rule) -> Decision:
+def decide(p: TrinomialProbs, rule: float | LossMatrix) -> Decision:
+    """Apply a probability threshold or a :class:`LossMatrix` to ``p``."""
     if isinstance(rule, LossMatrix):
         return loss_decision(p, rule)
     return threshold_decision(p, float(rule))
@@ -163,7 +165,7 @@ def decision_table(
             raise ValueError(f"p-values missing for: {', '.join(missing)}")
     rows = []
     for label, probs in results.items():
-        verdict = _decide(probs, rule).verdict
+        verdict = decide(probs, rule).verdict
         p_value = None if pvalues is None else float(pvalues[label])
         rows.append(DecisionRow(label=label, probs=probs, verdict=verdict, p_value=p_value))
 

@@ -22,7 +22,6 @@ Conventions (differences are x = A - B for the pair "A vs B"):
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -108,27 +107,17 @@ class TrinomialSamples:
         return int(self.samples.shape[0])
 
 
-def _chunked(
-    count: int,
-    rng: RngStream,
-    draw: Callable[[RngStream, int], np.ndarray],
-    threads: int = 1,
-) -> np.ndarray:
+def _chunked(count: int, rng: RngStream, draw: Callable[[RngStream, int], np.ndarray]) -> np.ndarray:
     """Assemble ``count`` draws from fixed-size chunks with derived streams.
 
-    The chunk layout depends only on ``count``, so the result is identical
-    for any number of worker threads.
+    The chunk layout depends only on ``count``, so a given ``rng`` always
+    yields the same draws.
     """
     plan = [
         (i, min(_CHUNK, count - i * _CHUNK))
         for i in range((count + _CHUNK - 1) // _CHUNK)
     ]
-    if threads > 1 and len(plan) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda p: draw(rng.spawn(p[0]), p[1]), plan))
-    else:
-        parts = [draw(rng.spawn(i), m) for i, m in plan]
-    return np.concatenate(parts, axis=0)
+    return np.concatenate([draw(rng.spawn(i), m) for i, m in plan], axis=0)
 
 
 def sign_test_params(z: MeanDiffVector, rope: Rope, prior: DpPrior) -> DirichletParams:
@@ -146,9 +135,7 @@ def sign_test_params(z: MeanDiffVector, rope: Rope, prior: DpPrior) -> Dirichlet
     return DirichletParams(a_left=a[0], a_rope=a[1], a_right=a[2])
 
 
-def sign_test_samples(
-    params: DirichletParams, count: int, rng: RngStream, threads: int = 1
-) -> TrinomialSamples:
+def sign_test_samples(params: DirichletParams, count: int, rng: RngStream) -> TrinomialSamples:
     """Sample the sign-test Dirichlet posterior.
 
     Zero parameters are legal (that outcome was never observed and holds
@@ -162,15 +149,13 @@ def sign_test_samples(
         g = stream.generator().standard_gamma(alpha, size=(m, 3))
         return g / g.sum(axis=1, keepdims=True)
 
-    samples = _chunked(count, rng, draw, threads)
+    samples = _chunked(count, rng, draw)
     return TrinomialSamples(samples=samples, seed_record=(rng.seed, rng.stream_id, _CHUNK))
 
 
-def sign_test_probs(
-    params: DirichletParams, count: int, rng: RngStream, threads: int = 1
-) -> TrinomialProbs:
+def sign_test_probs(params: DirichletParams, count: int, rng: RngStream) -> TrinomialProbs:
     """Simplex-region probabilities of the sign test (Monte Carlo)."""
-    return simplex_region_probs(sign_test_samples(params, count, rng, threads))
+    return simplex_region_probs(sign_test_samples(params, count, rng))
 
 
 def _pair_category_masks(
@@ -200,7 +185,6 @@ def signed_rank_samples(
     prior: DpPrior,
     count: int = DEFAULT_SAMPLE_COUNT,
     rng: RngStream | None = None,
-    threads: int = 1,
 ) -> TrinomialSamples:
     """Monte-Carlo draws of the signed-rank theta triple.
 
@@ -225,7 +209,7 @@ def signed_rank_samples(
         th_e = np.maximum(1.0 - (th_l + th_r), 0.0)
         return np.column_stack([th_l, th_e, th_r])
 
-    samples = _chunked(count, rng, draw, threads)
+    samples = _chunked(count, rng, draw)
     return TrinomialSamples(samples=samples, seed_record=(rng.seed, rng.stream_id, _CHUNK))
 
 
@@ -254,7 +238,6 @@ def prior_sensitivity(
     s: float = 0.5,
     count: int = DEFAULT_SAMPLE_COUNT,
     rng: RngStream | None = None,
-    threads: int = 1,
 ) -> dict[Placement, TrinomialProbs]:
     """Signed-rank region probabilities at the three pseudo-observation anchors.
 
@@ -265,8 +248,6 @@ def prior_sensitivity(
         raise ValueError("an RngStream is required (no silent nondeterminism)")
     out: dict[Placement, TrinomialProbs] = {}
     for index, placement in enumerate(("left", "rope", "right")):
-        samples = signed_rank_samples(
-            z, rope, DpPrior(s=s, z0=placement), count, rng.spawn(index), threads
-        )
+        samples = signed_rank_samples(z, rope, DpPrior(s=s, z0=placement), count, rng.spawn(index))
         out[placement] = simplex_region_probs(samples)
     return out

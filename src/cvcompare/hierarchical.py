@@ -10,18 +10,21 @@ Model, for datasets i = 1..q with cross-validation differences x_i:
     nu     ~ Gamma(alpha, beta)
     alpha  ~ unif(0.5, 5),  beta ~ unif(0.05, 0.15)
 
-Fitted by adaptive Metropolis-within-Gibbs: the per-dataset (mu_i, sigma_i)
-blocks are conditionally independent given the hyperparameters and are
-updated with vectorized univariate proposals; scale parameters move in log
-space and bounded parameters in logit space.  Proposal scales adapt toward
-0.44 acceptance during warmup only, so the kept draws come from a valid
-fixed-kernel chain.  Runs are deterministic given the seed.
+Fitted by Gibbs sampling with the Student level written as a normal scale
+mixture, mu_i ~ N(mu0, sigma0^2 / lambda_i) with lambda_i ~ Gamma(nu/2, nu/2)
+(Gelman et al., BDA3 section 17.2).  Every conditional is then an exact
+draw, except those of nu and alpha, which take slice updates (Neal 2003).
+Each sweep draws (mu0, sigma0) in the centred parameterisation and again in
+the non-centred one, u_i = (mu_i - mu0) / sigma0 (ancillarity-sufficiency
+interweaving, Yu & Meng 2011), so the chain also mixes when the dataset
+means barely spread, where the centred sampler alone sticks in a funnel.
+Nothing is tuned: warmup is plain burn-in.  Runs are deterministic given
+the seed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +33,7 @@ from scipy import special
 from .data import DiffSeries, Rope
 from .dp import TrinomialSamples
 from .errors import InitializationError
-from .kernels import RngStream, cs_loglik, gamma_logpdf, student_logpdf
+from .kernels import RngStream, cs_loglik, gamma_logpdf, student_logpdf, student_tail
 
 __all__ = [
     "HierConfig",
@@ -46,14 +49,12 @@ __all__ = [
 ]
 
 _EPS = 1e-6
-_ADAPT_WINDOW = 25
-_TARGET_ACCEPT = 0.44
-# the hyperparameter scan is O(q) and cheap next to the per-dataset block,
-# so it runs several times per sweep to decorrelate (mu0, sigma0, nu)
-_HYPER_SCANS = 5
+_SCALARS = ("mu0", "sigma0", "nu", "alpha", "beta")
+_PARAMS = _SCALARS + ("mu", "sigma")
+# initial slice bracket on log nu; stepping out widens it as needed
+_LOG_NU_WIDTH = 1.0
 # scale supports are truncated at a tiny floor: a zero-variance dataset makes
-# the density of sigma_i unbounded at 0, and without the floor the chain
-# drifts into exp underflow
+# the density of sigma_i unbounded at 0, and the floor keeps it proper
 _SIGMA_FLOOR = 1e-10
 RHAT_THRESHOLD = 1.05
 
@@ -83,8 +84,8 @@ class HierConfig:
     def __post_init__(self) -> None:
         if self.chains < 2:
             raise ValueError("need at least two chains for convergence diagnostics")
-        if self.warmup < _ADAPT_WINDOW:
-            raise ValueError(f"warmup must be at least {_ADAPT_WINDOW}")
+        if self.warmup < 0:
+            raise ValueError("warmup must be non-negative")
         if self.draws < 4:
             raise ValueError("need at least four kept draws")
         if not (0 < self.alpha_lo < self.alpha_hi and 0 < self.beta_lo < self.beta_hi):
@@ -219,12 +220,6 @@ class _Problem:
         self.sds = sds
         self.s_mean = s_mean
 
-    def loglik(self, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        return cs_loglik(self.means, self.ss, self.n, mu, sigma * sigma, self.rho)
-
-    def level2(self, mu: np.ndarray, mu0: float, sigma0: float, nu: float) -> np.ndarray:
-        return student_logpdf(mu, nu, mu0, sigma0)
-
     def uniform_const(self) -> float:
         return (
             -math.log(2.0)
@@ -248,8 +243,8 @@ class _Problem:
         if not self.in_support(s):
             return -math.inf
         total = (
-            float(np.sum(self.loglik(s.mu, s.sigma)))
-            + float(np.sum(self.level2(s.mu, s.mu0, s.sigma0, s.nu)))
+            float(np.sum(cs_loglik(self.means, self.ss, self.n, s.mu, s.sigma * s.sigma, self.rho)))
+            + float(np.sum(student_logpdf(s.mu, s.nu, s.mu0, s.sigma0)))
             + float(gamma_logpdf(s.nu, s.alpha, s.beta))
             + self.uniform_const()
         )
@@ -260,7 +255,8 @@ class _Problem:
         sigma0 = min(max(self.s_mean, _EPS), 0.5 * self.sigma0_bar)
         sigma = np.minimum(np.maximum(self.sds, _EPS), 0.5 * self.sigma_bar)
         return HierState(
-            mu0=mu0, sigma0=sigma0, nu=5.0, alpha=1.0, beta=0.1,
+            mu0=mu0, sigma0=sigma0, nu=5.0,
+            alpha=0.5 * (self.alpha_lo + self.alpha_hi), beta=0.5 * (self.beta_lo + self.beta_hi),
             mu=self.means.copy(), sigma=sigma,
         )
 
@@ -274,160 +270,156 @@ def log_posterior(state: HierState, data: list[DiffSeries], cfg: HierConfig) -> 
     return _Problem(data, cfg).log_posterior(state)
 
 
-def _logit_logjac(eta: float, width: float) -> float:
-    # d/d eta of (lo + width * expit(eta)), in log space
-    a = abs(eta)
-    return math.log(width) - a - 2.0 * math.log1p(math.exp(-a))
+def _truncated_gamma(gen: np.random.Generator, shape: float, rate, lo: float, hi: float) -> np.ndarray:
+    """Gamma(shape, rate) restricted to (lo, hi); vectorised over ``rate``.
+
+    A plain Gamma draw that lands inside the window is kept and the others
+    are redrawn from the truncated law, which together give exactly the
+    truncated law.  The redraw inverts the CDF on the tail that holds the
+    window, so no probability rounds to one.  Where the window holds no
+    representable mass it lies far out in a tail, and the density on it is,
+    to leading order, the power law x^(shape-1) below the mode (exact at
+    ``rate`` 0) or exp(-rate x) above it; that law is inverted instead.
+    """
+    rate = np.asarray(rate, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.asarray(gen.standard_gamma(shape, rate.shape) / rate)
+        miss = ~((lo < x) & (x < hi))
+        if not miss.any():
+            return x
+        r = rate[miss]
+        u = gen.random(r.shape)
+        xl, xh = r * lo, r * hi
+        upper = xl > shape
+        p_lo = np.where(upper, special.gammaincc(shape, xl), special.gammainc(shape, xl))
+        p_hi = np.where(upper, special.gammaincc(shape, xh), special.gammainc(shape, xh))
+        p = p_lo + u * (p_hi - p_lo)
+        inverse = np.where(upper, special.gammainccinv(shape, p), special.gammaincinv(shape, p)) / r
+        ratio = (lo / hi) ** shape
+        power = hi * (ratio + u * (1.0 - ratio)) ** (1.0 / shape)
+        expo = lo - np.log1p(u * np.expm1(xl - xh)) / r
+        x[miss] = np.clip(np.where(p_lo != p_hi, inverse, np.where(upper, expo, power)), lo, hi)
+    return x
 
 
-def _run_chain(problem: _Problem, cfg: HierConfig, stream: RngStream) -> dict[str, np.ndarray]:
+def _truncated_normal(gen: np.random.Generator, mean: float, sd: float, lo: float, hi: float) -> float:
+    """N(mean, sd^2) restricted to (lo, hi), drawn by inverting its CDF in log space."""
+    a, b = (lo - mean) / sd, (hi - mean) / sd
+    flip = a + b > 0.0
+    if flip:  # invert the lower tail, where log_ndtr keeps its precision
+        a, b = -b, -a
+    la, lb = special.log_ndtr(a), special.log_ndtr(b)
+    log_p = lb + math.log1p((1.0 - gen.random()) * math.expm1(la - lb))
+    z = min(max(float(special.ndtri_exp(log_p)), a), b)
+    return mean - sd * z if flip else mean + sd * z
+
+
+def _slice(gen: np.random.Generator, logp, x0: float, width: float) -> float:
+    """One slice-sampling update of ``x0`` under the log density ``logp`` (Neal 2003).
+
+    The bracket steps out by ``width`` until both ends leave the slice,
+    then shrinks towards ``x0``.  ``logp`` must fall to -inf (or NaN) far
+    out on both sides.  Every loop ends: stepping out stops where ``logp``
+    leaves the slice, and shrinking returns ``x0`` once the bracket can no
+    longer shrink in floating point.
+    """
+    y = logp(x0) - gen.standard_exponential()
+    left = x0 - width * gen.random()
+    right = left + width
+    while logp(left) > y:
+        left -= width
+    while logp(right) > y:
+        right += width
+    while True:
+        x = left + gen.random() * (right - left)
+        if not left < x < right:
+            return x0
+        if logp(x) > y:
+            return x
+        if x < x0:
+            left = x
+        else:
+            right = x
+
+
+def _run_chain(p: _Problem, cfg: HierConfig, stream: RngStream) -> dict[str, np.ndarray]:
     gen = stream.generator()
-    q = problem.q
-    init = problem.initial_state()
-    mu = init.mu.copy()
-    sigma = init.sigma.copy()
-    mu0, sigma0, nu, alpha, beta = init.mu0, init.sigma0, init.nu, init.alpha, init.beta
-
-    lik = problem.loglik(mu, sigma)
-    lev = problem.level2(mu, mu0, sigma0, nu)
-    if not np.all(np.isfinite(lik)) or not np.all(np.isfinite(lev)):
+    q, n = p.q, p.n
+    init = p.initial_state()
+    if not math.isfinite(p.log_posterior(init)):
         raise InitializationError("initial state has non-finite log-posterior")
+    mu = init.mu.copy()
+    mu0, sigma0, nu, alpha, beta = init.mu0, init.sigma0, init.nu, init.alpha, init.beta
+    lam = np.ones(q)
 
-    se = np.sqrt(1.0 / problem.n + problem.rho / (1.0 - problem.rho))
-    ls_mu = np.log(np.maximum(problem.sds, _EPS) * se * 2.4)
-    ls_sigma = np.full(q, math.log(0.3))
-    ls_mu0 = math.log(max(4.8 * problem.s_mean / math.sqrt(q), 1e-4))
-    ls_sigma0 = math.log(0.5)
-    ls_nu = math.log(0.7)
-    ls_alpha = 0.0
-    ls_beta = 0.0
+    # the likelihood of mu_i is N(mean_i, 1 / (n tau_i / c1)); the within
+    # deviations contribute ss_i / (1 - rho) to the precision's rate
+    c1 = 1.0 + (n - 1) * p.rho
+    ss_term = p.ss / (1.0 - p.rho)
+    tau_window = (p.sigma_bar ** -2, _SIGMA_FLOOR ** -2)
+    tau0_window = (p.sigma0_bar ** -2, _SIGMA_FLOOR ** -2)
 
-    acc_mu = np.zeros(q)
-    acc_sigma = np.zeros(q)
-    acc_scalar = np.zeros(5)
+    # the two slice targets read the sweep's current u2, alpha, beta and nu
+    def log_nu_density(eta: float) -> float:
+        # Student level with lambda integrated out, Gamma(alpha, beta) prior
+        # and the log Jacobian, all in eta = log nu, up to a constant
+        v = math.exp(eta)
+        return (
+            q * (math.lgamma(0.5 * (v + 1.0)) - math.lgamma(0.5 * v) - 0.5 * eta)
+            - 0.5 * (v + 1.0) * float(np.log1p(u2 / v).sum())
+            + alpha * eta - beta * v
+        )
 
-    total = cfg.warmup + cfg.draws
-    out = {
-        "mu0": np.empty(cfg.draws), "sigma0": np.empty(cfg.draws),
-        "nu": np.empty(cfg.draws), "alpha": np.empty(cfg.draws),
-        "beta": np.empty(cfg.draws),
-        "mu": np.empty((cfg.draws, q)), "sigma": np.empty((cfg.draws, q)),
-    }
+    def alpha_density(a: float) -> float:
+        if not p.alpha_lo < a < p.alpha_hi:
+            return -math.inf
+        return a * math.log(beta) + (a - 1.0) * math.log(nu) - math.lgamma(a)
 
-    for it in range(total):
-        # per-dataset means (conditionally independent given the hypers)
-        prop = mu + gen.standard_normal(q) * np.exp(ls_mu)
-        lik_prop = problem.loglik(prop, sigma)
-        lev_prop = problem.level2(prop, mu0, sigma0, nu)
-        delta = (lik_prop - lik) + (lev_prop - lev)
-        take = np.log(gen.random(q)) < delta
-        mu[take] = prop[take]
-        lik[take] = lik_prop[take]
-        lev[take] = lev_prop[take]
-        acc_mu += take
+    kept = []
+    for it in range(cfg.warmup + cfg.draws):
+        # 1. per-dataset precisions tau_i = sigma_i^-2, Gamma((n-1)/2, B_i/2)
+        rate = 0.5 * (ss_term + n * (p.means - mu) ** 2 / c1)
+        tau = _truncated_gamma(gen, 0.5 * (n - 1), rate, *tau_window)
 
-        # per-dataset scales, log space
-        eta = np.log(sigma)
-        prop_eta = eta + gen.standard_normal(q) * np.exp(ls_sigma)
-        prop = np.exp(prop_eta)
-        valid = (prop > _SIGMA_FLOOR) & (prop < problem.sigma_bar)
-        lik_prop = problem.loglik(mu, np.where(valid, prop, sigma))
-        delta = (lik_prop - lik) + (prop_eta - eta)
-        delta[~valid] = -np.inf
-        take = np.log(gen.random(q)) < delta
-        sigma[take] = prop[take]
-        lik[take] = lik_prop[take]
-        acc_sigma += take
+        # 2. per-dataset means given the mixture weights lambda_i
+        w = n * tau / c1
+        w_prior = lam / (sigma0 * sigma0)
+        prec = w + w_prior
+        mu = (w * p.means + w_prior * mu0) / prec + gen.standard_normal(q) / np.sqrt(prec)
 
-        for _ in range(_HYPER_SCANS):
-            # mu0, logit space over (-1, 1)
-            eta0 = math.log((1.0 + mu0) / (1.0 - mu0))
-            prop_eta0 = eta0 + gen.standard_normal() * math.exp(ls_mu0)
-            prop_mu0 = 2.0 * special.expit(prop_eta0) - 1.0
-            lev_prop = problem.level2(mu, prop_mu0, sigma0, nu)
-            delta = float(np.sum(lev_prop) - np.sum(lev))
-            delta += _logit_logjac(prop_eta0, 2.0) - _logit_logjac(eta0, 2.0)
-            if math.log(gen.random()) < delta:
-                mu0 = prop_mu0
-                lev = lev_prop
-                acc_scalar[0] += 1.0
+        # 3a. centred (mu0, sigma0) given mu
+        lam_sum = float(lam.sum())
+        mu0 = _truncated_normal(gen, float(lam @ mu) / lam_sum, sigma0 / math.sqrt(lam_sum), -1.0, 1.0)
+        dev = mu - mu0
+        tau0 = _truncated_gamma(gen, 0.5 * (q - 1), 0.5 * float(lam @ (dev * dev)), *tau0_window)
+        sigma0 = float(tau0) ** -0.5
 
-            # sigma0, log space
-            eta0 = math.log(sigma0)
-            prop_eta0 = eta0 + gen.standard_normal() * math.exp(ls_sigma0)
-            prop_sigma0 = math.exp(prop_eta0)
-            if _SIGMA_FLOOR < prop_sigma0 < problem.sigma0_bar:
-                lev_prop = problem.level2(mu, mu0, prop_sigma0, nu)
-                delta = float(np.sum(lev_prop) - np.sum(lev)) + (prop_eta0 - eta0)
-                if math.log(gen.random()) < delta:
-                    sigma0 = prop_sigma0
-                    lev = lev_prop
-                    acc_scalar[1] += 1.0
+        # 3b. non-centred (mu0, sigma0) given u = (mu - mu0) / sigma0; mu moves with them
+        u = dev / sigma0
+        w_sum = float(w.sum())
+        mu0 = _truncated_normal(
+            gen, float(w @ (p.means - sigma0 * u)) / w_sum, 1.0 / math.sqrt(w_sum), -1.0, 1.0
+        )
+        wu = w * u
+        wu2 = float(wu @ u)
+        sigma0 = _truncated_normal(
+            gen, float(wu @ (p.means - mu0)) / wu2, 1.0 / math.sqrt(wu2), _SIGMA_FLOOR, p.sigma0_bar
+        )
+        mu = mu0 + sigma0 * u
 
-            # nu, log space
-            eta0 = math.log(nu)
-            prop_eta0 = eta0 + gen.standard_normal() * math.exp(ls_nu)
-            prop_nu = math.exp(prop_eta0)
-            lev_prop = problem.level2(mu, mu0, sigma0, prop_nu)
-            delta = float(np.sum(lev_prop) - np.sum(lev))
-            delta += float(gamma_logpdf(prop_nu, alpha, beta)) - float(gamma_logpdf(nu, alpha, beta))
-            delta += prop_eta0 - eta0
-            if math.log(gen.random()) < delta:
-                nu = prop_nu
-                lev = lev_prop
-                acc_scalar[2] += 1.0
+        # 4. (nu, lambda) as one block: nu from its lambda-marginal conditional
+        u2 = u * u
+        nu = math.exp(_slice(gen, log_nu_density, math.log(nu), _LOG_NU_WIDTH))
+        lam = gen.standard_gamma(0.5 * (nu + 1.0), q) / (0.5 * (nu + u2))
 
-            # alpha and beta, logit space over their uniform supports
-            w_a = problem.alpha_hi - problem.alpha_lo
-            frac = (alpha - problem.alpha_lo) / w_a
-            eta0 = math.log(frac / (1.0 - frac))
-            prop_eta0 = eta0 + gen.standard_normal() * math.exp(ls_alpha)
-            prop_alpha = problem.alpha_lo + w_a * special.expit(prop_eta0)
-            delta = float(gamma_logpdf(nu, prop_alpha, beta)) - float(gamma_logpdf(nu, alpha, beta))
-            delta += _logit_logjac(prop_eta0, w_a) - _logit_logjac(eta0, w_a)
-            if math.log(gen.random()) < delta:
-                alpha = prop_alpha
-                acc_scalar[3] += 1.0
+        # 5. beta given nu is conjugate; alpha has no closed form
+        beta = float(_truncated_gamma(gen, alpha + 1.0, nu, p.beta_lo, p.beta_hi))
+        alpha = _slice(gen, alpha_density, alpha, p.alpha_hi - p.alpha_lo)
 
-            w_b = problem.beta_hi - problem.beta_lo
-            frac = (beta - problem.beta_lo) / w_b
-            eta0 = math.log(frac / (1.0 - frac))
-            prop_eta0 = eta0 + gen.standard_normal() * math.exp(ls_beta)
-            prop_beta = problem.beta_lo + w_b * special.expit(prop_eta0)
-            delta = float(gamma_logpdf(nu, alpha, prop_beta)) - float(gamma_logpdf(nu, alpha, beta))
-            delta += _logit_logjac(prop_eta0, w_b) - _logit_logjac(eta0, w_b)
-            if math.log(gen.random()) < delta:
-                beta = prop_beta
-                acc_scalar[4] += 1.0
+        if it >= cfg.warmup:
+            kept.append((mu0, sigma0, nu, alpha, beta, mu, tau ** -0.5))
 
-        in_warmup = it < cfg.warmup
-        if in_warmup and (it + 1) % _ADAPT_WINDOW == 0:
-            batch = (it + 1) // _ADAPT_WINDOW
-            step = min(0.5, 1.5 / math.sqrt(batch))
-            ls_mu += np.where(acc_mu / _ADAPT_WINDOW > _TARGET_ACCEPT, step, -step)
-            ls_sigma += np.where(acc_sigma / _ADAPT_WINDOW > _TARGET_ACCEPT, step, -step)
-            rates = acc_scalar / (_ADAPT_WINDOW * _HYPER_SCANS)
-            deltas = np.where(rates > _TARGET_ACCEPT, step, -step)
-            ls_mu0 += deltas[0]
-            ls_sigma0 += deltas[1]
-            ls_nu += deltas[2]
-            ls_alpha += deltas[3]
-            ls_beta += deltas[4]
-            acc_mu[:] = 0.0
-            acc_sigma[:] = 0.0
-            acc_scalar[:] = 0.0
-
-        if not in_warmup:
-            k = it - cfg.warmup
-            out["mu0"][k] = mu0
-            out["sigma0"][k] = sigma0
-            out["nu"][k] = nu
-            out["alpha"][k] = alpha
-            out["beta"][k] = beta
-            out["mu"][k] = mu
-            out["sigma"][k] = sigma
-
-    return out
+    return {name: np.array(column) for name, column in zip(_PARAMS, zip(*kept))}
 
 
 def _split_halves(x: np.ndarray) -> np.ndarray:
@@ -477,7 +469,7 @@ def effective_sample_size(x: np.ndarray) -> float:
     return float(k * m / tau)
 
 
-def fit(data: list[DiffSeries], cfg: HierConfig, threads: int = 1) -> HierDraws:
+def fit(data: list[DiffSeries], cfg: HierConfig) -> HierDraws:
     """Sample the hierarchical posterior with ``cfg.chains`` independent chains.
 
     Returns the draws together with split R-hat and effective sample size
@@ -488,25 +480,15 @@ def fit(data: list[DiffSeries], cfg: HierConfig, threads: int = 1) -> HierDraws:
         raise ValueError("the hierarchical model needs at least two datasets")
     problem = _Problem(data, cfg)
     base = RngStream(cfg.seed)
-    streams = [base.spawn(c) for c in range(cfg.chains)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda s: _run_chain(problem, cfg, s), streams))
-    else:
-        results = [_run_chain(problem, cfg, s) for s in streams]
+    results = [_run_chain(problem, cfg, base.spawn(c)) for c in range(cfg.chains)]
 
-    stack = {k: np.stack([r[k] for r in results]) for k in results[0]}
-    draws = HierDraws(
-        mu0=stack["mu0"], sigma0=stack["sigma0"], nu=stack["nu"],
-        alpha=stack["alpha"], beta=stack["beta"], mu=stack["mu"], sigma=stack["sigma"],
-        datasets=problem.datasets, seed=cfg.seed, diagnostics=_diagnose(stack),
-    )
-    return draws
+    stack = {k: np.stack([r[k] for r in results]) for k in _PARAMS}
+    return HierDraws(**stack, datasets=problem.datasets, seed=cfg.seed, diagnostics=_diagnose(stack))
 
 
 def _diagnose(stack: dict[str, np.ndarray]) -> dict[str, Diagnostic]:
     out: dict[str, Diagnostic] = {}
-    for name in ("mu0", "sigma0", "nu", "alpha", "beta"):
+    for name in _SCALARS:
         x = stack[name]
         out[name] = Diagnostic(rhat=split_rhat(x), ess=effective_sample_size(x))
     for name in ("mu", "sigma"):
@@ -517,10 +499,10 @@ def _diagnose(stack: dict[str, np.ndarray]) -> dict[str, Diagnostic]:
     return out
 
 
-def _student_cdf_vec(x: float, dof: np.ndarray, loc: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def _student_cdf(x: float, dof: np.ndarray, loc: np.ndarray, scale: np.ndarray) -> np.ndarray:
     t = (x - loc) / scale
-    ib = special.betainc(0.5 * dof, 0.5, dof / (dof + t * t))
-    return np.where(t < 0, 0.5 * ib, 1.0 - 0.5 * ib)
+    tail = student_tail(t, dof)
+    return np.where(t < 0, tail, 1.0 - tail)
 
 
 def next_dataset_probs(
@@ -545,8 +527,8 @@ def next_dataset_probs(
             raise ValueError("an RngStream is required to subsample posterior draws")
         idx = np.sort(rng.generator().choice(total, size=count, replace=False))
         mu0, sigma0, nu = mu0[idx], sigma0[idx], nu[idx]
-    lo = _student_cdf_vec(rope.lower, nu, mu0, sigma0)
-    hi = _student_cdf_vec(rope.upper, nu, mu0, sigma0)
+    lo = _student_cdf(rope.lower, nu, mu0, sigma0)
+    hi = _student_cdf(rope.upper, nu, mu0, sigma0)
     samples = np.column_stack([lo, hi - lo, 1.0 - hi])
     record = (rng.seed, rng.stream_id, 0) if rng is not None else (draws.seed, 0, 0)
     return TrinomialSamples(samples=samples, seed_record=record)

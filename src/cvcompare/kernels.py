@@ -3,7 +3,7 @@
 Student and Normal distribution functions, Dirichlet sampling, the
 compound-symmetry Gaussian log-likelihood and reproducible RNG streams.
 Everything here is pure: given the same ``RngStream`` the Monte-Carlo
-kernels return bit-identical output on every platform and thread count.
+kernels return bit-identical output on every platform.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ __all__ = [
     "LocScaleStudent",
     "RngStream",
     "student_cdf",
+    "student_tail",
     "student_sf",
     "student_quantile",
     "student_logpdf",
@@ -68,10 +69,9 @@ def _splitmix64(x: int) -> int:
 class RngStream:
     """Counter-based random stream keyed by ``(seed, stream_id)``.
 
-    Identical keys produce identical draw sequences regardless of platform
-    or worker count.  Sub-streams for Monte-Carlo chunks are derived with
-    :meth:`spawn`, so chunked parallel evaluation and serial evaluation
-    consume exactly the same random numbers.
+    Identical keys produce identical draw sequences on every platform.
+    Sub-streams for Monte-Carlo chunks and chains are derived with
+    :meth:`spawn`.
     """
 
     seed: int
@@ -89,8 +89,8 @@ class RngStream:
         return RngStream(self.seed, child)
 
 
-def _student_tail(t: float, dof: float) -> float:
-    """P(T > |t|) for the standardized Student distribution."""
+def student_tail(t, dof):
+    """P(T > |t|) for the standardized Student distribution (vectorized)."""
     return 0.5 * special.betainc(0.5 * dof, 0.5, dof / (dof + t * t))
 
 
@@ -109,7 +109,7 @@ def student_cdf(x: float, d: LocScaleStudent) -> float:
     t = (x - d.loc) / d.scale
     if t == 0.0:
         return 0.5
-    return _student_tail(t, d.dof) if t < 0 else 1.0 - _student_tail(t, d.dof)
+    return student_tail(t, d.dof) if t < 0 else 1.0 - student_tail(t, d.dof)
 
 
 def student_sf(x: float, d: LocScaleStudent) -> float:
@@ -124,7 +124,7 @@ def student_sf(x: float, d: LocScaleStudent) -> float:
     t = (x - d.loc) / d.scale
     if t == 0.0:
         return 0.5
-    return _student_tail(t, d.dof) if t > 0 else 1.0 - _student_tail(t, d.dof)
+    return student_tail(t, d.dof) if t > 0 else 1.0 - student_tail(t, d.dof)
 
 
 def student_quantile(p: float, d: LocScaleStudent) -> float:

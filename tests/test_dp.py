@@ -121,10 +121,10 @@ class TestSignTestSampling:
             se = col.std(ddof=1) / math.sqrt(samples.count)
             assert abs(col.mean() - a / total) < 3 * se
 
-    def test_threads_do_not_change_result(self):
+    def test_same_seed_gives_same_draws(self):
         params = DirichletParams(5.0, 2.0, 1.0)
-        a = sign_test_samples(params, 120_000, RngStream(9), threads=1)
-        b = sign_test_samples(params, 120_000, RngStream(9), threads=4)
+        a = sign_test_samples(params, 120_000, RngStream(9))
+        b = sign_test_samples(params, 120_000, RngStream(9))
         assert np.array_equal(a.samples, b.samples)
 
 
@@ -196,9 +196,9 @@ class TestSignedRankSamples:
         expected = 2 * w[:, 1] * w[:, 3] + w[:, 0] ** 2
         assert np.allclose(samples.samples[:, 1], expected, atol=1e-12)
 
-    def test_threads_do_not_change_result(self, benchmark_z):
-        a = signed_rank_samples(benchmark_z, ROPE, DpPrior(), 120_000, RngStream(4), threads=1)
-        b = signed_rank_samples(benchmark_z, ROPE, DpPrior(), 120_000, RngStream(4), threads=3)
+    def test_same_seed_gives_same_draws(self, benchmark_z):
+        a = signed_rank_samples(benchmark_z, ROPE, DpPrior(), 120_000, RngStream(4))
+        b = signed_rank_samples(benchmark_z, ROPE, DpPrior(), 120_000, RngStream(4))
         assert np.array_equal(a.samples, b.samples)
 
     def test_runtime_within_budget(self, benchmark_z):

@@ -7,6 +7,7 @@ from scipy import stats
 from cvcompare.data import DiffSeries, Rope
 from cvcompare.dp import simplex_region_probs
 from cvcompare.hierarchical import (
+    _SIGMA_FLOOR,
     Diagnostic,
     HierConfig,
     HierDraws,
@@ -17,6 +18,9 @@ from cvcompare.hierarchical import (
     next_dataset_probs,
     shrinkage_report,
     split_rhat,
+    _slice,
+    _truncated_gamma,
+    _truncated_normal,
 )
 from cvcompare.kernels import RngStream, cs_loglik, student_logpdf
 
@@ -115,14 +119,13 @@ class TestLogPosterior:
 
 
 class TestFit:
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic(self):
         data = model_data(6, 20, seed=4)
         cfg = small_cfg(seed=11, warmup=100, draws=50)
         a = fit(data, cfg)
         b = fit(data, cfg)
-        c = fit(data, cfg, threads=2)
         assert np.array_equal(a.mu0, b.mu0) and np.array_equal(a.sigma, b.sigma)
-        assert np.array_equal(a.mu0, c.mu0) and np.array_equal(a.nu, c.nu)
+        assert np.array_equal(a.nu, b.nu)
 
     def test_chains_differ(self):
         data = model_data(6, 20, seed=4)
@@ -155,6 +158,23 @@ class TestFit:
         assert draws.sigma.min() >= 1e-10
         assert draws.mu[:, :, 0].mean() == pytest.approx(0.01, abs=1e-6)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_converges_in_the_funnel(self, seed):
+        # dataset means spread 0.004 against a within-dataset sd of about
+        # 0.04: the near-equivalence regime where a centred sampler stalls
+        data = model_data(30, 100, mu0=0.0, sigma0=0.004, sd_range=(0.035, 0.047), seed=seed)
+        draws = fit(data, HierConfig(seed=seed))
+        assert draws.converged
+
+    def test_flat_series_on_their_means(self):
+        # the chain starts at mu_i = mean_i, so every precision conditional
+        # in the first sweep has rate 0
+        data = [DiffSeries(dataset=f"f{i}", x=np.full(20, 0.01 * (i + 1)), rho=RHO) for i in range(3)]
+        draws = fit(data, small_cfg(seed=3, warmup=0, draws=20))
+        assert np.all(np.isfinite(draws.mu)) and np.all(np.isfinite(draws.nu))
+        assert draws.sigma.min() >= _SIGMA_FLOOR
+        assert draws.mu.mean(axis=(0, 1)) == pytest.approx([0.01, 0.02, 0.03], abs=1e-8)
+
     def test_validations(self):
         data = model_data(1, 10, seed=8)
         with pytest.raises(ValueError, match="two datasets"):
@@ -186,6 +206,62 @@ class TestFit:
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "0"
         assert float(first[2]) == draws.mu0[0, 0]
+
+
+def truncated_cdf(dist, lo, hi):
+    c_lo, c_hi = dist.cdf(lo), dist.cdf(hi)
+    return lambda x: (dist.cdf(x) - c_lo) / (c_hi - c_lo)
+
+
+class TestTruncatedDraws:
+    @pytest.mark.parametrize("rate", [60.0, 5.0])
+    def test_gamma_window_mostly_missed(self, rate):
+        # the beta conditional Gamma(alpha + 1, nu) on (0.05, 0.15): about 80%
+        # of plain draws fall outside, below the window at rate 60 and above
+        # it at rate 5
+        gen = np.random.default_rng(1)
+        x = _truncated_gamma(gen, 2.0, np.full(20_000, rate), 0.05, 0.15)
+        assert x.min() > 0.05 and x.max() < 0.15
+        cdf = truncated_cdf(stats.gamma(2.0, scale=1.0 / rate), 0.05, 0.15)
+        assert stats.kstest(x, cdf).pvalue > 0.01
+
+    def test_gamma_window_far_above_the_mode(self):
+        # Gamma(2, 20000) on (0.05, 0.15): the window starts 1000 scale
+        # units above the mode, so its mass underflows; the exact truncated
+        # CDF is 1 - e^(-r (x - lo)) (r x + 1) / (r lo + 1) up to the far end
+        r, lo, hi = 20_000.0, 0.05, 0.15
+        gen = np.random.default_rng(5)
+        x = _truncated_gamma(gen, 2.0, np.full(20_000, r), lo, hi)
+        assert x.min() >= lo and x.max() <= hi
+        cdf = lambda t: 1.0 - np.exp(-r * (t - lo)) * (r * t + 1.0) / (r * lo + 1.0)
+        assert stats.kstest(x, cdf).pvalue > 0.01
+
+    @pytest.mark.parametrize("rate", [0.0, 1e-300])
+    def test_gamma_zero_rate_is_power_law(self, rate):
+        # B_i == 0: the precision conditional is tau^((n-3)/2) on the window
+        n = 20
+        gen = np.random.default_rng(2)
+        x = _truncated_gamma(gen, 0.5 * (n - 1), np.full(20_000, rate), 1.0, 3.0)
+        assert np.all(np.isfinite(x)) and x.min() >= 1.0 and x.max() <= 3.0
+        cdf = truncated_cdf(stats.powerlaw(0.5 * (n - 1), scale=3.0), 1.0, 3.0)
+        assert stats.kstest(x, cdf).pvalue > 0.01
+
+    @pytest.mark.parametrize("mean, sd, lo, hi", [
+        (0.01, 1e-5, -1.0, 1.0),
+        (0.0, 1.0, -1.0, 1.0),
+        (0.0, 1.0, 3.0, 3.5),
+        (0.0, 1.0, -41.0, -40.0),
+    ])
+    def test_normal_matches_truncnorm(self, mean, sd, lo, hi):
+        gen = np.random.default_rng(3)
+        x = np.array([_truncated_normal(gen, mean, sd, lo, hi) for _ in range(20_000)])
+        assert x.min() >= lo and x.max() <= hi
+        ref = stats.truncnorm((lo - mean) / sd, (hi - mean) / sd, loc=mean, scale=sd)
+        assert stats.kstest(x, ref.cdf).pvalue > 0.01
+
+    def test_slice_ends_on_nan_density(self):
+        gen = np.random.default_rng(4)
+        assert _slice(gen, lambda x: math.nan, 0.7, 1.0) == 0.7
 
 
 class TestShiftEquivariance:
