@@ -10,6 +10,8 @@ require an explicit seed.  Exit codes: 0 success, 1 validation error,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import itertools
 import os
 import re
@@ -56,6 +58,23 @@ class _Parser(argparse.ArgumentParser):
 
 def _slug(name: str) -> str:
     return re.sub(r"[^\w.-]+", "_", name)
+
+
+def _export_names(template: str, sources: list[tuple[str, ...]]) -> list[str]:
+    """One export file name per source: ``template`` filled with its slugs.
+
+    ``_slug`` maps distinct ids such as ``knn 1`` and ``knn_1`` to one
+    name, and the later export would silently replace the earlier one, so
+    two sources sharing a file name are an error.
+    """
+    owners: dict[str, str] = {}
+    for source in sources:
+        name = template.format(*map(_slug, source))
+        label = " vs ".join(source)
+        if name in owners:
+            raise CvCompareError(f"{owners[name]!r} and {label!r} would both be exported to {name}")
+        owners[name] = label
+    return list(owners)
 
 
 def _probs_json(p: TrinomialProbs) -> dict:
@@ -198,10 +217,13 @@ def _run_bayes_ttest(args, table, rope, rule):
         diffs = [d for d in diffs if d.dataset == args.dataset]
         if not diffs:
             raise CvCompareError(f"dataset {args.dataset!r} not present in the input")
+    density_names = _export_names("density_{}.csv", [(d.dataset,) for d in diffs])
     entries = []
     files = {}
-    hdi_lines = ["dataset,level,lo,hi"]
-    for d in diffs:
+    hdi = io.StringIO()
+    hdi_rows = csv.writer(hdi, lineterminator="\n")
+    hdi_rows.writerow(["dataset", "level", "lo", "hi"])
+    for d, density_name in zip(diffs, density_names):
         post = posterior(d)
         probs = rope_probs(post, rope)
         decision = decide(probs, rule)
@@ -216,9 +238,9 @@ def _run_bayes_ttest(args, table, rope, rule):
         if not post.degenerate:
             intervals = hdis(post)
             for level, (lo, hi) in zip(intervals.levels, intervals.intervals):
-                hdi_lines.append(f"{d.dataset},{level!r},{lo!r},{hi!r}")
-        files[f"density_{_slug(d.dataset)}.csv"] = density_data(d.x, bins=30).to_csv()
-    files["hdi.csv"] = "\n".join(hdi_lines) + "\n"
+                hdi_rows.writerow([d.dataset, repr(level), repr(lo), repr(hi)])
+        files[density_name] = density_data(d.x, bins=30).to_csv()
+    files["hdi.csv"] = hdi.getvalue()
     return entries, files, 0
 
 
@@ -226,7 +248,9 @@ def _run_sign(args, table, rope, rule):
     prior = DpPrior(s=args.prior_strength, z0=args.prior_place)
     entries = []
     files = {}
-    for index, (a, b) in enumerate(_pairs(args, table)):
+    pairs = _pairs(args, table)
+    names = _export_names("barycentric_{}_vs_{}.csv", pairs)
+    for index, ((a, b), name) in enumerate(zip(pairs, names)):
         z = mean_differences(paired_differences(table, a, b, rho=args.rho))
         params = sign_test_params(z, rope, prior)
         samples = sign_test_samples(params, args.samples, RngStream(args.seed).spawn(index))
@@ -238,9 +262,7 @@ def _run_sign(args, table, rope, rule):
             "probs": _probs_json(probs), "mc_stderr": _stderr_json(probs),
             "decision": decision.verdict.value, "rule": _rule_json(rule), "seed": args.seed,
         })
-        files[f"barycentric_{_slug(a)}_vs_{_slug(b)}.csv"] = barycentric_csv(
-            barycentric_points(samples)
-        )
+        files[name] = barycentric_csv(barycentric_points(samples))
     return entries, files, 0
 
 
@@ -248,7 +270,9 @@ def _run_signed_rank(args, table, rope, rule):
     prior = DpPrior(s=args.prior_strength, z0=args.prior_place)
     entries = []
     files = {}
-    for index, (a, b) in enumerate(_pairs(args, table)):
+    pairs = _pairs(args, table)
+    names = _export_names("barycentric_{}_vs_{}.csv", pairs)
+    for index, ((a, b), name) in enumerate(zip(pairs, names)):
         z = mean_differences(paired_differences(table, a, b, rho=args.rho))
         samples = signed_rank_samples(z, rope, prior, args.samples, RngStream(args.seed).spawn(index))
         probs = simplex_region_probs(samples)
@@ -258,9 +282,7 @@ def _run_signed_rank(args, table, rope, rule):
             "probs": _probs_json(probs), "mc_stderr": _stderr_json(probs),
             "decision": decision.verdict.value, "rule": _rule_json(rule), "seed": args.seed,
         })
-        files[f"barycentric_{_slug(a)}_vs_{_slug(b)}.csv"] = barycentric_csv(
-            barycentric_points(samples)
-        )
+        files[name] = barycentric_csv(barycentric_points(samples))
     return entries, files, 0
 
 

@@ -202,8 +202,8 @@ def signed_rank_samples(
     alpha[0] = prior.s
 
     def draw(stream: RngStream, m: int) -> np.ndarray:
-        g = stream.generator().standard_gamma(alpha, size=(m, z.q + 1))
-        w = g / g.sum(axis=1, keepdims=True)
+        w = stream.generator().standard_gamma(alpha, size=(m, z.q + 1))
+        w /= w.sum(axis=1, keepdims=True)
         th_l = np.einsum("ij,ij->i", w @ left, w)
         th_r = np.einsum("ij,ij->i", w @ right, w)
         th_e = np.maximum(1.0 - (th_l + th_r), 0.0)

@@ -16,6 +16,7 @@ import numpy as np
 from .dp import TrinomialSamples
 
 __all__ = [
+    "EXPORT_POINTS",
     "TRIANGLE_VERTICES",
     "Histogram",
     "barycentric_points",
@@ -23,6 +24,10 @@ __all__ = [
     "density_data",
     "dump_json",
 ]
+
+# a scatter plot cannot show more points than this; probabilities are
+# computed from every draw, never from the export
+EXPORT_POINTS = 10_000
 
 # left, top (rope), right corners of the plotting triangle
 TRIANGLE_VERTICES = np.array([
@@ -43,11 +48,18 @@ def barycentric_points(samples: TrinomialSamples | np.ndarray) -> np.ndarray:
 
 
 def barycentric_csv(points: np.ndarray) -> str:
-    out = io.StringIO()
-    out.write("x,y\n")
-    for x, y in points:
-        out.write(f"{float(x)!r},{float(y)!r}\n")
-    return out.getvalue()
+    """CSV (``x,y`` header) of at most ``EXPORT_POINTS`` plotting points.
+
+    Longer inputs are thinned to the rows ``arange(EXPORT_POINTS) * n //
+    EXPORT_POINTS``: evenly spaced, so no random draw is spent and the
+    seed of a run fixes the file.  Each coordinate is written as the
+    shortest ``repr`` that reads back to the same float.
+    """
+    points = np.asarray(points, dtype=float)
+    n = len(points)
+    if n > EXPORT_POINTS:
+        points = points[np.arange(EXPORT_POINTS) * n // EXPORT_POINTS]
+    return "x,y\n" + "".join(map("{!r},{!r}\n".format, *points.T.tolist()))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
+import csv
 import json
 
 import pytest
 
 from cvcompare.cli import build_parser, main
+from cvcompare.data import Rope, mean_differences, paired_differences, parse_scores
+from cvcompare.dp import DpPrior, signed_rank_samples, simplex_region_probs
+from cvcompare.kernels import RngStream
+from cvcompare.report import EXPORT_POINTS
 
 from conftest import make_table
 
@@ -17,6 +22,17 @@ def score_csv(tmp_path):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def renamed_csv(tmp_path, classifiers, datasets):
+    """Score CSV whose datasets ds0, ds1, ... carry the given raw CSV fields."""
+    table = make_table(n_datasets=len(datasets), classifiers=classifiers, runs=2, folds=5, seed=3)
+    lines = table.to_csv().split("\n")
+    for i, field in enumerate(datasets):
+        lines = [field + line[len(f"ds{i}"):] if line.startswith(f"ds{i},") else line for line in lines]
+    path = tmp_path / "scores.csv"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    return path
 
 
 class TestParsing:
@@ -67,6 +83,22 @@ class TestValidation:
         assert code == 1
         assert "cvcompare: data:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, sources, name", [
+        (["sign", "--all-pairs", "--samples", "1000", "--seed", "1"],
+         ("knn 1 vs svm", "knn_1 vs svm"), "barycentric_knn_1_vs_svm.csv"),
+        (["signed-rank", "--all-pairs", "--samples", "1000", "--seed", "1"],
+         ("knn 1 vs svm", "knn_1 vs svm"), "barycentric_knn_1_vs_svm.csv"),
+        (["bayes-ttest", "--pair", "knn 1", "svm"], ("iris 1", "iris_1"), "density_iris_1.csv"),
+    ], ids=["sign", "signed-rank", "bayes-ttest"])
+    def test_export_name_collision_writes_nothing(self, tmp_path, capsys, argv, sources, name):
+        path = renamed_csv(tmp_path, ("knn 1", "knn_1", "svm"), ["iris 1", "iris_1"])
+        out = tmp_path / "out"
+        code = run_cli(argv[0], "--input", path, *argv[1:], "--output-dir", out)
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert all(repr(source) in err for source in sources) and name in err
+
 
 class TestFreqAndBayes:
     def test_freq_ttest_report(self, score_csv, tmp_path):
@@ -98,6 +130,21 @@ class TestFreqAndBayes:
         assert (out / "hdi.csv").exists()
         assert (out / "density_ds0.csv").exists()
 
+    def test_hdi_csv_quotes_dataset_ids(self, tmp_path):
+        path = renamed_csv(tmp_path, ("alpha", "beta"), ['"iris, binary"', "ds1"])
+        out = tmp_path / "out"
+        code = run_cli("bayes-ttest", "--input", path, "--pair", "alpha", "beta",
+                       "--output-dir", out)
+        assert code == 0
+        text = (out / "hdi.csv").read_text()
+        rows = list(csv.reader(text.splitlines()))
+        assert rows[0] == ["dataset", "level", "lo", "hi"]
+        assert all(len(row) == 4 for row in rows)
+        assert {row[0] for row in rows[1:]} == {"iris, binary", "ds1"}
+        plain = [line for line in text.splitlines() if line.startswith("ds1,")]
+        assert plain and all('"' not in line for line in plain)
+        assert (out / "density_iris_binary.csv").exists()
+
     def test_wilcoxon_all_pairs(self, score_csv, tmp_path):
         out = tmp_path / "out"
         code = run_cli("wilcoxon", "--input", score_csv, "--all-pairs", "--output-dir", out)
@@ -118,6 +165,22 @@ class TestMonteCarloMethods:
         assert entry["mc_stderr"] is not None
         bary = (out / "barycentric_alpha_vs_beta.csv").read_text().strip().split("\n")
         assert bary[0] == "x,y" and len(bary) == 5001
+
+    def test_report_uses_every_draw_beyond_the_export_cap(self, score_csv, tmp_path):
+        out = tmp_path / "out"
+        code = run_cli("signed-rank", "--input", score_csv, "--pair", "alpha", "beta",
+                       "--samples", "30000", "--seed", "5", "--output-dir", out)
+        assert code == 0
+        (entry,) = json.loads((out / "report.json").read_text())["results"]
+        z = mean_differences(paired_differences(parse_scores(score_csv.read_text()), "alpha", "beta"))
+        samples = signed_rank_samples(z, Rope(-0.01, 0.01), DpPrior(), 30_000, RngStream(5).spawn(0))
+        assert samples.count == 30_000
+        probs = simplex_region_probs(samples)
+        assert entry["probs"] == {"a_better": probs.p_right, "rope": probs.p_rope, "b_better": probs.p_left}
+        se = probs.mc_stderr
+        assert entry["mc_stderr"] == {"a_better": se[2], "rope": se[1], "b_better": se[0]}
+        bary = (out / "barycentric_alpha_vs_beta.csv").read_text().split("\n")
+        assert bary[0] == "x,y" and len(bary) - 1 == EXPORT_POINTS + 1
 
     def test_byte_identical_reports_for_same_seed(self, score_csv, tmp_path):
         outs = []

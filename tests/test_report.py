@@ -5,11 +5,17 @@ import pytest
 
 from cvcompare.dp import TrinomialSamples
 from cvcompare.report import (
+    EXPORT_POINTS,
     barycentric_csv,
     barycentric_points,
     density_data,
     dump_json,
 )
+
+
+def per_row_csv(points):
+    """Reference writer: one formatted row per numpy point."""
+    return "x,y\n" + "".join(f"{float(x)!r},{float(y)!r}\n" for x, y in points)
 
 
 def samples_of(rows):
@@ -51,6 +57,22 @@ class TestBarycentric:
         assert lines[0] == "x,y"
         x, y = map(float, lines[1].split(","))
         assert (x, y) == (pts[0, 0], pts[0, 1])
+
+    @pytest.mark.parametrize("n", [1, 7, EXPORT_POINTS])
+    def test_csv_matches_per_row_writer_up_to_the_cap(self, n):
+        pts = barycentric_points(np.random.default_rng(n).dirichlet([0.3, 1, 2], size=n))
+        assert barycentric_csv(pts) == per_row_csv(pts)
+
+    @pytest.mark.parametrize("n", [EXPORT_POINTS + 1, 30_007, 150_000])
+    def test_csv_keeps_evenly_spaced_rows_beyond_the_cap(self, n):
+        pts = barycentric_points(np.random.default_rng(n).dirichlet([0.3, 1, 2], size=n))
+        text = barycentric_csv(pts)
+        lines = text.split("\n")
+        assert lines[-1] == "" and len(lines) - 1 == EXPORT_POINTS + 1
+        kept = pts[np.arange(EXPORT_POINTS) * n // EXPORT_POINTS]
+        assert text == per_row_csv(kept)
+        back = np.array([[float(v) for v in line.split(",")] for line in lines[1:-1]])
+        assert np.array_equal(back, kept)
 
 
 class TestDensityData:
