@@ -329,7 +329,7 @@ def run(args) -> int:
         raise CvCompareError(f"input file not found: {args.input}")
     rope = Rope(lower=args.rope[0], upper=args.rope[1])
     rule = _load_rule(args)
-    table = parse_scores(input_path.read_text(encoding="utf-8"))
+    table = parse_scores(input_path.read_bytes())  # no newline translation
 
     entries, files, exit_code = _HANDLERS[args.method](args, table, rope, rule)
 

@@ -9,6 +9,7 @@ operates on the per-dataset mean differences.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .data import DiffSeries, MeanDiffVector, ScoreTable, mean_differences, paired_differences
 from .errors import DegenerateDataError
-from .kernels import LocScaleStudent, normal_cdf, student_sf
+from .kernels import LocScaleStudent, student_sf
 
 __all__ = [
     "TTestResult",
@@ -133,7 +134,8 @@ def wilcoxon_signed_rank(z: MeanDiffVector, exact: bool | None = None) -> Wilcox
                 f"normal approximation is unreliable for q = {q} <= 10",
                 stacklevel=2,
             )
-        p = 2.0 * (1.0 - normal_cdf(abs(w)))
+        # erfc keeps the tail's relative precision, where 1 - cdf cancels to 0
+        p = math.erfc(abs(w) / math.sqrt(2.0))
     return WilcoxonResult(
         t_stat=t_stat, w=float(w), p_two_sided=min(p, 1.0), tie_adjust=tie_adjust, exact=exact
     )

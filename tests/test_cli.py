@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import pytest
@@ -144,6 +145,17 @@ class TestFreqAndBayes:
         plain = [line for line in text.splitlines() if line.startswith("ds1,")]
         assert plain and all('"' not in line for line in plain)
         assert (out / "density_iris_binary.csv").exists()
+
+    def test_quoted_line_break_in_id_reaches_outputs(self, tmp_path):
+        # the input is read without newline translation, so CRLF inside quotes stays
+        path = renamed_csv(tmp_path, ("alpha", "beta"), ['"d\r\nx"', "ds1"])
+        out = tmp_path / "out"
+        code = run_cli("bayes-ttest", "--input", path, "--pair", "alpha", "beta",
+                       "--output-dir", out)
+        assert code == 0
+        text = (out / "hdi.csv").read_bytes().decode("utf-8")
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert {row[0] for row in rows[1:]} == {"d\r\nx", "ds1"}
 
     def test_wilcoxon_all_pairs(self, score_csv, tmp_path):
         out = tmp_path / "out"

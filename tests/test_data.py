@@ -1,9 +1,16 @@
+import csv
+import io
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvcompare.data import (
     DiffSeries,
     Rope,
+    ScoreTable,
     mean_differences,
     paired_differences,
     parse_scores,
@@ -17,6 +24,9 @@ def csv_for(cells, header="dataset,classifier,run,fold,score"):
     lines = [header]
     lines += [",".join(str(v) for v in row) for row in cells]
     return "\n".join(lines) + "\n"
+
+
+STRIPPED_IDS = st.text(min_size=1, max_size=6).filter(lambda s: s == s.strip())
 
 
 def full_grid(dataset, classifier, scores):
@@ -101,6 +111,252 @@ class TestParseScores:
         for key, scores in table.entries.items():
             assert np.array_equal(again.entries[key], scores)
 
+    @pytest.mark.parametrize(
+        "bad_rows, line, message",
+        [
+            ({3: ("d", "a", "x", 0, 0.5), 5: ("d", "a", 2, 0, "oops")}, 3, "run/fold must be integers"),
+            ({3: ("d", "a", 1, 0, "oops"), 5: ("d", "a", "x", 0, 0.5)}, 3, "non-numeric score"),
+            ({3: ("d", "a", 1, 0, 101.0), 5: ("", "a", 2, 0, 0.5)}, 3, "outside"),
+            ({3: ("d", "a", 0, 0, 0.5), 5: ("d", "a", -1, 0, 0.5)}, 3, "duplicate"),
+            ({3: ("d", "a", 0, -1, 0.5), 5: ("d", "a", 2, 0)}, 3, "non-negative"),
+            ({3: ("d", "a", 1), 5: ("d", "a", "x", 0, "oops")}, 3, "expected 5 columns, got 3"),
+            ({3: (" ", "a", 1, 0, 0.5), 5: ("d", "a", 2, 0, 0.5, 9)}, 3, "empty dataset"),
+            # two faults in one row: the check the row meets first
+            ({3: ("d", "a", "x", 0, "oops")}, 3, "run/fold must be integers"),
+            ({3: ("d", "a", -1, 0, 101.0)}, 3, "non-negative"),
+        ],
+    )
+    def test_earliest_bad_line_is_reported(self, bad_rows, line, message):
+        rows = [("d", "a", r, 0, 0.5) for r in range(5)]
+        for lineno, row in bad_rows.items():
+            rows[lineno - 2] = row
+        with pytest.raises(ParseError, match=f"^line {line}: .*{message}"):
+            parse_scores(csv_for(rows))
+
+    def test_line_numbers_count_blank_lines(self):
+        text = "dataset,classifier,run,fold,score\n\nd,a,0,0,0.5\n\n\nd,a,0,1,oops\n"
+        with pytest.raises(ParseError, match="^line 6: non-numeric score 'oops'"):
+            parse_scores(text)
+        with pytest.raises(ParseError, match="^line 6: non-numeric"):
+            parse_scores(text.replace("\n", "\r\n"))
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            # the whole 2 x 2 grid plus one cell in a third run
+            (full_grid("d", "b", [[0.5, 0.6], [0.7, 0.8]]) + [("d", "b", 2, 0, 0.5)],
+             "'d', 'b'\\) has 5 cells, expected a complete 2 x 2 grid"),
+            # three cells of the grid and one in a fold it lacks
+            (full_grid("d", "b", [[0.5, 0.6], [0.7, 0.8]])[:-1] + [("d", "b", 0, 7, 0.5)],
+             "'d', 'b'\\) has 4 cells"),
+        ],
+    )
+    def test_cell_beyond_first_grid_is_shape_error(self, second, message):
+        rows = full_grid("d", "a", [[0.5, 0.6], [0.7, 0.8]]) + second
+        with pytest.raises(ShapeError, match=message):
+            parse_scores(csv_for(rows))
+
+    def test_ids_are_stripped(self):
+        rows = [(" d ", "\ta  ", 0, 0, 0.5), ("d", "a", 0, 1, 0.25)]
+        table = parse_scores(csv_for(rows))
+        assert list(table.entries) == [("d", "a")]
+        assert table.datasets == ("d",) and table.classifiers == ("a",)
+
+    def test_quoted_and_unquoted_spellings_agree(self):
+        table = make_table(n_datasets=3, classifiers=("a", "b", "c"), runs=2, folds=3, seed=4)
+        plain = table.to_csv()
+        assert '"' not in plain
+        out = io.StringIO()
+        writer = csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\r\n")
+        writer.writerows(csv.reader(io.StringIO(plain)))
+        quoted = parse_scores(out.getvalue())
+        again = parse_scores(plain)
+        assert list(quoted.entries) == list(again.entries) == list(table.entries)
+        for key, scores in again.entries.items():
+            assert quoted.entries[key].tobytes() == scores.tobytes() == table.entries[key].tobytes()
+
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_records_end_only_at_lf_or_crlf(self, sep):
+        text = csv_for([(f"d{sep}x", "a", 0, 0, 0.5), (f"d{sep}x", "a", 0, 1, 0.25)])
+        for eol in ("\n", "\r\n"):
+            table = parse_scores(text.replace("\n", eol))
+            assert list(table.entries) == [(f"d{sep}x", "a")]
+
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"])
+    def test_quoted_line_break_is_kept(self, brk):
+        text = f'dataset,classifier,run,fold,score\n"d{brk}x",a,0,0,0.5\n"d{brk}x",a,0,1,0.25\n'
+        table = parse_scores(text)
+        assert list(table.entries) == [(f"d{brk}x", "a")]
+        assert parse_scores(table.to_csv()).entries.keys() == table.entries.keys()
+
+    def test_carriage_return_outside_quotes(self):
+        text = csv_for([("d", "a", 0, 0, 0.5)]) + "d\rx,a,0,1,0.25\n"
+        with pytest.raises(ParseError, match="^line 3: carriage return"):
+            parse_scores(text)
+        with pytest.raises(ParseError, match="^line 3:"):
+            parse_scores(text.replace("d,a", '"d",a'))
+
+    @staticmethod
+    def _table(ids, runs, folds, seed):
+        rng = np.random.default_rng(seed)
+        split = len(ids) // 2
+        keys = [(d, c) for d in ids[:split] for c in ids[split:]]
+        entries = {key: rng.uniform(0.0, 1.0, size=(runs, folds)) for key in keys}
+        return ScoreTable(entries=entries, runs=runs, folds=folds)
+
+    @given(
+        ids=st.lists(STRIPPED_IDS, min_size=2, max_size=5, unique=True),
+        runs=st.integers(1, 3),
+        folds=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_any_ids(self, ids, runs, folds, seed):
+        table = self._table(ids, runs, folds, seed)
+        again = parse_scores(table.to_csv())
+        assert (again.runs, again.folds) == (runs, folds)
+        assert list(again.entries) == list(table.entries)
+        for key, scores in table.entries.items():
+            assert again.entries[key].tobytes() == scores.tobytes()
+
+    @given(
+        ids=st.lists(
+            STRIPPED_IDS.filter(lambda s: "\r" not in s and "\n" not in s),
+            min_size=2, max_size=5, unique=True,
+        ),
+        runs=st.integers(1, 3),
+        folds=st.integers(1, 3),
+        percent=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_shuffled_rows_and_percent(self, ids, runs, folds, percent, seed):
+        # ids without line breaks, so every record is one line of to_csv
+        table = self._table(ids, runs, folds, seed)
+        header, *records = [line + "\n" for line in table.to_csv().split("\n")[:-1]]
+        expected = dict(table.entries)
+        if percent:
+            expected = {key: scores * 100.0 for key, scores in expected.items()}
+            next(iter(expected.values()))[0, 0] = 99.5  # at least one value above 1
+            cells = [(key, r, f) for key in expected for r in range(runs) for f in range(folds)]
+            records = [
+                f"{record.rsplit(',', 1)[0]},{float(expected[key][r, f])!r}\n"
+                for record, (key, r, f) in zip(records, cells)
+            ]
+            expected = {key: scores / 100.0 for key, scores in expected.items()}
+        random.Random(seed).shuffle(records)
+        again = parse_scores(header + "".join(records))
+        assert (again.runs, again.folds) == (runs, folds)
+        assert set(again.entries) == set(expected)
+        for key, scores in expected.items():
+            assert again.entries[key].tobytes() == scores.tobytes()
+
+
+def reference_parse(text):
+    """The row-at-a-time parser the columnar one replaced, kept as the
+    reference: same checks in the same order, first bad row raises."""
+    rows = list(csv.reader(io.StringIO(text, newline="\n")))
+    if not rows:
+        raise ParseError("no rows")
+    header = tuple(h.strip().lower() for h in rows[0])
+    if header != ("dataset", "classifier", "run", "fold", "score"):
+        raise ParseError(f"expected header dataset,classifier,run,fold,score, got {','.join(rows[0])}", line=1)
+    cells = {}
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 5:
+            raise ParseError(f"expected 5 columns, got {len(row)}", line=lineno)
+        dataset, classifier = row[0].strip(), row[1].strip()
+        if not dataset or not classifier:
+            raise ParseError("empty dataset or classifier id", line=lineno)
+        try:
+            run, fold = int(row[2]), int(row[3])
+        except ValueError:
+            raise ParseError(f"run/fold must be integers, got {row[2]!r}/{row[3]!r}", line=lineno) from None
+        if run < 0 or fold < 0:
+            raise ParseError("run and fold must be non-negative", line=lineno)
+        try:
+            score = float(row[4])
+        except ValueError:
+            raise ParseError(f"non-numeric score {row[4]!r}", line=lineno) from None
+        if not np.isfinite(score) or score < 0.0 or score > 100.0:
+            raise ParseError(f"score {score!r} outside [0, 100]", line=lineno)
+        grid = cells.setdefault((dataset, classifier), {})
+        if (run, fold) in grid:
+            raise ParseError(f"duplicate cell for {(dataset, classifier)} run={run} fold={fold}", line=lineno)
+        grid[(run, fold)] = score
+    if not cells:
+        raise ParseError("no rows")
+    percent = max(max(grid.values()) for grid in cells.values()) > 1.0
+    first = next(iter(cells.values()))
+    runs, folds = 1 + max(r for r, _ in first), 1 + max(f for _, f in first)
+    entries = {}
+    for key, grid in cells.items():
+        if len(grid) != runs * folds or any((r, f) not in grid for r in range(runs) for f in range(folds)):
+            raise ShapeError(f"{key} has {len(grid)} cells, expected a complete {runs} x {folds} grid")
+        scores = np.empty((runs, folds))
+        for (r, f), value in grid.items():
+            scores[r, f] = value / 100.0 if percent else value
+        entries[key] = scores
+    return entries, runs, folds
+
+
+JUNK = ["x", "", " ", "1.5", "-1", "+1", "1_0", " 2 ", "nan", "inf", "101", "-0.0", "1e2", "3", "0.5", " d0", "c1\t"]
+
+
+def mutated_file(seed):
+    """A small score file, shuffled and then broken in a few seeded ways."""
+    rng = random.Random(seed)
+    percent = rng.random() < 0.3
+    shape = [rng.randint(1, 3) for _ in range(4)]
+    rows = [
+        [f"d{i}", f"c{j}", str(r), str(f), repr(round(rng.uniform(0, 100 if percent else 1), rng.randint(0, 6)))]
+        for i in range(shape[0]) for j in range(shape[1]) for r in range(shape[2]) for f in range(shape[3])
+    ]
+    if rng.random() < 0.5:
+        rng.shuffle(rows)
+    for _ in range(rng.choice([0, 1, 1, 2, 3, 5])):
+        k = rng.randrange(len(rows))
+        kind = rng.randrange(6)
+        if kind == 0:
+            rows.pop(k)
+        elif kind == 1:
+            rows.insert(rng.randrange(len(rows) + 1), list(rows[k]))
+        elif kind == 2:
+            rows.insert(rng.randrange(len(rows) + 1), [])
+        elif kind == 3:
+            rows[k] = rows[k][:rng.randrange(6)] + ["z"] * rng.randint(0, 1)
+        elif len(rows[k]) == 5:
+            rows[k][rng.randrange(5)] = rng.choice(JUNK) if kind == 4 else str(rng.randint(0, 4))
+        if not rows:
+            break
+    quote = rng.random() < 0.3
+    lines = ["dataset,classifier,run,fold,score"] + [
+        ",".join(f'"{v}"' if quote and rng.random() < 0.5 else v for v in row) for row in rows
+    ]
+    eol = rng.choice(["\n", "\r\n"])
+    return eol.join(lines) + (eol if rng.random() < 0.8 else "")
+
+
+def outcome(parse, text):
+    try:
+        result = parse(text)
+    except (ParseError, ShapeError) as exc:
+        return type(exc).__name__, str(exc)
+    if not isinstance(result, tuple):
+        result = result.entries, result.runs, result.folds
+    entries, runs, folds = result
+    return runs, folds, [(key, scores.tobytes()) for key, scores in entries.items()]
+
+
+class TestAgainstRowLoop:
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=400, deadline=None)
+    def test_same_table_or_same_error(self, seed):
+        text = mutated_file(seed)
+        assert outcome(parse_scores, text) == outcome(reference_parse, text)
+
 
 class TestPairedDifferences:
     def test_identity_pair_is_zero(self):
@@ -151,6 +407,35 @@ class TestPairedDifferences:
         broken = ScoreTable(entries=entries, runs=table.runs, folds=table.folds)
         with pytest.raises(CoverageError, match="ds1"):
             paired_differences(broken, "alpha", "beta")
+
+    def test_coverage_error_text(self):
+        table = make_table(n_datasets=3)
+        entries = dict(table.entries)
+        del entries[("ds0", "beta")], entries[("ds2", "alpha")]
+        broken = ScoreTable(entries=entries, runs=table.runs, folds=table.folds)
+        with pytest.raises(CoverageError) as err:
+            paired_differences(broken, "alpha", "beta")
+        assert str(err.value) == "classifiers 'alpha'/'beta' missing for datasets: ds0, ds2"
+
+    @pytest.mark.parametrize("runs, folds", [(1, 2), (2, 5), (10, 10), (3, 100)])
+    def test_statistics_match_per_series(self, runs, folds):
+        table = make_table(6, classifiers=("alpha", "beta", "flat"), runs=runs, folds=folds, seed=9)
+        entries = dict(table.entries)
+        # constant differences: flat = alpha + 0.01 on one dataset, = alpha on another
+        entries[("ds0", "flat")] = np.clip(entries[("ds0", "alpha")] + 0.01, 0.0, 1.0)
+        entries[("ds1", "flat")] = entries[("ds1", "alpha")].copy()
+        table = ScoreTable(entries=entries, runs=runs, folds=folds)
+        for a, b in [("alpha", "beta"), ("alpha", "flat"), ("flat", "alpha"), ("beta", "beta")]:
+            for d in paired_differences(table, a, b):
+                again = DiffSeries(d.dataset, d.x, d.rho)
+                assert d.mean == again.mean and d.sd == again.sd and d.n == again.n
+                # the per-series loop the vectorised form replaces
+                x = (table.scores(d.dataset, a) - table.scores(d.dataset, b)).ravel()
+                assert np.array_equal(d.x, x)
+                if np.all(x == x[0]):
+                    assert d.mean == x[0] and d.sd == 0.0
+                else:
+                    assert d.mean == x.mean() and d.sd == x.std(ddof=1)
 
 
 class TestMeanDifferences:

@@ -113,6 +113,13 @@ class TestWilcoxon:
         res = wilcoxon_signed_rank(mdv([0, 0, 0]))
         assert res.t_stat == 0.0 and res.p_two_sided == 1.0
 
+    def test_far_tail_p_does_not_underflow(self):
+        # all 150 differences positive: |w| is about 10.6, where 1 - cdf(|w|) is 0
+        res = wilcoxon_signed_rank(mdv(np.linspace(0.001, 0.15, 150)))
+        assert not res.exact and abs(res.w) > 10
+        assert res.p_two_sided > 0.0
+        assert res.p_two_sided == pytest.approx(2.0 * stats.norm.sf(abs(res.w)), rel=1e-12)
+
     @given(st.lists(st.floats(-0.9, 0.9), min_size=2, max_size=20))
     @settings(max_examples=60, deadline=None)
     def test_statistic_bounds(self, values):
