@@ -3,7 +3,7 @@
 One subcommand per method.  Every run writes a deterministic
 ``report.json`` (byte-identical for identical config and seed) plus
 method-specific exports into the output directory; Monte-Carlo methods
-require an explicit seed.  Exit codes: 0 success, 1 validation error,
+require an explicit seed.  Exit codes: 0 success, 1 validation or I/O error,
 2 hierarchical fit flagged as non-converged.
 """
 
@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import itertools
+import json
 import os
 import re
 import sys
@@ -23,8 +24,15 @@ import numpy as np
 from . import __version__
 from .bayes_ttest import TrinomialProbs, direction_prob, hdis, posterior, rope_probs
 from .data import Rope, mean_differences, paired_differences, parse_scores
-from .decisions import LossMatrix, decide
-from .dp import DpPrior, sign_test_params, sign_test_samples, signed_rank_samples, simplex_region_probs
+from .decisions import LossMatrix, decide, rule_record
+from .dp import (
+    DEFAULT_SAMPLE_COUNT,
+    DpPrior,
+    sign_test_params,
+    sign_test_samples,
+    signed_rank_samples,
+    simplex_region_probs,
+)
 from .errors import (
     CoverageError,
     CvCompareError,
@@ -80,8 +88,7 @@ def _export_names(template: str, sources: list[tuple[str, ...]]) -> list[str]:
 def _probs_json(p: TrinomialProbs) -> dict:
     # report keys name the classifiers explicitly: differences are A - B,
     # so the "left" outcome means B is practically better
-    out = {"a_better": p.p_right, "rope": p.p_rope, "b_better": p.p_left}
-    return out
+    return {"a_better": p.p_right, "rope": p.p_rope, "b_better": p.p_left}
 
 
 def _stderr_json(p: TrinomialProbs):
@@ -117,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
             group.add_argument("--all-pairs", action="store_true", help="compare every classifier pair")
         else:
             p.add_argument("--pair", nargs=2, metavar=("A", "B"), required=True)
-        p.add_argument("--rope", nargs=2, type=float, default=[-0.01, 0.01],
+        p.add_argument("--rope", nargs=2, type=float, default=[Rope.lower, Rope.upper],
                        metavar=("LO", "HI"), help="region of practical equivalence")
         p.add_argument("--rho", type=float, default=None,
                        help="cross-validation correlation (default: 1/folds)")
@@ -125,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--loss-matrix", default=None, help="JSON file with a 4x3 loss matrix")
         if mc:
             p.add_argument("--seed", type=int, required=True, help="Monte-Carlo seed (required)")
-            p.add_argument("--samples", type=int, default=150_000, help="Monte-Carlo draw count")
+            p.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT, help="Monte-Carlo draw count")
 
     p = sub_parser("freq-ttest", "correlated t-test per dataset")
     common(p, pairs=False)
@@ -138,189 +145,102 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, pairs=False)
     p.add_argument("--dataset", default=None, help="restrict to one dataset")
 
-    p = sub_parser("sign", "Dirichlet-process sign test")
-    common(p, mc=True)
-    p.add_argument("--prior-strength", type=float, default=0.5, help="pseudo-observation weight")
-    p.add_argument("--prior-place", choices=["left", "rope", "right"], default="rope",
-                   help="pseudo-observation placement")
-
-    p = sub_parser("signed-rank", "Dirichlet-process signed-rank test")
-    common(p, mc=True)
-    p.add_argument("--prior-strength", type=float, default=0.5, help="pseudo-observation weight")
-    p.add_argument("--prior-place", choices=["left", "rope", "right"], default="rope",
-                   help="pseudo-observation placement")
+    for name, help in (("sign", "Dirichlet-process sign test"),
+                       ("signed-rank", "Dirichlet-process signed-rank test")):
+        p = sub_parser(name, help)
+        common(p, mc=True)
+        p.add_argument("--prior-strength", type=float, default=DpPrior.s, help="pseudo-observation weight")
+        p.add_argument("--prior-place", choices=["left", "rope", "right"], default=DpPrior.z0,
+                       help="pseudo-observation placement")
 
     p = sub_parser("hierarchical", "hierarchical correlated t-test across datasets")
     common(p, mc=True, pairs=False)
-    p.add_argument("--chains", type=int, default=4, help="independent MCMC chains")
-    p.add_argument("--warmup", type=int, default=1000, help="burn-in sweeps per chain")
-    p.add_argument("--draws", type=int, default=1000, help="kept draws per chain")
+    p.add_argument("--chains", type=int, default=HierConfig.chains, help="independent MCMC chains")
+    p.add_argument("--warmup", type=int, default=HierConfig.warmup, help="burn-in sweeps per chain")
+    p.add_argument("--draws", type=int, default=HierConfig.draws, help="kept draws per chain")
     return parser
 
 
 def _load_rule(args):
+    """The decision rule and its report record; a bad rule fails before any work."""
     if args.loss_matrix is not None:
-        import json
-
         with open(args.loss_matrix, encoding="utf-8") as fh:
-            return LossMatrix(np.array(json.load(fh), dtype=float))
-    return args.threshold
+            rule = LossMatrix(np.array(json.load(fh), dtype=float))
+    else:
+        rule = args.threshold
+    return rule, rule_record(rule)
 
 
-def _rule_json(rule):
-    if isinstance(rule, LossMatrix):
-        return {"type": "loss", "matrix": rule.matrix.tolist()}
-    return {"type": "threshold", "threshold": rule}
+# export file templates of each method, filled with one source per comparison
+_EXPORTS = {
+    "freq-ttest": (),
+    "wilcoxon": (),
+    "bayes-ttest": ("density_{}.csv",),
+    "sign": ("barycentric_{}_vs_{}.csv",),
+    "signed-rank": ("barycentric_{}_vs_{}.csv",),
+    "hierarchical": ("draws_{}_vs_{}.csv", "barycentric_{}_vs_{}.csv"),
+}
 
 
-def _pairs(args, table) -> list[tuple[str, str]]:
-    if getattr(args, "all_pairs", False):
-        return list(itertools.combinations(table.classifiers, 2))
-    a, b = args.pair
-    return [(a, b)]
+def _analyse(args, rope, series, index, hdi_rows):
+    """One comparison: the method's own report fields, its rope probabilities
+    (None for the frequentist tests) and its export texts, in the order of
+    the method's ``_EXPORTS`` templates.
 
-
-def _run_freq_ttest(args, table, rope, rule):
-    a, b = args.pair
-    diffs = paired_differences(table, a, b, rho=args.rho)
-    if args.dataset is not None:
-        diffs = [d for d in diffs if d.dataset == args.dataset]
-        if not diffs:
-            raise CvCompareError(f"dataset {args.dataset!r} not present in the input")
-    entries = []
-    for d in diffs:
-        res = correlated_ttest(d)
-        entries.append({
-            "pair": [a, b], "method": "freq-ttest", "dataset": d.dataset,
-            "t": res.t, "p_two_sided": res.p_two_sided,
+    ``series`` is one dataset's difference series for the per-dataset tests
+    and the pair's list of them otherwise.  ``bayes-ttest`` also writes its
+    intervals to ``hdi_rows``, the rows of the one ``hdi.csv`` of the run.
+    """
+    if args.method == "freq-ttest":
+        res = correlated_ttest(series)
+        fields = {
+            "dataset": series.dataset, "t": res.t, "p_two_sided": res.p_two_sided,
             "p_one_sided_greater": res.p_one_sided_greater, "dof": res.dof,
-        })
-    return entries, {}, 0
-
-
-def _run_wilcoxon(args, table, rope, rule):
-    entries = []
-    for a, b in _pairs(args, table):
-        z = mean_differences(paired_differences(table, a, b, rho=args.rho))
-        res = wilcoxon_signed_rank(z)
-        entries.append({
-            "pair": [a, b], "method": "wilcoxon", "t_stat": res.t_stat, "w": res.w,
-            "p_two_sided": res.p_two_sided, "tie_adjust": res.tie_adjust, "exact": res.exact,
-        })
-    return entries, {}, 0
-
-
-def _run_bayes_ttest(args, table, rope, rule):
-    a, b = args.pair
-    diffs = paired_differences(table, a, b, rho=args.rho)
-    if args.dataset is not None:
-        diffs = [d for d in diffs if d.dataset == args.dataset]
-        if not diffs:
-            raise CvCompareError(f"dataset {args.dataset!r} not present in the input")
-    density_names = _export_names("density_{}.csv", [(d.dataset,) for d in diffs])
-    entries = []
-    files = {}
-    hdi = io.StringIO()
-    hdi_rows = csv.writer(hdi, lineterminator="\n")
-    hdi_rows.writerow(["dataset", "level", "lo", "hi"])
-    for d, density_name in zip(diffs, density_names):
-        post = posterior(d)
-        probs = rope_probs(post, rope)
-        decision = decide(probs, rule)
-        entry = {
-            "pair": [a, b], "method": "bayes-ttest", "dataset": d.dataset,
-            "posterior": {"dof": post.dof, "loc": post.loc, "scale2": post.scale2},
-            "probs": _probs_json(probs), "mc_stderr": None,
-            "p_direction_a_better": direction_prob(post),
-            "decision": decision.verdict.value, "rule": _rule_json(rule), "seed": None,
         }
-        entries.append(entry)
+        return fields, None, []
+    if args.method == "wilcoxon":
+        res = wilcoxon_signed_rank(mean_differences(series))
+        fields = {
+            "t_stat": res.t_stat, "w": res.w, "p_two_sided": res.p_two_sided,
+            "tie_adjust": res.tie_adjust, "exact": res.exact,
+        }
+        return fields, None, []
+    if args.method == "bayes-ttest":
+        post = posterior(series)
         if not post.degenerate:
             intervals = hdis(post)
             for level, (lo, hi) in zip(intervals.levels, intervals.intervals):
-                hdi_rows.writerow([d.dataset, repr(level), repr(lo), repr(hi)])
-        files[density_name] = density_data(d.x, bins=30).to_csv()
-    files["hdi.csv"] = hdi.getvalue()
-    return entries, files, 0
-
-
-def _run_sign(args, table, rope, rule):
-    prior = DpPrior(s=args.prior_strength, z0=args.prior_place)
-    entries = []
-    files = {}
-    pairs = _pairs(args, table)
-    names = _export_names("barycentric_{}_vs_{}.csv", pairs)
-    for index, ((a, b), name) in enumerate(zip(pairs, names)):
-        z = mean_differences(paired_differences(table, a, b, rho=args.rho))
-        params = sign_test_params(z, rope, prior)
-        samples = sign_test_samples(params, args.samples, RngStream(args.seed).spawn(index))
-        probs = simplex_region_probs(samples)
-        decision = decide(probs, rule)
-        entries.append({
-            "pair": [a, b], "method": "sign",
-            "dirichlet": [params.a_left, params.a_rope, params.a_right],
-            "probs": _probs_json(probs), "mc_stderr": _stderr_json(probs),
-            "decision": decision.verdict.value, "rule": _rule_json(rule), "seed": args.seed,
-        })
-        files[name] = barycentric_csv(barycentric_points(samples))
-    return entries, files, 0
-
-
-def _run_signed_rank(args, table, rope, rule):
-    prior = DpPrior(s=args.prior_strength, z0=args.prior_place)
-    entries = []
-    files = {}
-    pairs = _pairs(args, table)
-    names = _export_names("barycentric_{}_vs_{}.csv", pairs)
-    for index, ((a, b), name) in enumerate(zip(pairs, names)):
-        z = mean_differences(paired_differences(table, a, b, rho=args.rho))
-        samples = signed_rank_samples(z, rope, prior, args.samples, RngStream(args.seed).spawn(index))
-        probs = simplex_region_probs(samples)
-        decision = decide(probs, rule)
-        entries.append({
-            "pair": [a, b], "method": "signed-rank",
-            "probs": _probs_json(probs), "mc_stderr": _stderr_json(probs),
-            "decision": decision.verdict.value, "rule": _rule_json(rule), "seed": args.seed,
-        })
-        files[name] = barycentric_csv(barycentric_points(samples))
-    return entries, files, 0
-
-
-def _run_hierarchical(args, table, rope, rule):
-    a, b = args.pair
-    diffs = paired_differences(table, a, b, rho=args.rho)
-    cfg = HierConfig(seed=args.seed, chains=args.chains, warmup=args.warmup, draws=args.draws)
-    draws = fit(diffs, cfg)
-    samples = next_dataset_probs(draws, rope, rng=RngStream(args.seed, stream_id=1))
-    probs = simplex_region_probs(samples)
-    decision = decide(probs, rule)
-    max_rhat = max(d.rhat for d in draws.diagnostics.values())
-    min_ess = min(d.ess for d in draws.diagnostics.values())
-    entries = [{
-        "pair": [a, b], "method": "hierarchical",
-        "probs": _probs_json(probs), "mc_stderr": _stderr_json(probs),
-        "decision": decision.verdict.value, "rule": _rule_json(rule), "seed": args.seed,
-        "diagnostics": {
-            "converged": draws.converged, "max_rhat": max_rhat, "min_ess": min_ess,
+                hdi_rows.writerow([series.dataset, repr(level), repr(lo), repr(hi)])
+        fields = {
+            "dataset": series.dataset,
+            "posterior": {"dof": post.dof, "loc": post.loc, "scale2": post.scale2},
+            "p_direction_a_better": direction_prob(post),
+        }
+        return fields, rope_probs(post, rope), [density_data(series.x, bins=30).to_csv()]
+    if args.method == "hierarchical":
+        cfg = HierConfig(seed=args.seed, chains=args.chains, warmup=args.warmup, draws=args.draws)
+        draws = fit(series, cfg)
+        samples = next_dataset_probs(draws, rope, rng=RngStream(args.seed, stream_id=1))
+        diagnostics = {
+            "converged": draws.converged,
+            "max_rhat": max(d.rhat for d in draws.diagnostics.values()),
+            "min_ess": min(d.ess for d in draws.diagnostics.values()),
             "mu0_rhat": draws.diagnostics["mu0"].rhat, "mu0_ess": draws.diagnostics["mu0"].ess,
-        },
-    }]
-    files = {
-        f"draws_{_slug(a)}_vs_{_slug(b)}.csv": draws.to_csv(),
-        f"barycentric_{_slug(a)}_vs_{_slug(b)}.csv": barycentric_csv(barycentric_points(samples)),
-    }
-    exit_code = 0 if draws.converged else 2
-    return entries, files, exit_code
-
-
-_HANDLERS = {
-    "freq-ttest": _run_freq_ttest,
-    "wilcoxon": _run_wilcoxon,
-    "bayes-ttest": _run_bayes_ttest,
-    "sign": _run_sign,
-    "signed-rank": _run_signed_rank,
-    "hierarchical": _run_hierarchical,
-}
+        }
+        exports = [draws.to_csv(), barycentric_csv(barycentric_points(samples))]
+        return {"diagnostics": diagnostics}, simplex_region_probs(samples), exports
+    # the Dirichlet-process tests differ only in the sampler
+    z = mean_differences(series)
+    prior = DpPrior(s=args.prior_strength, z0=args.prior_place)
+    rng = RngStream(args.seed).spawn(index)
+    if args.method == "sign":
+        params = sign_test_params(z, rope, prior)
+        fields = {"dirichlet": [params.a_left, params.a_rope, params.a_right]}
+        samples = sign_test_samples(params, args.samples, rng)
+    else:
+        fields = {}
+        samples = signed_rank_samples(z, rope, prior, args.samples, rng)
+    return fields, simplex_region_probs(samples), [barycentric_csv(barycentric_points(samples))]
 
 
 def run(args) -> int:
@@ -328,16 +248,53 @@ def run(args) -> int:
     if not input_path.is_file():
         raise CvCompareError(f"input file not found: {args.input}")
     rope = Rope(lower=args.rope[0], upper=args.rope[1])
-    rule = _load_rule(args)
+    rule, rule_json = _load_rule(args)
     table = parse_scores(input_path.read_bytes())  # no newline translation
 
-    entries, files, exit_code = _HANDLERS[args.method](args, table, rope, rule)
+    # the comparisons: one per dataset for the t-tests, else one per classifier pair
+    if args.method in ("freq-ttest", "bayes-ttest"):
+        diffs = paired_differences(table, *args.pair, rho=args.rho)
+        if args.dataset is not None:
+            diffs = [d for d in diffs if d.dataset == args.dataset]
+            if not diffs:
+                raise CvCompareError(f"dataset {args.dataset!r} not present in the input")
+        comparisons = [(tuple(args.pair), d) for d in diffs]
+        sources = [(d.dataset,) for d in diffs]
+    else:
+        if getattr(args, "all_pairs", False):
+            sources = list(itertools.combinations(table.classifiers, 2))
+        else:
+            sources = [tuple(args.pair)]
+        # formed as the loop reaches each pair, so one pair's differences are held at a time
+        comparisons = ((pair, paired_differences(table, *pair, rho=args.rho)) for pair in sources)
+    # name every export before any analysis, so a name clash costs no work
+    names = [_export_names(template, sources) for template in _EXPORTS[args.method]]
+
+    entries = []
+    files = {}
+    hdi = io.StringIO()
+    hdi_rows = csv.writer(hdi, lineterminator="\n")
+    hdi_rows.writerow(["dataset", "level", "lo", "hi"])
+    for index, ((a, b), series) in enumerate(comparisons):
+        fields, probs, exports = _analyse(args, rope, series, index, hdi_rows)
+        entry = {"pair": [a, b], "method": args.method, **fields}
+        if probs is not None:
+            entry.update({
+                "probs": _probs_json(probs), "mc_stderr": _stderr_json(probs),
+                "decision": decide(probs, rule).verdict.value, "rule": rule_json,
+                "seed": getattr(args, "seed", None),
+            })
+        entries.append(entry)
+        for export_names, text in zip(names, exports):
+            files[export_names[index]] = text
+    if args.method == "bayes-ttest":
+        files["hdi.csv"] = hdi.getvalue()
 
     report = {
         "method": args.method,
         "input": str(args.input),
         "rope": [rope.lower, rope.upper],
-        "rule": _rule_json(rule),
+        "rule": rule_json,
         "seed": getattr(args, "seed", None),
         "results": entries,
     }
@@ -346,7 +303,9 @@ def run(args) -> int:
     dump_json(report, out_dir / "report.json")
     for name, text in files.items():
         (out_dir / name).write_text(text, encoding="utf-8")
-    return exit_code
+    # a hierarchical fit flagged as non-converged still writes its outputs
+    converged = all(e["diagnostics"]["converged"] for e in entries if "diagnostics" in e)
+    return 0 if converged else 2
 
 
 def main(argv=None) -> int:
@@ -357,12 +316,12 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"cvcompare: usage: {exc}", file=sys.stderr)
         return 1
-    except CvCompareError as exc:
+    except (CvCompareError, ValueError) as exc:
         component = _COMPONENT.get(type(exc), "validation")
         print(f"cvcompare: {component}: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"cvcompare: validation: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"cvcompare: io: {exc}", file=sys.stderr)
         return 1
 
 

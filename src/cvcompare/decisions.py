@@ -21,6 +21,7 @@ __all__ = [
     "Verdict",
     "Decision",
     "LossMatrix",
+    "rule_record",
     "threshold_decision",
     "loss_decision",
     "decide",
@@ -80,11 +81,22 @@ class LossMatrix:
         ]))
 
 
+def rule_record(rule: float | LossMatrix) -> dict:
+    """The JSON record of a decision rule, as reports and decisions carry it.
+
+    A threshold must lie in (1/3, 1]: at or below 1/3 two outcomes can
+    both exceed it.
+    """
+    if isinstance(rule, LossMatrix):
+        return {"type": "loss", "matrix": rule.matrix.tolist()}
+    if not (1.0 / 3.0 < rule <= 1.0):
+        raise ValueError(f"threshold must be in (1/3, 1], got {rule}")
+    return {"type": "threshold", "threshold": rule}
+
+
 def threshold_decision(p: TrinomialProbs, threshold: float = 0.95) -> Decision:
     """Declare the outcome whose probability strictly exceeds ``threshold``."""
-    if not (1.0 / 3.0 < threshold <= 1.0):
-        raise ValueError(f"threshold must be in (1/3, 1], got {threshold}")
-    rule = {"type": "threshold", "threshold": threshold}
+    rule = rule_record(threshold)
     candidates = [
         (prob, verdict)
         for prob, verdict in (
@@ -108,11 +120,7 @@ def loss_decision(p: TrinomialProbs, loss: LossMatrix | None = None) -> Decision
         loss = LossMatrix.default()
     expected = loss.matrix @ np.array(p.as_tuple())
     best = min(_TIE_ORDER, key=lambda i: (expected[i], _TIE_ORDER.index(i)))
-    rule = {
-        "type": "loss",
-        "matrix": loss.matrix.tolist(),
-        "expected": expected.tolist(),
-    }
+    rule = {**rule_record(loss), "expected": expected.tolist()}
     return Decision(verdict=_ACTION_VERDICTS[best], probs=p, rule=rule)
 
 

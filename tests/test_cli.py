@@ -1,9 +1,12 @@
+import argparse
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
+from cvcompare import cli
 from cvcompare.cli import build_parser, main
 from cvcompare.data import Rope, mean_differences, paired_differences, parse_scores
 from cvcompare.dp import DpPrior, signed_rank_samples, simplex_region_probs
@@ -273,3 +276,155 @@ class TestBenchmarkFidelity:
         assert post["dof"] == 99
         assert post["loc"] == pytest.approx(-0.0194, abs=1e-9)
         assert post["scale2"] == pytest.approx(3.0349e-5, rel=1e-4)
+
+
+def file_hashes(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+class TestGoldenOutputs:
+    """Every file each subcommand writes, pinned by sha256 on the ``score_csv`` table."""
+
+    CASES = [
+        (["freq-ttest", "--pair", "alpha", "beta"], 0, {
+            "report.json": "4fef541fff2ce2e34f460bdfd45f67ad39f9821e0c88419ab3a8b42d3525e90e",
+        }),
+        (["freq-ttest", "--pair", "alpha", "beta", "--dataset", "ds1"], 0, {
+            "report.json": "3861b962b8fc3448de7930131c9e9ff7aa6d0bca657fc90780b3f200c2671fa4",
+        }),
+        (["wilcoxon", "--all-pairs"], 0, {
+            "report.json": "bc059cd39e48413dd1cf2f897f2d45fde18ab6750c65f1f5814f6669d213bef4",
+        }),
+        (["bayes-ttest", "--pair", "alpha", "beta"], 0, {
+            "density_ds0.csv": "ab88c3f97d5f86f510d7c110256d8d52ac284815918782732b72f65f0b5e6488",
+            "density_ds1.csv": "12066b7b24050fd9937e1661dd6ea69282728f00a90f52f3310a0e0308dcfb2c",
+            "density_ds2.csv": "f276cc2ad132c7d22deb5601ab358435a2a75e78804b3da850af01de9cc57014",
+            "density_ds3.csv": "ce5fbca4a83330a38b4c3e0f1e1f746d8a0b444b9d3fa67b63f991332f48ace2",
+            "density_ds4.csv": "cebed182b76ab410dc96ac610074efaf5f50753782dc4056536d75e3cfca6b95",
+            "density_ds5.csv": "0b10a8f6bb59615f890e20828cd30f73c44fcd9edb6fa0462f6f5181aa43cfa3",
+            "hdi.csv": "c830090305809804fdfb9dca45c49b8ab6971ea6b2ba9e44e85ac023723e2165",
+            "report.json": "22d4805d80de82223297f17cd31446a99a62dc717eaf26e21629e79f339b8f99",
+        }),
+        (["sign", "--all-pairs", "--samples", "2000", "--seed", "3"], 0, {
+            "barycentric_alpha_vs_beta.csv": "17d842bbdc022aedbc4aec7fdcf35d6b5f2885980525f7a5a04535a50b050793",
+            "barycentric_alpha_vs_gamma.csv": "867dd9be6920e37badc6e8c9d080b48f381500edb514f49a8c886d3d96390c79",
+            "barycentric_beta_vs_gamma.csv": "ea1ebe183d3c87162538a7d360a8d4c776ce7e1a11a4f0d6c2b95e58e8ad26c6",
+            "report.json": "ac5fa775122a46e9327193c924b80636cef2e2a265264c149c63fa70238e996d",
+        }),
+        (["sign", "--pair", "beta", "gamma", "--samples", "2000", "--seed", "4",
+          "--loss-matrix", "loss.json"], 0, {
+            "barycentric_beta_vs_gamma.csv": "3e4a91f46277c5609ef6c65cfa7fe5a40c1d438e714368c4697cdfed771b7e22",
+            "report.json": "13805ec171255b6b50d0f7f274d4e5fd5ae174326fa59753a0ae768aa480eabb",
+        }),
+        (["signed-rank", "--all-pairs", "--samples", "2000", "--seed", "3"], 0, {
+            "barycentric_alpha_vs_beta.csv": "a1d5c0425f558832e9cdbca50a67deb10a565af1ae3801164359f906ab82a2db",
+            "barycentric_alpha_vs_gamma.csv": "d48897cd773c99d38c7c6dc54c90a3b367fdd4b55113d3008e351344cdbd49a1",
+            "barycentric_beta_vs_gamma.csv": "aef1d507a6dba7823450d201b631d10cdf1f269b94c7ad210cde676ccb06a56c",
+            "report.json": "9740466d0918154004df90e6c89c64f81d08b71ae17adb28c3f110ff75878dd2",
+        }),
+        (["hierarchical", "--pair", "alpha", "gamma", "--chains", "2", "--warmup", "50",
+          "--draws", "50", "--seed", "11"], 2, {
+            "barycentric_alpha_vs_gamma.csv": "8d037458bc0ce6375b239d316b49af08d8a0d5af82581734f3a3aa40605fefaa",
+            "draws_alpha_vs_gamma.csv": "216ccae791e13332824901fbd3a763edfc1cf2400013e7369c4cdafe30d00e20",
+            "report.json": "0a6df1678fc35952a01af6540c65fac59ccddee06694cda585935bc72316b4e2",
+        }),
+    ]
+
+    @pytest.mark.parametrize("argv, code, hashes", CASES, ids=[" ".join(argv) for argv, _, _ in CASES])
+    def test_files_are_byte_identical(self, score_csv, monkeypatch, argv, code, hashes):
+        # report.json records the --input string, so run from the fixture's directory
+        monkeypatch.chdir(score_csv.parent)
+        (score_csv.parent / "loss.json").write_text(
+            json.dumps([[0, 20, 20], [20, 0, 20], [20, 20, 0], [1, 1, 1]]))
+        assert run_cli(*argv, "--input", score_csv.name, "--output-dir", "out") == code
+        assert file_hashes(score_csv.parent / "out") == hashes
+
+
+COMMON = {
+    ("-h", "--help"): ("==SUPPRESS==", False, None),
+    ("--input",): (None, True, None),
+    ("--output-dir",): ("cvcompare-out", False, None),
+    ("--rope",): ([-0.01, 0.01], False, None),
+    ("--rho",): (None, False, None),
+    ("--threshold",): (0.95, False, None),
+    ("--loss-matrix",): (None, False, None),
+}
+PAIR_OR_ALL = {("--pair",): (None, False, None), ("--all-pairs",): (False, False, None)}
+ONE_PAIR = {("--pair",): (None, True, None)}
+MONTE_CARLO = {("--seed",): (None, True, None), ("--samples",): (150000, False, None)}
+DP_PRIOR = {
+    ("--prior-strength",): (0.5, False, None),
+    ("--prior-place",): ("rope", False, ["left", "rope", "right"]),
+}
+DATASET = {("--dataset",): (None, False, None)}
+PARSER_SURFACE = {
+    "freq-ttest": {**COMMON, **ONE_PAIR, **DATASET},
+    "wilcoxon": {**COMMON, **PAIR_OR_ALL},
+    "bayes-ttest": {**COMMON, **ONE_PAIR, **DATASET},
+    "sign": {**COMMON, **PAIR_OR_ALL, **MONTE_CARLO, **DP_PRIOR},
+    "signed-rank": {**COMMON, **PAIR_OR_ALL, **MONTE_CARLO, **DP_PRIOR},
+    "hierarchical": {
+        **COMMON, **ONE_PAIR, **MONTE_CARLO,
+        ("--chains",): (4, False, None),
+        ("--warmup",): (1000, False, None),
+        ("--draws",): (1000, False, None),
+    },
+}
+
+
+def test_parser_surface_is_pinned(monkeypatch):
+    monkeypatch.delenv("CVCOMPARE_OUTPUT_DIR", raising=False)
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        method: {tuple(a.option_strings): (a.default, a.required, a.choices) for a in sub._actions}
+        for method, sub in subparsers.choices.items()
+    }
+    assert surface == PARSER_SURFACE
+
+
+SUBCOMMANDS = [
+    ["freq-ttest", "--pair", "alpha", "beta"],
+    ["wilcoxon", "--all-pairs"],
+    ["bayes-ttest", "--pair", "alpha", "beta"],
+    ["sign", "--all-pairs", "--samples", "1000", "--seed", "1"],
+    ["signed-rank", "--all-pairs", "--samples", "1000", "--seed", "1"],
+    ["hierarchical", "--pair", "alpha", "beta", "--chains", "2", "--warmup", "5",
+     "--draws", "5", "--seed", "1"],
+]
+
+
+class TestRuleAndIoErrors:
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("threshold", ["7", "0.2"])
+    def test_bad_threshold_fails_before_any_work(self, score_csv, tmp_path, monkeypatch, capsys,
+                                                 argv, threshold):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the input was parsed before the threshold was checked")
+
+        monkeypatch.setattr(cli, "parse_scores", no_work)
+        out = tmp_path / "out"
+        code = run_cli(*argv, "--input", score_csv, "--threshold", threshold, "--output-dir", out)
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"cvcompare: validation: threshold must be in (1/3, 1], got {float(threshold)}\n"
+
+    def test_missing_loss_matrix_is_an_io_error(self, score_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli("sign", "--input", score_csv, "--pair", "alpha", "beta", "--seed", "1",
+                       "--loss-matrix", tmp_path / "missing.json", "--output-dir", out)
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("cvcompare: io: ") and "missing.json" in err
+        assert err.count("\n") == 1
+
+    def test_output_dir_that_is_a_file_is_an_io_error(self, score_csv, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        code = run_cli("wilcoxon", "--input", score_csv, "--pair", "alpha", "beta", "--output-dir", out)
+        assert code == 1
+        assert out.read_text() == "not a directory"
+        err = capsys.readouterr().err
+        assert err.startswith("cvcompare: io: ") and str(out) in err
+        assert err.count("\n") == 1
