@@ -50,7 +50,6 @@ from .errors import (
     CoverageError,
     CvCompareError,
     DegenerateDataError,
-    InitializationError,
     ParseError,
     ShapeError,
 )
@@ -77,8 +76,6 @@ from .kernels import (
     LocScaleStudent,
     RngStream,
     cs_loglik,
-    normal_cdf,
-    sample_dirichlet,
     student_cdf,
     student_quantile,
     student_sf,

@@ -37,7 +37,6 @@ from .errors import (
     CoverageError,
     CvCompareError,
     DegenerateDataError,
-    InitializationError,
     ParseError,
     ShapeError,
 )
@@ -51,7 +50,6 @@ _COMPONENT = {
     ShapeError: "data",
     CoverageError: "data",
     DegenerateDataError: "frequentist",
-    InitializationError: "hierarchical",
 }
 
 
@@ -111,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
             name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter
         )
 
-    def common(p, mc=False, pairs=True):
+    def common(p, pairs=True, rho=False, seed=False):
         p.add_argument("--input", required=True, help="score CSV (dataset,classifier,run,fold,score)")
         p.add_argument(
             "--output-dir",
@@ -126,35 +124,36 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--pair", nargs=2, metavar=("A", "B"), required=True)
         p.add_argument("--rope", nargs=2, type=float, default=[Rope.lower, Rope.upper],
                        metavar=("LO", "HI"), help="region of practical equivalence")
-        p.add_argument("--rho", type=float, default=None,
-                       help="cross-validation correlation (default: 1/folds)")
+        if rho:
+            p.add_argument("--rho", type=float, default=None,
+                           help="cross-validation correlation (default: 1/folds)")
         p.add_argument("--threshold", type=float, default=0.95, help="decision threshold")
         p.add_argument("--loss-matrix", default=None, help="JSON file with a 4x3 loss matrix")
-        if mc:
+        if seed:
             p.add_argument("--seed", type=int, required=True, help="Monte-Carlo seed (required)")
-            p.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT, help="Monte-Carlo draw count")
 
     p = sub_parser("freq-ttest", "correlated t-test per dataset")
-    common(p, pairs=False)
+    common(p, pairs=False, rho=True)
     p.add_argument("--dataset", default=None, help="restrict to one dataset")
 
     p = sub_parser("wilcoxon", "signed-rank test on per-dataset mean differences")
     common(p)
 
     p = sub_parser("bayes-ttest", "Bayesian correlated t-test per dataset")
-    common(p, pairs=False)
+    common(p, pairs=False, rho=True)
     p.add_argument("--dataset", default=None, help="restrict to one dataset")
 
     for name, help in (("sign", "Dirichlet-process sign test"),
                        ("signed-rank", "Dirichlet-process signed-rank test")):
         p = sub_parser(name, help)
-        common(p, mc=True)
+        common(p, seed=True)
+        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT, help="Monte-Carlo draw count")
         p.add_argument("--prior-strength", type=float, default=DpPrior.s, help="pseudo-observation weight")
         p.add_argument("--prior-place", choices=["left", "rope", "right"], default=DpPrior.z0,
                        help="pseudo-observation placement")
 
     p = sub_parser("hierarchical", "hierarchical correlated t-test across datasets")
-    common(p, mc=True, pairs=False)
+    common(p, pairs=False, rho=True, seed=True)
     p.add_argument("--chains", type=int, default=HierConfig.chains, help="independent MCMC chains")
     p.add_argument("--warmup", type=int, default=HierConfig.warmup, help="burn-in sweeps per chain")
     p.add_argument("--draws", type=int, default=HierConfig.draws, help="kept draws per chain")
@@ -265,8 +264,10 @@ def run(args) -> int:
             sources = list(itertools.combinations(table.classifiers, 2))
         else:
             sources = [tuple(args.pair)]
+        # of these methods only hierarchical has --rho; the others read only the means
+        rho = getattr(args, "rho", None)
         # formed as the loop reaches each pair, so one pair's differences are held at a time
-        comparisons = ((pair, paired_differences(table, *pair, rho=args.rho)) for pair in sources)
+        comparisons = ((pair, paired_differences(table, *pair, rho=rho)) for pair in sources)
     # name every export before any analysis, so a name clash costs no work
     names = [_export_names(template, sources) for template in _EXPORTS[args.method]]
 

@@ -77,7 +77,7 @@ class ScoreTable:
             len(keys),
         )
         grid = np.stack(matrices[:ok]) if ok else np.empty((0, *shape))
-        outside = np.flatnonzero(((grid < 0.0) | (grid > 1.0)).any(axis=(1, 2)))
+        outside = np.flatnonzero(~((grid >= 0.0) & (grid <= 1.0)).all(axis=(1, 2)))  # NaN too
         if outside.size:
             dataset, classifier = keys[outside[0]]
             raise ValueError(f"({dataset}, {classifier}) has scores outside [0, 1]")
@@ -123,7 +123,7 @@ def _series_stats(x: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
     """
     if x.shape[1] < 2:
         raise ValueError("difference series needs at least two observations")
-    if np.any(np.abs(x) > 1.0):
+    if not np.all(np.abs(x) <= 1.0):  # NaN fails this test too
         raise ValueError("score differences must lie in [-1, 1]")
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
@@ -196,7 +196,7 @@ class MeanDiffVector:
             raise ValueError("mean-difference vector must be non-empty")
         if len(self.datasets) != z.size:
             raise ValueError("dataset labels and values have different lengths")
-        if np.any(np.abs(z) > 1.0):
+        if not np.all(np.abs(z) <= 1.0):  # NaN fails this test too
             raise ValueError("mean differences must lie in [-1, 1]")
 
     @property

@@ -83,14 +83,9 @@ class DirichletParams:
 
 @dataclass(frozen=True)
 class TrinomialSamples:
-    """Monte-Carlo draws of (theta_left, theta_rope, theta_right).
-
-    ``seed_record`` documents the stream layout that produced the draws:
-    (seed, stream_id, chunk_size).
-    """
+    """Monte-Carlo draws of (theta_left, theta_rope, theta_right)."""
 
     samples: np.ndarray
-    seed_record: tuple[int, int, int]
 
     def __post_init__(self) -> None:
         s = np.asarray(self.samples, dtype=float)
@@ -107,17 +102,28 @@ class TrinomialSamples:
         return int(self.samples.shape[0])
 
 
-def _chunked(count: int, rng: RngStream, draw: Callable[[RngStream, int], np.ndarray]) -> np.ndarray:
-    """Assemble ``count`` draws from fixed-size chunks with derived streams.
+def _dirichlet_draws(
+    alpha: np.ndarray, count: int, rng: RngStream, reduce: Callable[[np.ndarray], np.ndarray]
+) -> TrinomialSamples:
+    """``count`` weight vectors from Dirichlet(alpha), each reduced to a theta triple.
 
-    The chunk layout depends only on ``count``, so a given ``rng`` always
-    yields the same draws.
+    The weights are normalised gamma draws, made in chunks of at most
+    ``_CHUNK`` rows with chunk ``i`` taken from ``rng.spawn(i)``.  The chunk
+    layout depends only on ``count``, so a given ``rng`` always yields the
+    same draws.  Zero parameters are legal: that coordinate is identically
+    zero.  ``reduce`` maps a chunk's (rows, len(alpha)) weights to its
+    (rows, 3) thetas and may overwrite the weights.
     """
-    plan = [
-        (i, min(_CHUNK, count - i * _CHUNK))
-        for i in range((count + _CHUNK - 1) // _CHUNK)
-    ]
-    return np.concatenate([draw(rng.spawn(i), m) for i, m in plan], axis=0)
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    chunks = []
+    for i in range((count + _CHUNK - 1) // _CHUNK):
+        m = min(_CHUNK, count - i * _CHUNK)
+        w = rng.spawn(i).generator().standard_gamma(alpha, size=(m, alpha.size))
+        w /= w.sum(axis=1, keepdims=True)
+        chunks.append(reduce(w))
+        del w  # so that two chunks' weights are never held at once
+    return TrinomialSamples(samples=np.concatenate(chunks, axis=0))
 
 
 def sign_test_params(z: MeanDiffVector, rope: Rope, prior: DpPrior) -> DirichletParams:
@@ -141,16 +147,7 @@ def sign_test_samples(params: DirichletParams, count: int, rng: RngStream) -> Tr
     Zero parameters are legal (that outcome was never observed and holds
     no prior mass): the corresponding coordinate is identically zero.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    alpha = params.as_array()
-
-    def draw(stream: RngStream, m: int) -> np.ndarray:
-        g = stream.generator().standard_gamma(alpha, size=(m, 3))
-        return g / g.sum(axis=1, keepdims=True)
-
-    samples = _chunked(count, rng, draw)
-    return TrinomialSamples(samples=samples, seed_record=(rng.seed, rng.stream_id, _CHUNK))
+    return _dirichlet_draws(params.as_array(), count, rng, lambda w: w)
 
 
 def sign_test_probs(params: DirichletParams, count: int, rng: RngStream) -> TrinomialProbs:
@@ -195,22 +192,17 @@ def signed_rank_samples(
     """
     if rng is None:
         raise ValueError("an RngStream is required (no silent nondeterminism)")
-    if count < 1:
-        raise ValueError("count must be at least 1")
     left, right = _pair_category_masks(z.z, rope, prior.z0)
     alpha = np.full(z.q + 1, 1.0)
     alpha[0] = prior.s
 
-    def draw(stream: RngStream, m: int) -> np.ndarray:
-        w = stream.generator().standard_gamma(alpha, size=(m, z.q + 1))
-        w /= w.sum(axis=1, keepdims=True)
+    def thetas(w: np.ndarray) -> np.ndarray:
         th_l = np.einsum("ij,ij->i", w @ left, w)
         th_r = np.einsum("ij,ij->i", w @ right, w)
         th_e = np.maximum(1.0 - (th_l + th_r), 0.0)
         return np.column_stack([th_l, th_e, th_r])
 
-    samples = _chunked(count, rng, draw)
-    return TrinomialSamples(samples=samples, seed_record=(rng.seed, rng.stream_id, _CHUNK))
+    return _dirichlet_draws(alpha, count, rng, thetas)
 
 
 def simplex_region_probs(samples: TrinomialSamples) -> TrinomialProbs:

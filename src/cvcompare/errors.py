@@ -25,7 +25,3 @@ class CoverageError(CvCompareError):
 
 class DegenerateDataError(CvCompareError):
     """Statistic undefined for the given data (for example zero variance)."""
-
-
-class InitializationError(CvCompareError):
-    """Sampler could not start from a finite log-posterior."""

@@ -68,20 +68,13 @@ def correlated_ttest(d: DiffSeries, mu0: float = 0.0) -> TTestResult:
 
 def _rank_abs(values: np.ndarray) -> tuple[np.ndarray, float]:
     """Average ranks of |values| plus the tie adjustment sum(t^3 - t) / 2."""
-    a = np.abs(values)
-    order = np.argsort(a, kind="stable")
-    ranks = np.empty(a.size)
-    tie_adjust = 0.0
-    i = 0
-    while i < a.size:
-        j = i
-        while j + 1 < a.size and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        count = j - i + 1
-        if count > 1:
-            tie_adjust += (count**3 - count) / 2.0
-        i = j + 1
+    _, group, counts = np.unique(np.abs(values), return_inverse=True, return_counts=True)
+    # the group of t tied values after `start` smaller ones holds ranks start+1..start+t
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    ranks = (0.5 * (starts + ends - 1) + 1.0)[group]
+    t = counts.astype(float)  # t^3 in int64 would wrap for t > 2^21
+    tie_adjust = float(np.sum((t**3 - t) / 2.0))
     return ranks, tie_adjust
 
 

@@ -32,7 +32,6 @@ from scipy import special
 
 from .data import DiffSeries, Rope
 from .dp import TrinomialSamples
-from .errors import InitializationError
 from .kernels import RngStream, cs_loglik, gamma_logpdf, student_logpdf, student_tail
 
 __all__ = [
@@ -56,6 +55,9 @@ _LOG_NU_WIDTH = 1.0
 # scale supports are truncated at a tiny floor: a zero-variance dataset makes
 # the density of sigma_i unbounded at 0, and the floor keeps it proper
 _SIGMA_FLOOR = 1e-10
+# supports of the uniform hyper-priors on alpha and beta
+_ALPHA_LO, _ALPHA_HI = 0.5, 5.0
+_BETA_LO, _BETA_HI = 0.05, 0.15
 RHAT_THRESHOLD = 1.05
 
 
@@ -63,20 +65,16 @@ RHAT_THRESHOLD = 1.05
 class HierConfig:
     """Sampler and prior configuration.
 
-    ``rho`` defaults to the correlation carried by the difference series;
     ``sigma_bar`` / ``sigma0_bar`` default to 1000 times the mean
     per-dataset standard deviation and 1000 times the standard deviation
-    of the per-dataset means.
+    of the per-dataset means.  A bound that is set must be finite and above
+    twice the scale floor, so that the initial state, which puts each scale
+    at or below half its bound, lies inside the prior support.
     """
 
     seed: int
-    rho: float | None = None
     sigma_bar: float | None = None
     sigma0_bar: float | None = None
-    alpha_lo: float = 0.5
-    alpha_hi: float = 5.0
-    beta_lo: float = 0.05
-    beta_hi: float = 0.15
     chains: int = 4
     warmup: int = 1000
     draws: int = 1000
@@ -88,8 +86,10 @@ class HierConfig:
             raise ValueError("warmup must be non-negative")
         if self.draws < 4:
             raise ValueError("need at least four kept draws")
-        if not (0 < self.alpha_lo < self.alpha_hi and 0 < self.beta_lo < self.beta_hi):
-            raise ValueError("hyper-prior bounds must be positive and ordered")
+        for name in ("sigma_bar", "sigma0_bar"):
+            bound = getattr(self, name)
+            if bound is not None and not (math.isfinite(bound) and bound > 2.0 * _SIGMA_FLOOR):
+                raise ValueError(f"{name} must be finite and above {2.0 * _SIGMA_FLOOR}, got {bound}")
 
 
 @dataclass(frozen=True)
@@ -191,20 +191,14 @@ class _Problem:
         ns = {d.n for d in data}
         if len(ns) != 1:
             raise ValueError(f"all series must share n, got {sorted(ns)}")
-        if cfg.rho is None:
-            rhos = {d.rho for d in data}
-            if len(rhos) != 1:
-                raise ValueError(f"all series must share rho, got {sorted(rhos)}")
-            rho = rhos.pop()
-        else:
-            rho = cfg.rho
-        if not 0.0 <= rho < 1.0:
-            raise ValueError(f"rho must lie in [0, 1), got {rho}")
+        rhos = {d.rho for d in data}
+        if len(rhos) != 1:
+            raise ValueError(f"all series must share rho, got {sorted(rhos)}")
         self.datasets = tuple(d.dataset for d in data)
         self.means = np.array([d.mean for d in data])
         self.ss = np.array([d.ss for d in data])
         self.n = data[0].n
-        self.rho = rho
+        self.rho = rhos.pop()
         self.q = len(data)
         sds = np.array([d.sd for d in data])
         # floors keep the uniform supports non-degenerate for constant data
@@ -215,8 +209,6 @@ class _Problem:
         self.sigma0_bar = cfg.sigma0_bar if cfg.sigma0_bar is not None else max(
             1000.0 * s_mean, 1e-3
         )
-        self.alpha_lo, self.alpha_hi = cfg.alpha_lo, cfg.alpha_hi
-        self.beta_lo, self.beta_hi = cfg.beta_lo, cfg.beta_hi
         self.sds = sds
         self.s_mean = s_mean
 
@@ -224,8 +216,8 @@ class _Problem:
         return (
             -math.log(2.0)
             - math.log(self.sigma0_bar)
-            - math.log(self.alpha_hi - self.alpha_lo)
-            - math.log(self.beta_hi - self.beta_lo)
+            - math.log(_ALPHA_HI - _ALPHA_LO)
+            - math.log(_BETA_HI - _BETA_LO)
             - self.q * math.log(self.sigma_bar)
         )
 
@@ -234,8 +226,8 @@ class _Problem:
             -1.0 < s.mu0 < 1.0
             and _SIGMA_FLOOR < s.sigma0 < self.sigma0_bar
             and s.nu > 0.0
-            and self.alpha_lo < s.alpha < self.alpha_hi
-            and self.beta_lo < s.beta < self.beta_hi
+            and _ALPHA_LO < s.alpha < _ALPHA_HI
+            and _BETA_LO < s.beta < _BETA_HI
             and bool(np.all((s.sigma > _SIGMA_FLOOR) & (s.sigma < self.sigma_bar)))
         )
 
@@ -256,7 +248,7 @@ class _Problem:
         sigma = np.minimum(np.maximum(self.sds, _EPS), 0.5 * self.sigma_bar)
         return HierState(
             mu0=mu0, sigma0=sigma0, nu=5.0,
-            alpha=0.5 * (self.alpha_lo + self.alpha_hi), beta=0.5 * (self.beta_lo + self.beta_hi),
+            alpha=0.5 * (_ALPHA_LO + _ALPHA_HI), beta=0.5 * (_BETA_LO + _BETA_HI),
             mu=self.means.copy(), sigma=sigma,
         )
 
@@ -346,8 +338,6 @@ def _run_chain(p: _Problem, cfg: HierConfig, stream: RngStream) -> dict[str, np.
     gen = stream.generator()
     q, n = p.q, p.n
     init = p.initial_state()
-    if not math.isfinite(p.log_posterior(init)):
-        raise InitializationError("initial state has non-finite log-posterior")
     mu = init.mu.copy()
     mu0, sigma0, nu, alpha, beta = init.mu0, init.sigma0, init.nu, init.alpha, init.beta
     lam = np.ones(q)
@@ -371,7 +361,7 @@ def _run_chain(p: _Problem, cfg: HierConfig, stream: RngStream) -> dict[str, np.
         )
 
     def alpha_density(a: float) -> float:
-        if not p.alpha_lo < a < p.alpha_hi:
+        if not _ALPHA_LO < a < _ALPHA_HI:
             return -math.inf
         return a * math.log(beta) + (a - 1.0) * math.log(nu) - math.lgamma(a)
 
@@ -413,8 +403,8 @@ def _run_chain(p: _Problem, cfg: HierConfig, stream: RngStream) -> dict[str, np.
         lam = gen.standard_gamma(0.5 * (nu + 1.0), q) / (0.5 * (nu + u2))
 
         # 5. beta given nu is conjugate; alpha has no closed form
-        beta = float(_truncated_gamma(gen, alpha + 1.0, nu, p.beta_lo, p.beta_hi))
-        alpha = _slice(gen, alpha_density, alpha, p.alpha_hi - p.alpha_lo)
+        beta = float(_truncated_gamma(gen, alpha + 1.0, nu, _BETA_LO, _BETA_HI))
+        alpha = _slice(gen, alpha_density, alpha, _ALPHA_HI - _ALPHA_LO)
 
         if it >= cfg.warmup:
             kept.append((mu0, sigma0, nu, alpha, beta, mu, tau ** -0.5))
@@ -530,8 +520,7 @@ def next_dataset_probs(
     lo = _student_cdf(rope.lower, nu, mu0, sigma0)
     hi = _student_cdf(rope.upper, nu, mu0, sigma0)
     samples = np.column_stack([lo, hi - lo, 1.0 - hi])
-    record = (rng.seed, rng.stream_id, 0) if rng is not None else (draws.seed, 0, 0)
-    return TrinomialSamples(samples=samples, seed_record=record)
+    return TrinomialSamples(samples=samples)
 
 
 def shrinkage_report(draws: HierDraws, data: list[DiffSeries]) -> ShrinkageReport:

@@ -1,9 +1,9 @@
 """Numerical kernels shared by all tests.
 
-Student and Normal distribution functions, Dirichlet sampling, the
+Student distribution functions, the Gamma log density, the
 compound-symmetry Gaussian log-likelihood and reproducible RNG streams.
-Everything here is pure: given the same ``RngStream`` the Monte-Carlo
-kernels return bit-identical output on every platform.
+Everything here is pure: a given ``RngStream`` yields bit-identical draws
+on every platform.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ __all__ = [
     "student_sf",
     "student_quantile",
     "student_logpdf",
-    "normal_cdf",
     "gamma_logpdf",
-    "sample_dirichlet",
     "cs_loglik",
 ]
 
@@ -151,33 +149,12 @@ def student_logpdf(x, dof, loc, scale):
     )
 
 
-def normal_cdf(x: float) -> float:
-    """Standard Normal CDF via erfc (absolute error below 1e-15)."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 def gamma_logpdf(x, shape, rate):
     """Log density of Gamma(shape, rate); -inf for x <= 0 (vectorized)."""
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = shape * np.log(rate) - special.gammaln(shape) + (shape - 1.0) * np.log(x) - rate * x
     return np.where(x > 0, out, -np.inf) if out.ndim else (float(out) if x > 0 else -math.inf)
-
-
-def sample_dirichlet(alpha, count: int, rng: RngStream) -> np.ndarray:
-    """Draw ``count`` weight vectors from Dirichlet(alpha).
-
-    Rows are normalized gamma draws and sum to one up to rounding.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.ndim != 1 or alpha.size == 0:
-        raise ValueError("alpha must be a non-empty vector")
-    if np.any(alpha <= 0):
-        raise ValueError("all Dirichlet parameters must be positive")
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    g = rng.generator().standard_gamma(alpha, size=(count, alpha.size))
-    return g / g.sum(axis=1, keepdims=True)
 
 
 def cs_loglik(mean_i, ss_i, n: int, mu, sigma2, rho: float):

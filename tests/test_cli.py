@@ -345,26 +345,27 @@ COMMON = {
     ("--input",): (None, True, None),
     ("--output-dir",): ("cvcompare-out", False, None),
     ("--rope",): ([-0.01, 0.01], False, None),
-    ("--rho",): (None, False, None),
     ("--threshold",): (0.95, False, None),
     ("--loss-matrix",): (None, False, None),
 }
 PAIR_OR_ALL = {("--pair",): (None, False, None), ("--all-pairs",): (False, False, None)}
 ONE_PAIR = {("--pair",): (None, True, None)}
-MONTE_CARLO = {("--seed",): (None, True, None), ("--samples",): (150000, False, None)}
+RHO = {("--rho",): (None, False, None)}
+SEED = {("--seed",): (None, True, None)}
+SAMPLES = {("--samples",): (150000, False, None)}
 DP_PRIOR = {
     ("--prior-strength",): (0.5, False, None),
     ("--prior-place",): ("rope", False, ["left", "rope", "right"]),
 }
 DATASET = {("--dataset",): (None, False, None)}
 PARSER_SURFACE = {
-    "freq-ttest": {**COMMON, **ONE_PAIR, **DATASET},
+    "freq-ttest": {**COMMON, **RHO, **ONE_PAIR, **DATASET},
     "wilcoxon": {**COMMON, **PAIR_OR_ALL},
-    "bayes-ttest": {**COMMON, **ONE_PAIR, **DATASET},
-    "sign": {**COMMON, **PAIR_OR_ALL, **MONTE_CARLO, **DP_PRIOR},
-    "signed-rank": {**COMMON, **PAIR_OR_ALL, **MONTE_CARLO, **DP_PRIOR},
+    "bayes-ttest": {**COMMON, **RHO, **ONE_PAIR, **DATASET},
+    "sign": {**COMMON, **PAIR_OR_ALL, **SEED, **SAMPLES, **DP_PRIOR},
+    "signed-rank": {**COMMON, **PAIR_OR_ALL, **SEED, **SAMPLES, **DP_PRIOR},
     "hierarchical": {
-        **COMMON, **ONE_PAIR, **MONTE_CARLO,
+        **COMMON, **RHO, **ONE_PAIR, **SEED,
         ("--chains",): (4, False, None),
         ("--warmup",): (1000, False, None),
         ("--draws",): (1000, False, None),

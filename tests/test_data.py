@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cvcompare.data import (
     DiffSeries,
+    MeanDiffVector,
     Rope,
     ScoreTable,
     mean_differences,
@@ -487,3 +488,15 @@ class TestTypes:
             DiffSeries(dataset="d", x=np.array([0.1, 1.5]), rho=0.1)
         with pytest.raises(ValueError):
             DiffSeries(dataset="d", x=np.array([0.1, 0.2]), rho=1.0)
+
+    def test_nan_differences_rejected(self):
+        with pytest.raises(ValueError, match=r"score differences must lie in \[-1, 1\]"):
+            DiffSeries(dataset="d", x=np.array([np.nan, 0.02, -0.03]), rho=0.1)
+        with pytest.raises(ValueError, match=r"mean differences must lie in \[-1, 1\]"):
+            MeanDiffVector(z=np.array([np.nan, 0.02, -0.03]), datasets=("a", "b", "c"))
+
+    def test_nan_scores_rejected(self):
+        scores = np.full((1, 3), 0.8)
+        scores[0, 1] = np.nan
+        with pytest.raises(ValueError, match="outside"):
+            ScoreTable(entries={("d", "a"): scores}, runs=1, folds=3)

@@ -10,6 +10,7 @@ from cvcompare.dp import (
     DirichletParams,
     DpPrior,
     TrinomialSamples,
+    _dirichlet_draws,
     prior_sensitivity,
     sign_test_params,
     sign_test_probs,
@@ -128,6 +129,19 @@ class TestSignTestSampling:
         assert np.array_equal(a.samples, b.samples)
 
 
+class TestDirichletDraws:
+    def test_prior_pseudo_weight_mean(self):
+        alpha = np.concatenate([[0.5], np.ones(54)])
+
+        def pseudo_weight(w):
+            return np.column_stack([w[:, 0], 1.0 - w[:, 0], np.zeros(w.shape[0])])
+
+        w0 = _dirichlet_draws(alpha, 60_000, RngStream(5), pseudo_weight).samples[:, 0]
+        target = 0.5 / 54.5
+        se = w0.std(ddof=1) / math.sqrt(60_000)
+        assert abs(w0.mean() - target) < 3 * se
+
+
 class TestSignedRankSamples:
     def test_requires_rng(self):
         with pytest.raises(ValueError, match="RngStream"):
@@ -210,17 +224,17 @@ class TestSignedRankSamples:
 class TestSimplexRegions:
     def test_identical_draws_all_rope(self):
         t = np.tile([0.2, 0.5, 0.3], (1000, 1))
-        probs = simplex_region_probs(TrinomialSamples(samples=t, seed_record=(0, 0, 0)))
+        probs = simplex_region_probs(TrinomialSamples(samples=t))
         assert probs.as_tuple() == (0.0, 1.0, 0.0)
 
     def test_ties_go_to_rope(self):
         t = np.tile([0.5, 0.5, 0.0], (10, 1))
-        probs = simplex_region_probs(TrinomialSamples(samples=t, seed_record=(0, 0, 0)))
+        probs = simplex_region_probs(TrinomialSamples(samples=t))
         assert probs.p_rope == 1.0
 
     def test_stderr_formula(self):
         t = np.tile([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], (50, 1))
-        probs = simplex_region_probs(TrinomialSamples(samples=t, seed_record=(0, 0, 0)))
+        probs = simplex_region_probs(TrinomialSamples(samples=t))
         assert probs.p_left == 0.5
         assert probs.mc_stderr[0] == pytest.approx(math.sqrt(0.25 / 100))
 
@@ -256,6 +270,6 @@ class TestValidation:
 
     def test_samples_validation(self):
         with pytest.raises(ValueError):
-            TrinomialSamples(samples=np.array([[0.5, 0.4, 0.2]]), seed_record=(0, 0, 0))
+            TrinomialSamples(samples=np.array([[0.5, 0.4, 0.2]]))
         with pytest.raises(ValueError):
-            TrinomialSamples(samples=np.array([[0.5, 0.6, -0.1]]), seed_record=(0, 0, 0))
+            TrinomialSamples(samples=np.array([[0.5, 0.6, -0.1]]))

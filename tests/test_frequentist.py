@@ -6,7 +6,7 @@ from scipy import stats
 
 from cvcompare.data import DiffSeries, MeanDiffVector
 from cvcompare.errors import DegenerateDataError
-from cvcompare.frequentist import correlated_ttest, pairwise_pvalues, wilcoxon_signed_rank
+from cvcompare.frequentist import _rank_abs, correlated_ttest, pairwise_pvalues, wilcoxon_signed_rank
 
 from conftest import make_table, series_from_stats
 
@@ -128,6 +128,42 @@ class TestWilcoxon:
         q = np.count_nonzero(np.asarray(values))
         assert 0.0 <= res.t_stat <= q * (q + 1) / 2
         assert 0.0 <= res.p_two_sided <= 1.0
+
+
+def rank_abs_loop(values):
+    """Reference: average ranks of |values| and sum(t^3 - t) / 2, one tie run at a time."""
+    a = np.abs(values)
+    order = np.argsort(a, kind="stable")
+    ranks = np.empty(a.size)
+    tie_adjust = 0.0
+    i = 0
+    while i < a.size:
+        j = i
+        while j + 1 < a.size and a[order[j + 1]] == a[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        count = j - i + 1
+        if count > 1:
+            tie_adjust += (count**3 - count) / 2.0
+        i = j + 1
+    return ranks, tie_adjust
+
+
+class TestRankAbs:
+    def test_matches_the_loop_exactly(self):
+        rng = np.random.default_rng(20)
+        for k in range(2000):
+            q = int(rng.integers(1, 60))
+            if k % 2:
+                # tie-heavy: few distinct magnitudes, both signs
+                values = rng.integers(1, 6, size=q) * rng.choice([-0.01, 0.01], size=q)
+            else:
+                values = rng.uniform(-0.9, 0.9, size=q)
+            ranks, tie_adjust = _rank_abs(values)
+            ref_ranks, ref_tie_adjust = rank_abs_loop(values)
+            assert np.array_equal(ranks, ref_ranks)
+            assert tie_adjust == ref_tie_adjust
+            assert type(tie_adjust) is float
 
 
 class TestPairwise:

@@ -71,7 +71,7 @@ class TestLogPosterior:
     def test_direct_density_oracle(self):
         x = np.array([0.011, -0.024, 0.03])
         series = DiffSeries(dataset="one", x=x, rho=0.25)
-        cfg = HierConfig(seed=0, rho=0.25, sigma_bar=2.0, sigma0_bar=1.5)
+        cfg = HierConfig(seed=0, sigma_bar=2.0, sigma0_bar=1.5)
         state = HierState(mu0=0.012, sigma0=0.4, nu=7.0, alpha=2.0, beta=0.12,
                           mu=np.array([0.018]), sigma=np.array([0.03]))
         n = 3
@@ -186,6 +186,14 @@ class TestFit:
             fit(mixed, small_cfg(seed=1))
         with pytest.raises(ValueError, match="chains"):
             HierConfig(seed=1, chains=1)
+
+    @pytest.mark.parametrize("bound", [1e-12, 2 * _SIGMA_FLOOR, -1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["sigma_bar", "sigma0_bar"])
+    def test_scale_bounds_rejected_at_construction(self, name, bound):
+        # the initial state puts each scale at or below half its bound,
+        # which must clear the floor for the chain to start in the support
+        with pytest.raises(ValueError, match=name):
+            HierConfig(seed=1, **{name: bound})
 
     def test_diagnostics_cover_every_parameter(self):
         data = model_data(4, 15, seed=9)

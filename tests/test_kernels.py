@@ -11,8 +11,6 @@ from cvcompare.kernels import (
     RngStream,
     cs_loglik,
     gamma_logpdf,
-    normal_cdf,
-    sample_dirichlet,
     student_cdf,
     student_logpdf,
     student_quantile,
@@ -120,23 +118,6 @@ class TestStudentQuantile:
                 student_quantile(p, d)
 
 
-class TestNormalCdf:
-    def test_zero(self):
-        assert normal_cdf(0.0) == 0.5
-
-    def test_upper_tail_matches_reference(self):
-        # two-sided p of |w| = 4.8 is about 1.6e-6
-        assert 1.0 - normal_cdf(4.8) == pytest.approx(7.933e-7, rel=1e-3)
-
-    def test_quantile_pair(self):
-        assert normal_cdf(1.959964) == pytest.approx(0.975, abs=1e-8)
-
-    @pytest.mark.parametrize("x", [-6.0, -1.0, -0.1, 0.4, 2.2, 5.5])
-    def test_against_erf_oracle(self, x):
-        oracle = float(mp.ncdf(x))
-        assert normal_cdf(x) == pytest.approx(oracle, abs=1e-14)
-
-
 class TestStudentLogpdf:
     def test_matches_quadrature_normalisation(self):
         from scipy.integrate import quad
@@ -148,38 +129,6 @@ class TestStudentLogpdf:
         out = student_logpdf(np.array([0.0, 1.0]), 3.0, 0.0, 1.0)
         assert out.shape == (2,)
         assert out[0] > out[1]
-
-
-class TestSampleDirichlet:
-    def test_symmetric_mean(self):
-        w = sample_dirichlet([1.0, 1.0], 40_000, RngStream(11))
-        se = math.sqrt(0.25 / 40_000)
-        assert abs(w[:, 0].mean() - 0.5) < 3 * se
-
-    def test_prior_pseudo_weight_mean(self):
-        alpha = np.concatenate([[0.5], np.ones(54)])
-        w = sample_dirichlet(alpha, 60_000, RngStream(5))
-        target = 0.5 / 54.5
-        se = w[:, 0].std(ddof=1) / math.sqrt(60_000)
-        assert abs(w[:, 0].mean() - target) < 3 * se
-
-    def test_two_to_one(self):
-        w = sample_dirichlet([2.0, 1.0], 100_000, RngStream(3))
-        se = w[:, 0].std(ddof=1) / math.sqrt(100_000)
-        assert abs(w[:, 0].mean() - 2.0 / 3.0) < 3 * se
-
-    def test_rows_normalized_and_non_negative(self):
-        w = sample_dirichlet([0.5, 1.0, 3.0], 5000, RngStream(9))
-        assert w.min() >= 0.0
-        assert np.max(np.abs(w.sum(axis=1) - 1.0)) < 1e-12
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            sample_dirichlet([1.0, 0.0], 10, RngStream(1))
-        with pytest.raises(ValueError):
-            sample_dirichlet([1.0, -2.0], 10, RngStream(1))
-        with pytest.raises(ValueError):
-            sample_dirichlet([1.0, 1.0], 0, RngStream(1))
 
 
 class TestCsLoglik:

@@ -19,7 +19,7 @@ def per_row_csv(points):
 
 
 def samples_of(rows):
-    return TrinomialSamples(samples=np.asarray(rows, dtype=float), seed_record=(0, 0, 0))
+    return TrinomialSamples(samples=np.asarray(rows, dtype=float))
 
 
 class TestBarycentric:
