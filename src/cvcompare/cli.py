@@ -10,8 +10,6 @@ require an explicit seed.  Exit codes: 0 success, 1 validation or I/O error,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
 import json
 import os
@@ -23,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .bayes_ttest import TrinomialProbs, direction_prob, hdis, posterior, rope_probs
-from .data import Rope, mean_differences, paired_differences, parse_scores
+from .data import Rope, _csv_field, _csv_text, mean_differences, paired_differences, parse_scores
 from .decisions import LossMatrix, decide, rule_record
 from .dp import (
     DEFAULT_SAMPLE_COUNT,
@@ -181,14 +179,15 @@ _EXPORTS = {
 }
 
 
-def _analyse(args, rope, series, index, hdi_rows):
+def _analyse(args, rope, config, series, index, hdi_columns):
     """One comparison: the method's own report fields, its rope probabilities
     (None for the frequentist tests) and its export texts, in the order of
     the method's ``_EXPORTS`` templates.
 
     ``series`` is one dataset's difference series for the per-dataset tests
-    and the pair's list of them otherwise.  ``bayes-ttest`` also writes its
-    intervals to ``hdi_rows``, the rows of the one ``hdi.csv`` of the run.
+    and the pair's list of them otherwise; ``config`` is the method's
+    ``HierConfig`` or ``DpPrior``.  ``bayes-ttest`` also appends its
+    intervals to ``hdi_columns``, the columns of the run's one ``hdi.csv``.
     """
     if args.method == "freq-ttest":
         res = correlated_ttest(series)
@@ -208,8 +207,10 @@ def _analyse(args, rope, series, index, hdi_rows):
         post = posterior(series)
         if not post.degenerate:
             intervals = hdis(post)
-            for level, (lo, hi) in zip(intervals.levels, intervals.intervals):
-                hdi_rows.writerow([series.dataset, repr(level), repr(lo), repr(hi)])
+            lo, hi = zip(*intervals.intervals)
+            ids = [_csv_field(series.dataset)] * len(lo)
+            for column, values in zip(hdi_columns, (ids, intervals.levels, lo, hi)):
+                column += values
         fields = {
             "dataset": series.dataset,
             "posterior": {"dof": post.dof, "loc": post.loc, "scale2": post.scale2},
@@ -217,8 +218,7 @@ def _analyse(args, rope, series, index, hdi_rows):
         }
         return fields, rope_probs(post, rope), [density_data(series.x, bins=30).to_csv()]
     if args.method == "hierarchical":
-        cfg = HierConfig(seed=args.seed, chains=args.chains, warmup=args.warmup, draws=args.draws)
-        draws = fit(series, cfg)
+        draws = fit(series, config)
         samples = next_dataset_probs(draws, rope, rng=RngStream(args.seed, stream_id=1))
         diagnostics = {
             "converged": draws.converged,
@@ -230,15 +230,14 @@ def _analyse(args, rope, series, index, hdi_rows):
         return {"diagnostics": diagnostics}, simplex_region_probs(samples), exports
     # the Dirichlet-process tests differ only in the sampler
     z = mean_differences(series)
-    prior = DpPrior(s=args.prior_strength, z0=args.prior_place)
     rng = RngStream(args.seed).spawn(index)
     if args.method == "sign":
-        params = sign_test_params(z, rope, prior)
+        params = sign_test_params(z, rope, config)
         fields = {"dirichlet": [params.a_left, params.a_rope, params.a_right]}
         samples = sign_test_samples(params, args.samples, rng)
     else:
         fields = {}
-        samples = signed_rank_samples(z, rope, prior, args.samples, rng)
+        samples = signed_rank_samples(z, rope, config, args.samples, rng)
     return fields, simplex_region_probs(samples), [barycentric_csv(barycentric_points(samples))]
 
 
@@ -248,6 +247,12 @@ def run(args) -> int:
         raise CvCompareError(f"input file not found: {args.input}")
     rope = Rope(lower=args.rope[0], upper=args.rope[1])
     rule, rule_json = _load_rule(args)
+    # the method's sampler or prior settings, which fail like the rule before any work
+    config = None
+    if args.method == "hierarchical":
+        config = HierConfig(seed=args.seed, chains=args.chains, warmup=args.warmup, draws=args.draws)
+    elif args.method in ("sign", "signed-rank"):
+        config = DpPrior(s=args.prior_strength, z0=args.prior_place)
     table = parse_scores(input_path.read_bytes())  # no newline translation
 
     # the comparisons: one per dataset for the t-tests, else one per classifier pair
@@ -261,6 +266,8 @@ def run(args) -> int:
         sources = [(d.dataset,) for d in diffs]
     else:
         if getattr(args, "all_pairs", False):
+            if len(table.classifiers) < 2:
+                raise CoverageError(f"--all-pairs needs two classifiers, got {len(table.classifiers)}")
             sources = list(itertools.combinations(table.classifiers, 2))
         else:
             sources = [tuple(args.pair)]
@@ -273,11 +280,9 @@ def run(args) -> int:
 
     entries = []
     files = {}
-    hdi = io.StringIO()
-    hdi_rows = csv.writer(hdi, lineterminator="\n")
-    hdi_rows.writerow(["dataset", "level", "lo", "hi"])
+    hdi_columns = [[], [], [], []]
     for index, ((a, b), series) in enumerate(comparisons):
-        fields, probs, exports = _analyse(args, rope, series, index, hdi_rows)
+        fields, probs, exports = _analyse(args, rope, config, series, index, hdi_columns)
         entry = {"pair": [a, b], "method": args.method, **fields}
         if probs is not None:
             entry.update({
@@ -289,7 +294,7 @@ def run(args) -> int:
         for export_names, text in zip(names, exports):
             files[export_names[index]] = text
     if args.method == "bayes-ttest":
-        files["hdi.csv"] = hdi.getvalue()
+        files["hdi.csv"] = _csv_text(["dataset", "level", "lo", "hi"], hdi_columns)
 
     report = {
         "method": args.method,

@@ -96,13 +96,11 @@ class ScoreTable:
 
     def to_csv(self) -> str:
         """Serialize back to the long CSV schema (round-trips bit-exactly)."""
-        out = [",".join(CSV_HEADER) + "\n"]
-        for (dataset, classifier), scores in self.entries.items():
-            ids = f"{_csv_field(dataset)},{_csv_field(classifier)}"
-            for run in range(self.runs):
-                for fold in range(self.folds):
-                    out.append(f"{ids},{run},{fold},{float(scores[run, fold])!r}\n")
-        return "".join(out)
+        key, run, fold = np.indices(self._grid.shape).reshape(3, -1)
+        datasets = np.array([_csv_field(d) for d, _ in self.entries], dtype=object)[key]
+        classifiers = np.array([_csv_field(c) for _, c in self.entries], dtype=object)[key]
+        scores = self._grid.astype(float).ravel()
+        return _csv_text(CSV_HEADER, [a.tolist() for a in (datasets, classifiers, run, fold, scores)])
 
 
 def _csv_field(value: str) -> str:
@@ -112,6 +110,14 @@ def _csv_field(value: str) -> str:
     if any(c in value for c in ',"\r\n'):
         return '"' + value.replace('"', '""') + '"'
     return value
+
+
+def _csv_text(header, columns: list[list]) -> str:
+    """``header`` and one record per row of ``columns`` as CSV text.  Columns hold
+    Python ints, Python floats (``str`` is the shortest text that reads back to the
+    same float) and ids quoted by :func:`_csv_field`; no rows give the header alone."""
+    record = ",".join(["{}"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join(map(record.format, *columns))
 
 
 def _series_stats(x: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:

@@ -79,19 +79,25 @@ def _rank_abs(values: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _exact_two_sided_p(ranks: np.ndarray, t_stat: float) -> float:
-    """Enumerate all sign assignments of the ranks (null distribution).
-
-    The null distribution of the positive-rank sum is symmetric about
-    q(q+1)/4 even with tied ranks, so the two-sided p-value is the
-    probability of being at least as far from the centre as observed.
+    """Exact null distribution of the positive-rank sum, built one rank at a
+    time over doubled ranks (integers even for tied average ranks), halving
+    the probabilities at each step so that nothing overflows.  It is
+    symmetric about q(q+1)/4 even with tied ranks, so the two-sided p-value
+    is the probability of being at least as far from the centre as observed.
     """
     q = ranks.size
     centre = q * (q + 1) / 4.0
     observed = abs(t_stat - centre)
-    sums = np.zeros(1)
-    for r in ranks:
-        sums = np.concatenate([sums, sums + r])
-    return float(np.mean(np.abs(sums - centre) >= observed - 1e-12))
+    doubled = np.rint(2.0 * ranks).astype(np.int64)
+    prob = np.zeros(int(doubled.sum()) + 1)
+    prob[0] = 1.0
+    top = 0  # the largest doubled sum reached so far
+    for r in doubled.tolist():
+        prob[r : top + r + 1] += prob[: top + 1]  # numpy buffers the overlap
+        top += r
+        prob[: top + 1] *= 0.5
+    sums = np.arange(top + 1) / 2.0
+    return float(prob[np.abs(sums - centre) >= observed - 1e-12].sum())
 
 
 def wilcoxon_signed_rank(z: MeanDiffVector, exact: bool | None = None) -> WilcoxonResult:
@@ -100,8 +106,9 @@ def wilcoxon_signed_rank(z: MeanDiffVector, exact: bool | None = None) -> Wilcox
     Zero differences are discarded before ranking (the classic treatment;
     it reproduces the published rank sums for this benchmark family) and
     tied absolute values receive average ranks.  For q <= 10 the exact
-    enumerative p-value is used instead of the normal approximation unless
-    ``exact=False`` forces the approximation.
+    p-value is used instead of the normal approximation unless
+    ``exact=False`` forces the approximation; ``exact=True`` gives the
+    exact p-value for any q.
     """
     values = z.z[z.z != 0.0]
     q = values.size
@@ -118,8 +125,6 @@ def wilcoxon_signed_rank(z: MeanDiffVector, exact: bool | None = None) -> Wilcox
     if exact is None:
         exact = q <= 10
     if exact:
-        if q > 16:
-            raise ValueError(f"exact enumeration is limited to q <= 16, got {q}")
         p = _exact_two_sided_p(ranks, t_stat)
     else:
         if q <= 10:

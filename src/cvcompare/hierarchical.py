@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .data import DiffSeries, Rope
+from .data import DiffSeries, Rope, _csv_text
 from .dp import TrinomialSamples
 from .kernels import RngStream, cs_loglik, gamma_logpdf, student_logpdf, student_tail
 
@@ -151,18 +151,11 @@ class HierDraws:
         header = ["chain", "iteration", "mu0", "sigma0", "nu", "alpha", "beta"]
         header += [f"mu_{i + 1}" for i in range(self.q)]
         header += [f"sigma_{i + 1}" for i in range(self.q)]
-        lines = [",".join(header)]
-        for c in range(self.n_chains):
-            for it in range(self.n_draws):
-                row = [str(c), str(it)]
-                row += [repr(float(v)) for v in (
-                    self.mu0[c, it], self.sigma0[c, it], self.nu[c, it],
-                    self.alpha[c, it], self.beta[c, it],
-                )]
-                row += [repr(float(v)) for v in self.mu[c, it]]
-                row += [repr(float(v)) for v in self.sigma[c, it]]
-                lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        columns = np.indices((self.n_chains, self.n_draws)).reshape(2, -1).tolist()
+        columns += [self.pooled(name).tolist() for name in _SCALARS]
+        columns += self.mu.reshape(-1, self.q).T.tolist()
+        columns += self.sigma.reshape(-1, self.q).T.tolist()
+        return _csv_text(header, columns)
 
 
 @dataclass(frozen=True)

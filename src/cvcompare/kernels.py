@@ -92,37 +92,30 @@ def student_tail(t, dof):
     return 0.5 * special.betainc(0.5 * dof, 0.5, dof / (dof + t * t))
 
 
-def student_cdf(x: float, d: LocScaleStudent) -> float:
-    """P(T <= x) for a location-scale Student variable T.
-
-    Evaluated through the regularized incomplete beta function; absolute
-    error is at the 1e-15 level.
-    """
+def _student_below(dx: float, d: LocScaleStudent) -> float:
+    """P(T - loc <= dx) for a location-scale Student variable T, through the
+    regularized incomplete beta function; absolute error is about 1e-15."""
     if d.degenerate:
-        if x < d.loc:
+        if dx < 0:
             return 0.0
-        if x > d.loc:
+        if dx > 0:
             return 1.0
         return 0.5
-    t = (x - d.loc) / d.scale
+    t = dx / d.scale
     if t == 0.0:
         return 0.5
     return student_tail(t, d.dof) if t < 0 else 1.0 - student_tail(t, d.dof)
 
 
+def student_cdf(x: float, d: LocScaleStudent) -> float:
+    """P(T <= x) for a location-scale Student variable T."""
+    return _student_below(x - d.loc, d)
+
+
 def student_sf(x: float, d: LocScaleStudent) -> float:
-    """P(T > x); keeps full precision in the upper tail, where
-    ``1 - student_cdf(x, d)`` would cancel."""
-    if d.degenerate:
-        if x < d.loc:
-            return 1.0
-        if x > d.loc:
-            return 0.0
-        return 0.5
-    t = (x - d.loc) / d.scale
-    if t == 0.0:
-        return 0.5
-    return student_tail(t, d.dof) if t > 0 else 1.0 - student_tail(t, d.dof)
+    """P(T > x), which is P(T - loc <= loc - x) by symmetry; keeps full
+    precision in the upper tail, where ``1 - student_cdf(x, d)`` would cancel."""
+    return _student_below(d.loc - x, d)
 
 
 def student_quantile(p: float, d: LocScaleStudent) -> float:

@@ -6,13 +6,13 @@ so they can be checked bit-exactly and consumed by any plotting toolchain.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .data import _csv_text
 from .dp import TrinomialSamples
 
 __all__ = [
@@ -59,7 +59,7 @@ def barycentric_csv(points: np.ndarray) -> str:
     n = len(points)
     if n > EXPORT_POINTS:
         points = points[np.arange(EXPORT_POINTS) * n // EXPORT_POINTS]
-    return "x,y\n" + "".join(map("{!r},{!r}\n".format, *points.T.tolist()))
+    return _csv_text(["x", "y"], points.T.tolist())
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,8 @@ class Histogram:
     density: np.ndarray
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("lo,hi,count,density\n")
-        for lo, hi, c, d in zip(self.lo, self.hi, self.count, self.density):
-            out.write(f"{float(lo)!r},{float(hi)!r},{int(c)},{float(d)!r}\n")
-        return out.getvalue()
+        columns = [self.lo.tolist(), self.hi.tolist(), self.count.tolist(), self.density.tolist()]
+        return _csv_text(["lo", "hi", "count", "density"], columns)
 
 
 def density_data(x, bins: int) -> Histogram:

@@ -4,11 +4,13 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from cvcompare import cli
 from cvcompare.cli import build_parser, main
-from cvcompare.data import Rope, mean_differences, paired_differences, parse_scores
+from cvcompare.bayes_ttest import hdis, posterior
+from cvcompare.data import Rope, ScoreTable, mean_differences, paired_differences, parse_scores
 from cvcompare.dp import DpPrior, signed_rank_samples, simplex_region_probs
 from cvcompare.kernels import RngStream
 from cvcompare.report import EXPORT_POINTS
@@ -104,6 +106,20 @@ class TestValidation:
         assert all(repr(source) in err for source in sources) and name in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["wilcoxon"], ["sign", "--seed", "1"], ["signed-rank", "--seed", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_all_pairs_needs_two_classifiers(self, tmp_path, capsys, argv):
+        table = make_table(n_datasets=4, classifiers=("alpha",), seed=1)
+        path = tmp_path / "scores.csv"
+        path.write_text(table.to_csv(), encoding="utf-8")
+        out = tmp_path / "out"
+        code = run_cli(*argv, "--input", path, "--all-pairs", "--output-dir", out)
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "cvcompare: data: --all-pairs needs two classifiers, got 1\n"
+
+
 class TestFreqAndBayes:
     def test_freq_ttest_report(self, score_csv, tmp_path):
         out = tmp_path / "out"
@@ -159,6 +175,39 @@ class TestFreqAndBayes:
         text = (out / "hdi.csv").read_bytes().decode("utf-8")
         rows = list(csv.reader(io.StringIO(text, newline="")))
         assert {row[0] for row in rows[1:]} == {"d\r\nx", "ds1"}
+
+    def test_hdi_csv_matches_the_csv_writer_rows(self, tmp_path):
+        # ids without a carriage return, which csv.writer quotes as _csv_field does
+        path = renamed_csv(tmp_path, ("alpha", "beta"), ['"iris, binary"', '"say ""hi"""', '"d\nx"', "ds3"])
+        out = tmp_path / "out"
+        assert run_cli("bayes-ttest", "--input", path, "--pair", "alpha", "beta", "--output-dir", out) == 0
+        expected = io.StringIO()
+        rows = csv.writer(expected, lineterminator="\n")
+        rows.writerow(["dataset", "level", "lo", "hi"])
+        for series in paired_differences(parse_scores(path.read_bytes()), "alpha", "beta"):
+            intervals = hdis(posterior(series))
+            for level, (lo, hi) in zip(intervals.levels, intervals.intervals):
+                rows.writerow([series.dataset, repr(level), repr(lo), repr(hi)])
+        assert (out / "hdi.csv").read_bytes().decode("utf-8") == expected.getvalue()
+
+    def test_lone_carriage_return_in_id_is_quoted(self, tmp_path):
+        path = renamed_csv(tmp_path, ("alpha", "beta"), ['"d\rx"', "ds1"])
+        out = tmp_path / "out"
+        assert run_cli("bayes-ttest", "--input", path, "--pair", "alpha", "beta", "--output-dir", out) == 0
+        text = (out / "hdi.csv").read_bytes().decode("utf-8")
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert len(rows) == 1 + 7 * 2
+        assert [row[0] for row in rows[1:]] == ["d\rx"] * 7 + ["ds1"] * 7
+
+    def test_all_degenerate_run_writes_the_hdi_header(self, tmp_path):
+        scores = np.full((2, 5), 0.8)
+        table = ScoreTable(entries={(d, c): scores for d in ("ds0", "ds1") for c in ("alpha", "beta")},
+                           runs=2, folds=5)
+        path = tmp_path / "scores.csv"
+        path.write_text(table.to_csv(), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("bayes-ttest", "--input", path, "--pair", "alpha", "beta", "--output-dir", out) == 0
+        assert (out / "hdi.csv").read_text() == "dataset,level,lo,hi\n"
 
     def test_wilcoxon_all_pairs(self, score_csv, tmp_path):
         out = tmp_path / "out"
@@ -409,6 +458,27 @@ class TestRuleAndIoErrors:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err == f"cvcompare: validation: threshold must be in (1/3, 1], got {float(threshold)}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["hierarchical", "--chains", "1"], "need at least two chains for convergence diagnostics"),
+        (["hierarchical", "--draws", "3"], "need at least four kept draws"),
+        (["hierarchical", "--warmup", "-1"], "warmup must be non-negative"),
+        (["sign", "--prior-strength", "0"], "prior strength must be positive, got 0.0"),
+        (["signed-rank", "--prior-strength", "0"], "prior strength must be positive, got 0.0"),
+    ], ids=["chains", "draws", "warmup", "sign-prior-strength", "signed-rank-prior-strength"])
+    def test_bad_method_flag_fails_before_any_work(self, score_csv, tmp_path, monkeypatch, capsys,
+                                                   argv, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the input was parsed before the method flags were checked")
+
+        monkeypatch.setattr(cli, "parse_scores", no_work)
+        out = tmp_path / "out"
+        # the pair names a missing classifier, which reading the input would report first
+        code = run_cli(argv[0], "--input", score_csv, "--pair", "alpha", "zz", "--seed", "1",
+                       *argv[1:], "--output-dir", out)
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"cvcompare: validation: {message}\n"
 
     def test_missing_loss_matrix_is_an_io_error(self, score_csv, tmp_path, capsys):
         out = tmp_path / "out"

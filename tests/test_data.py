@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvcompare.data import (
+    CSV_HEADER,
     DiffSeries,
     MeanDiffVector,
     Rope,
     ScoreTable,
+    _csv_field,
+    _csv_text,
     mean_differences,
     paired_differences,
     parse_scores,
@@ -357,6 +360,44 @@ class TestAgainstRowLoop:
     def test_same_table_or_same_error(self, seed):
         text = mutated_file(seed)
         assert outcome(parse_scores, text) == outcome(reference_parse, text)
+
+
+def score_table_csv_loop(table):
+    """Reference: the per-row writer that ``ScoreTable.to_csv`` replaced."""
+    out = [",".join(CSV_HEADER) + "\n"]
+    for (dataset, classifier), scores in table.entries.items():
+        ids = f"{_csv_field(dataset)},{_csv_field(classifier)}"
+        for run in range(table.runs):
+            for fold in range(table.folds):
+                out.append(f"{ids},{run},{fold},{float(scores[run, fold])!r}\n")
+    return "".join(out)
+
+
+class TestToCsv:
+    @pytest.mark.parametrize("runs, folds", [(1, 1), (2, 5), (3, 4)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_the_row_loop(self, runs, folds, dtype):
+        rng = np.random.default_rng(runs * 10 + folds)
+        datasets = ["iris", 'iris, "binary"', "d\rx", "d\r\ny", "d\nz"]
+        classifiers = ["knn 1", "svm,rbf", 'say "hi"']
+        entries = {
+            (d, c): rng.uniform(0.0, 1.0, size=(runs, folds)).astype(dtype)
+            for d in datasets for c in classifiers
+        }
+        entries[("iris", "knn 1")][0, 0] = 0.0
+        entries[("d\nz", "svm,rbf")][-1, -1] = 1.0
+        table = ScoreTable(entries=entries, runs=runs, folds=folds)
+        text = table.to_csv()
+        assert text == score_table_csv_loop(table)
+        assert list(parse_scores(text).entries) == list(entries)
+
+    def test_header_alone_without_rows(self):
+        assert _csv_text(["dataset", "level", "lo", "hi"], [[], [], [], []]) == "dataset,level,lo,hi\n"
+
+    def test_fields_take_the_shortest_round_trip_text(self):
+        values = [0.1, -0.0, 1e-300, 5e-324, 1e16, 2.0, 1 / 3]
+        text = _csv_text(["k", "v"], [list(range(len(values))), values])
+        assert text == "k,v\n" + "".join(f"{k},{v!r}\n" for k, v in enumerate(values))
 
 
 class TestPairedDifferences:

@@ -6,7 +6,13 @@ from scipy import stats
 
 from cvcompare.data import DiffSeries, MeanDiffVector
 from cvcompare.errors import DegenerateDataError
-from cvcompare.frequentist import _rank_abs, correlated_ttest, pairwise_pvalues, wilcoxon_signed_rank
+from cvcompare.frequentist import (
+    _exact_two_sided_p,
+    _rank_abs,
+    correlated_ttest,
+    pairwise_pvalues,
+    wilcoxon_signed_rank,
+)
 
 from conftest import make_table, series_from_stats
 
@@ -164,6 +170,60 @@ class TestRankAbs:
             assert np.array_equal(ranks, ref_ranks)
             assert tie_adjust == ref_tie_adjust
             assert type(tie_adjust) is float
+
+
+def exact_p_enumeration(ranks, t_stat):
+    """Reference: the positive-rank sum of every one of the 2^q sign assignments."""
+    q = ranks.size
+    centre = q * (q + 1) / 4.0
+    observed = abs(t_stat - centre)
+    sums = np.zeros(1)
+    for r in ranks:
+        sums = np.concatenate([sums, sums + r])
+    return float(np.mean(np.abs(sums - centre) >= observed - 1e-12))
+
+
+def exact_p_integer_count(ranks, t_stat):
+    """Reference: the null count over doubled ranks in Python integers, which
+    do not overflow, compared exactly."""
+    q = ranks.size
+    doubled = [round(2 * r) for r in ranks.tolist()]
+    counts = np.zeros(sum(doubled) + 1, dtype=object)
+    counts[0] = 1
+    top = 0
+    for r in doubled:
+        counts[r : top + r + 1] = counts[r : top + r + 1] + counts[: top + 1]
+        top += r
+    centre, observed = q * (q + 1) // 2, abs(round(2 * t_stat) - q * (q + 1) // 2)
+    hits = sum(c for s, c in enumerate(counts.tolist()) if abs(s - centre) >= observed)
+    return hits / 2**q
+
+
+def signed_values(rng, q, ties):
+    if ties:
+        # few distinct magnitudes, both signs
+        return rng.integers(1, 6, size=q) * rng.choice([-0.01, 0.01], size=q)
+    return rng.uniform(-0.9, 0.9, size=q)
+
+
+class TestExactNull:
+    def test_matches_the_enumeration_exactly(self):
+        rng = np.random.default_rng(21)
+        for k in range(800):
+            values = signed_values(rng, int(rng.integers(1, 17)), ties=k % 4 != 0)
+            ranks, _ = _rank_abs(values)
+            t_stat = float(ranks[values > 0].sum())
+            assert _exact_two_sided_p(ranks, t_stat) == exact_p_enumeration(ranks, t_stat)
+
+    @pytest.mark.parametrize("q", [60, 150])
+    @pytest.mark.parametrize("positive", [0.5, 0.9])
+    def test_any_q_matches_the_integer_count(self, q, positive):
+        rng = np.random.default_rng(q)
+        values = np.abs(signed_values(rng, q, ties=True)) * np.where(rng.uniform(size=q) < positive, 1, -1)
+        res = wilcoxon_signed_rank(MeanDiffVector(z=values, datasets=tuple(map(str, range(q)))), exact=True)
+        ranks, _ = _rank_abs(values)
+        assert res.exact
+        assert res.p_two_sided == pytest.approx(exact_p_integer_count(ranks, res.t_stat), rel=1e-12)
 
 
 class TestPairwise:

@@ -331,6 +331,47 @@ def constant_draws(mu0, sigma0, nu, chains=2, draws=50, q=2):
     )
 
 
+def draws_csv_loop(draws):
+    """Reference: the per-row writer that ``HierDraws.to_csv`` replaced."""
+    header = ["chain", "iteration", "mu0", "sigma0", "nu", "alpha", "beta"]
+    header += [f"mu_{i + 1}" for i in range(draws.q)]
+    header += [f"sigma_{i + 1}" for i in range(draws.q)]
+    lines = [",".join(header)]
+    for c in range(draws.n_chains):
+        for it in range(draws.n_draws):
+            row = [str(c), str(it)]
+            row += [repr(float(v)) for v in (
+                draws.mu0[c, it], draws.sigma0[c, it], draws.nu[c, it],
+                draws.alpha[c, it], draws.beta[c, it],
+            )]
+            row += [repr(float(v)) for v in draws.mu[c, it]]
+            row += [repr(float(v)) for v in draws.sigma[c, it]]
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvExport:
+    @pytest.mark.parametrize("chains, n, q", [(2, 4, 1), (3, 7, 5), (4, 50, 54)])
+    def test_matches_the_row_loop(self, chains, n, q):
+        rng = np.random.default_rng(q)
+        scalar = (chains, n)
+        draws = HierDraws(
+            mu0=rng.normal(0.0, 0.01, scalar), sigma0=rng.exponential(0.01, scalar),
+            nu=rng.gamma(2.0, 10.0, scalar), alpha=rng.uniform(0.5, 5.0, scalar),
+            beta=rng.uniform(0.05, 0.15, scalar), mu=rng.normal(0.0, 0.02, (chains, n, q)),
+            sigma=rng.exponential(0.03, (chains, n, q)),
+            datasets=tuple(f"d{i}" for i in range(q)), seed=0,
+        )
+        draws.mu[0, 0, 0] = -0.0
+        draws.sigma[-1, -1, -1] = 1e-300
+        draws.nu[0, -1] = 2.0
+        assert draws.to_csv() == draws_csv_loop(draws)
+
+    def test_fitted_draws_match_the_row_loop(self):
+        draws = fit(model_data(3, 15, seed=10), small_cfg(seed=61, warmup=20, draws=10))
+        assert draws.to_csv() == draws_csv_loop(draws)
+
+
 class TestNextDataset:
     def test_degenerate_posterior_is_all_rope(self):
         draws = constant_draws(mu0=0.0, sigma0=1e-6, nu=10.0)

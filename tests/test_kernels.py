@@ -14,6 +14,8 @@ from cvcompare.kernels import (
     student_cdf,
     student_logpdf,
     student_quantile,
+    student_sf,
+    student_tail,
 )
 
 mp.dps = 40
@@ -231,3 +233,51 @@ class TestStudentSf:
         degenerate = LocScaleStudent(dof=9, loc=0.2, scale2=0.0)
         assert student_sf(0.1, degenerate) == 1.0
         assert student_sf(0.3, degenerate) == 0.0
+
+
+def student_cdf_mirror(x, d):
+    """Reference: the body ``student_cdf`` had before it shared one with ``student_sf``."""
+    if d.degenerate:
+        if x < d.loc:
+            return 0.0
+        if x > d.loc:
+            return 1.0
+        return 0.5
+    t = (x - d.loc) / d.scale
+    if t == 0.0:
+        return 0.5
+    return student_tail(t, d.dof) if t < 0 else 1.0 - student_tail(t, d.dof)
+
+
+def student_sf_mirror(x, d):
+    """Reference: the body ``student_sf`` had before it shared one with ``student_cdf``."""
+    if d.degenerate:
+        if x < d.loc:
+            return 1.0
+        if x > d.loc:
+            return 0.0
+        return 0.5
+    t = (x - d.loc) / d.scale
+    if t == 0.0:
+        return 0.5
+    return student_tail(t, d.dof) if t > 0 else 1.0 - student_tail(t, d.dof)
+
+
+class TestSharedStudentBody:
+    def test_cdf_and_sf_match_the_mirror_bodies(self):
+        rng = np.random.default_rng(12)
+        dists = [LocScaleStudent(dof=9, loc=loc, scale2=0.0) for loc in (0.0, -0.0, 0.2, -1e-300)]
+        dists += [LocScaleStudent(dof=5, loc=0.0, scale2=1.0), LocScaleStudent(dof=3, loc=-0.0, scale2=2.0)]
+        dists += [
+            LocScaleStudent(dof=float(dof), loc=float(loc), scale2=float(scale2))
+            for dof, loc, scale2 in zip(rng.uniform(0.5, 200.0, 40), rng.normal(0.0, 0.05, 40),
+                                        rng.exponential(1e-3, 40))
+        ]
+        for d in dists:
+            xs = [d.loc, -d.loc, 0.0, -0.0, 1e-300, -1e-300, math.inf, -math.inf]
+            xs += (d.loc + rng.normal(0.0, 3.0, 30) * math.sqrt(d.scale2 or 1e-4)).tolist()
+            for x in xs:
+                for new, old in ((student_cdf(x, d), student_cdf_mirror(x, d)),
+                                 (student_sf(x, d), student_sf_mirror(x, d))):
+                    assert new == old
+                    assert math.copysign(1.0, new) == math.copysign(1.0, old)

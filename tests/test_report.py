@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -16,6 +17,15 @@ from cvcompare.report import (
 def per_row_csv(points):
     """Reference writer: one formatted row per numpy point."""
     return "x,y\n" + "".join(f"{float(x)!r},{float(y)!r}\n" for x, y in points)
+
+
+def histogram_csv_loop(h):
+    """Reference: the per-row writer that ``Histogram.to_csv`` replaced."""
+    out = io.StringIO()
+    out.write("lo,hi,count,density\n")
+    for lo, hi, c, d in zip(h.lo, h.hi, h.count, h.density):
+        out.write(f"{float(lo)!r},{float(hi)!r},{int(c)},{float(d)!r}\n")
+    return out.getvalue()
 
 
 def samples_of(rows):
@@ -106,6 +116,13 @@ class TestDensityData:
         lines = h.to_csv().strip().split("\n")
         assert lines[0] == "lo,hi,count,density"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("bins", [1, 7, 30])
+    def test_csv_matches_the_row_loop(self, bins):
+        rng = np.random.default_rng(bins)
+        for x in (rng.normal(-0.02, 0.016, size=100), rng.uniform(0.0, 1.0, size=3), np.full(17, 0.3)):
+            h = density_data(x, bins=bins)
+            assert h.to_csv() == histogram_csv_loop(h)
 
     def test_validation(self):
         with pytest.raises(ValueError):
