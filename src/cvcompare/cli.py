@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bayes_ttest import TrinomialProbs, direction_prob, hdis, posterior, rope_probs
+from .bayes_ttest import direction_prob, hdis, posterior, rope_probs
 from .data import Rope, _csv_field, _csv_text, mean_differences, paired_differences, parse_scores
 from .decisions import LossMatrix, decide, rule_record
 from .dp import (
@@ -31,28 +31,14 @@ from .dp import (
     signed_rank_samples,
     simplex_region_probs,
 )
-from .errors import (
-    CoverageError,
-    CvCompareError,
-    DegenerateDataError,
-    ParseError,
-    ShapeError,
-)
+from .errors import CoverageError, CvCompareError
 from .frequentist import correlated_ttest, wilcoxon_signed_rank
 from .hierarchical import HierConfig, fit, next_dataset_probs
 from .kernels import RngStream
 from .report import barycentric_csv, barycentric_points, density_data, dump_json
 
-_COMPONENT = {
-    ParseError: "data",
-    ShapeError: "data",
-    CoverageError: "data",
-    DegenerateDataError: "frequentist",
-}
-
-
 class _CliError(CvCompareError):
-    pass
+    component = "usage"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,16 +67,10 @@ def _export_names(template: str, sources: list[tuple[str, ...]]) -> list[str]:
     return list(owners)
 
 
-def _probs_json(p: TrinomialProbs) -> dict:
+def _outcomes_json(left, rope, right) -> dict:
     # report keys name the classifiers explicitly: differences are A - B,
     # so the "left" outcome means B is practically better
-    return {"a_better": p.p_right, "rope": p.p_rope, "b_better": p.p_left}
-
-
-def _stderr_json(p: TrinomialProbs):
-    if p.mc_stderr is None:
-        return None
-    return {"a_better": p.mc_stderr[2], "rope": p.mc_stderr[1], "b_better": p.mc_stderr[0]}
+    return {"a_better": right, "rope": rope, "b_better": left}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,7 +266,8 @@ def run(args) -> int:
         entry = {"pair": [a, b], "method": args.method, **fields}
         if probs is not None:
             entry.update({
-                "probs": _probs_json(probs), "mc_stderr": _stderr_json(probs),
+                "probs": _outcomes_json(probs.p_left, probs.p_rope, probs.p_right),
+                "mc_stderr": None if probs.mc_stderr is None else _outcomes_json(*probs.mc_stderr),
                 "decision": decide(probs, rule).verdict.value, "rule": rule_json,
                 "seed": getattr(args, "seed", None),
             })
@@ -319,12 +300,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return run(args)
-    except _CliError as exc:
-        print(f"cvcompare: usage: {exc}", file=sys.stderr)
-        return 1
-    except (CvCompareError, ValueError) as exc:
-        component = _COMPONENT.get(type(exc), "validation")
-        print(f"cvcompare: {component}: {exc}", file=sys.stderr)
+    except ValueError as exc:  # every CvCompareError is one
+        print(f"cvcompare: {getattr(exc, 'component', 'validation')}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"cvcompare: io: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,8 @@ class Rope:
     def __post_init__(self) -> None:
         if not (self.lower <= 0.0 <= self.upper):
             raise ValueError(f"rope must contain zero, got [{self.lower}, {self.upper}]")
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ValueError(f"rope bounds must be finite, got [{self.lower}, {self.upper}]")
 
 
 @dataclass(frozen=True)
@@ -53,8 +56,8 @@ class ScoreTable:
     Every matrix has the same runs x folds shape; scores are fractions in
     [0, 1] after ingestion.  ``datasets`` and ``classifiers`` list the ids
     in order of first appearance in ``entries``.  The table is immutable:
-    the matrices are copied into one array at construction, and
-    :func:`paired_differences` reads that copy.
+    the matrices are copied into one read-only array at construction, and
+    ``entries`` then holds read-only views of that copy.
     """
 
     entries: dict[tuple[str, str], np.ndarray]
@@ -86,6 +89,8 @@ class ScoreTable:
             if not dataset or not classifier:
                 raise ValueError("dataset and classifier ids must be non-empty")
             raise ShapeError(f"({dataset}, {classifier}) has shape {scores.shape}, expected {shape}")
+        grid.flags.writeable = False
+        object.__setattr__(self, "entries", dict(zip(keys, grid)))
         object.__setattr__(self, "datasets", tuple(dict.fromkeys(d for d, _ in keys)))
         object.__setattr__(self, "classifiers", tuple(dict.fromkeys(c for _, c in keys)))
         object.__setattr__(self, "_grid", grid)

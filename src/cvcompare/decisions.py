@@ -69,6 +69,8 @@ class LossMatrix:
             raise ValueError(f"loss matrix must be 4 x 3, got {m.shape}")
         if np.any(m < 0):
             raise ValueError("losses must be non-negative")
+        if not np.isfinite(m).all():
+            raise ValueError("losses must be finite")
 
     @classmethod
     def default(cls) -> "LossMatrix":

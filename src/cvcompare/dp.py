@@ -22,6 +22,7 @@ Conventions (differences are x = A - B for the pair "A vs B"):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -59,6 +60,8 @@ class DpPrior:
     def __post_init__(self) -> None:
         if not self.s > 0:
             raise ValueError(f"prior strength must be positive, got {self.s}")
+        if not math.isfinite(self.s):
+            raise ValueError(f"prior strength must be finite, got {self.s}")
         if self.z0 not in ("left", "rope", "right"):
             raise ValueError(f"z0 placement must be left/rope/right, got {self.z0!r}")
 
@@ -74,6 +77,8 @@ class DirichletParams:
     def __post_init__(self) -> None:
         if min(self.a_left, self.a_rope, self.a_right) < 0:
             raise ValueError("Dirichlet parameters must be non-negative")
+        if not all(map(math.isfinite, (self.a_left, self.a_rope, self.a_right))):
+            raise ValueError("Dirichlet parameters must be finite")
         if self.a_left + self.a_rope + self.a_right <= 0:
             raise ValueError("Dirichlet parameters must not all be zero")
 
@@ -92,9 +97,9 @@ class TrinomialSamples:
         object.__setattr__(self, "samples", s)
         if s.ndim != 2 or s.shape[1] != 3 or s.shape[0] == 0:
             raise ValueError("samples must be a non-empty (count, 3) matrix")
-        if s.min() < 0.0:
+        if not s.min() >= 0.0:  # NaN fails this test too
             raise ValueError("theta draws must be non-negative")
-        if np.max(np.abs(s.sum(axis=1) - 1.0)) > 1e-12:
+        if not np.max(np.abs(s.sum(axis=1) - 1.0)) <= 1e-12:
             raise ValueError("theta draws must sum to one")
 
     @property
@@ -163,16 +168,14 @@ def _pair_category_masks(
     sums = zz[:, None] + zz[None, :]
     left = sums < 2.0 * rope.lower
     right = sums > 2.0 * rope.upper
+    # pairs with the pseudo-observation fall on its placement's side, or in the rope
+    # placement on the sign of their sum, so the self-pair (sign 0) is in neither mask
     if placement == "rope":
-        left[0, 1:] = left[1:, 0] = z < 0.0
-        right[0, 1:] = right[1:, 0] = z > 0.0
-        left[0, 0] = right[0, 0] = False
-    elif placement == "left":
-        left[0, :] = left[:, 0] = True
-        right[0, :] = right[:, 0] = False
+        side = np.sign(zz)
     else:
-        right[0, :] = right[:, 0] = True
-        left[0, :] = left[:, 0] = False
+        side = np.full_like(zz, -1.0 if placement == "left" else 1.0)
+    left[0, :] = left[:, 0] = side < 0
+    right[0, :] = right[:, 0] = side > 0
     return left.astype(float), right.astype(float)
 
 

@@ -32,7 +32,7 @@ from scipy import special
 
 from .data import DiffSeries, Rope, _csv_text
 from .dp import TrinomialSamples
-from .kernels import RngStream, cs_loglik, gamma_logpdf, student_logpdf, student_tail
+from .kernels import RngStream, _student_below_array, cs_loglik, gamma_logpdf, student_logpdf
 
 __all__ = [
     "HierConfig",
@@ -122,8 +122,6 @@ class HierDraws:
     beta: np.ndarray
     mu: np.ndarray       # (chains, draws, q)
     sigma: np.ndarray
-    datasets: tuple[str, ...]
-    seed: int
     diagnostics: dict[str, Diagnostic] = field(default_factory=dict)
 
     @property
@@ -148,14 +146,10 @@ class HierDraws:
 
     def to_csv(self) -> str:
         """One row per draw: chain, iteration, mu0, sigma0, nu, alpha, beta, mu_i..., sigma_i...."""
-        header = ["chain", "iteration", "mu0", "sigma0", "nu", "alpha", "beta"]
-        header += [f"mu_{i + 1}" for i in range(self.q)]
-        header += [f"sigma_{i + 1}" for i in range(self.q)]
+        params = _columns(vars(self))
         columns = np.indices((self.n_chains, self.n_draws)).reshape(2, -1).tolist()
-        columns += [self.pooled(name).tolist() for name in _SCALARS]
-        columns += self.mu.reshape(-1, self.q).T.tolist()
-        columns += self.sigma.reshape(-1, self.q).T.tolist()
-        return _csv_text(header, columns)
+        columns += [x.reshape(-1).tolist() for _, x in params]
+        return _csv_text(["chain", "iteration"] + [name for name, _ in params], columns)
 
 
 @dataclass(frozen=True)
@@ -175,6 +169,17 @@ class ShrinkageReport:
     sample_abs_dev: float    # sum_i |sample mean_i - median(sample means)|
 
 
+def _columns(params) -> list[tuple[str, np.ndarray]]:
+    """Every model parameter as ``(name, (chains, draws) array)``, in the order
+    and under the names of the draws CSV; ``params`` maps each ``_PARAMS`` name
+    to its stacked draws."""
+    columns = [(name, params[name]) for name in _SCALARS]
+    for name in ("mu", "sigma"):
+        draws = params[name]
+        columns += [(f"{name}_{i + 1}", draws[:, :, i]) for i in range(draws.shape[2])]
+    return columns
+
+
 class _Problem:
     """Sufficient statistics and prior bounds shared by the sampler."""
 
@@ -187,7 +192,6 @@ class _Problem:
         rhos = {d.rho for d in data}
         if len(rhos) != 1:
             raise ValueError(f"all series must share rho, got {sorted(rhos)}")
-        self.datasets = tuple(d.dataset for d in data)
         self.means = np.array([d.mean for d in data])
         self.ss = np.array([d.ss for d in data])
         self.n = data[0].n
@@ -466,26 +470,10 @@ def fit(data: list[DiffSeries], cfg: HierConfig) -> HierDraws:
     results = [_run_chain(problem, cfg, base.spawn(c)) for c in range(cfg.chains)]
 
     stack = {k: np.stack([r[k] for r in results]) for k in _PARAMS}
-    return HierDraws(**stack, datasets=problem.datasets, seed=cfg.seed, diagnostics=_diagnose(stack))
-
-
-def _diagnose(stack: dict[str, np.ndarray]) -> dict[str, Diagnostic]:
-    out: dict[str, Diagnostic] = {}
-    for name in _SCALARS:
-        x = stack[name]
-        out[name] = Diagnostic(rhat=split_rhat(x), ess=effective_sample_size(x))
-    for name in ("mu", "sigma"):
-        arr = stack[name]
-        for i in range(arr.shape[2]):
-            x = arr[:, :, i]
-            out[f"{name}_{i}"] = Diagnostic(rhat=split_rhat(x), ess=effective_sample_size(x))
-    return out
-
-
-def _student_cdf(x: float, dof: np.ndarray, loc: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    t = (x - loc) / scale
-    tail = student_tail(t, dof)
-    return np.where(t < 0, tail, 1.0 - tail)
+    diagnostics = {
+        name: Diagnostic(rhat=split_rhat(x), ess=effective_sample_size(x)) for name, x in _columns(stack)
+    }
+    return HierDraws(**stack, diagnostics=diagnostics)
 
 
 def next_dataset_probs(
@@ -510,8 +498,8 @@ def next_dataset_probs(
             raise ValueError("an RngStream is required to subsample posterior draws")
         idx = np.sort(rng.generator().choice(total, size=count, replace=False))
         mu0, sigma0, nu = mu0[idx], sigma0[idx], nu[idx]
-    lo = _student_cdf(rope.lower, nu, mu0, sigma0)
-    hi = _student_cdf(rope.upper, nu, mu0, sigma0)
+    lo = _student_below_array(rope.lower - mu0, nu, sigma0)
+    hi = _student_below_array(rope.upper - mu0, nu, sigma0)
     samples = np.column_stack([lo, hi - lo, 1.0 - hi])
     return TrinomialSamples(samples=samples)
 

@@ -92,19 +92,24 @@ def student_tail(t, dof):
     return 0.5 * special.betainc(0.5 * dof, 0.5, dof / (dof + t * t))
 
 
+def _student_below_array(dx, dof, scale):
+    """P(T - loc <= dx) for Student variables T of positive ``scale`` (vectorized), through
+    the regularized incomplete beta function; absolute error is about 1e-15."""
+    t = dx / scale
+    tail = student_tail(t, dof)
+    return np.where(t < 0, tail, 1.0 - tail)
+
+
 def _student_below(dx: float, d: LocScaleStudent) -> float:
-    """P(T - loc <= dx) for a location-scale Student variable T, through the
-    regularized incomplete beta function; absolute error is about 1e-15."""
+    """P(T - loc <= dx) for a location-scale Student variable T, which may be
+    the point mass at ``loc``."""
     if d.degenerate:
         if dx < 0:
             return 0.0
         if dx > 0:
             return 1.0
         return 0.5
-    t = dx / d.scale
-    if t == 0.0:
-        return 0.5
-    return student_tail(t, d.dof) if t < 0 else 1.0 - student_tail(t, d.dof)
+    return float(_student_below_array(dx, d.dof, d.scale))
 
 
 def student_cdf(x: float, d: LocScaleStudent) -> float:

@@ -499,3 +499,63 @@ class TestRuleAndIoErrors:
         err = capsys.readouterr().err
         assert err.startswith("cvcompare: io: ") and str(out) in err
         assert err.count("\n") == 1
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("argv, message", [
+        (["sign", "--seed", "1", "--prior-strength", "inf"], "prior strength must be finite, got inf"),
+        (["signed-rank", "--seed", "1", "--prior-strength", "inf"],
+         "prior strength must be finite, got inf"),
+        (["wilcoxon", "--rope", "0", "inf"], "rope bounds must be finite, got [0.0, inf]"),
+        (["sign", "--seed", "1", "--rope", "nan", "0.01"], "rope must contain zero, got [nan, 0.01]"),
+    ], ids=["sign-prior-strength", "signed-rank-prior-strength", "rope-inf", "rope-nan"])
+    def test_rejected_before_the_input_is_read(self, score_csv, tmp_path, monkeypatch, capsys,
+                                               argv, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the input was parsed before the flags were checked")
+
+        monkeypatch.setattr(cli, "parse_scores", no_work)
+        out = tmp_path / "out"
+        code = run_cli(argv[0], "--input", score_csv, "--pair", "alpha", "beta", *argv[1:],
+                       "--output-dir", out)
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"cvcompare: validation: {message}\n"
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_loss_matrix_entries_must_be_finite(self, score_csv, tmp_path, monkeypatch, capsys, token):
+        # json.load accepts both tokens, which are not valid JSON in report.json
+        def no_work(*args, **kwargs):
+            raise AssertionError("the input was parsed before the loss matrix was checked")
+
+        monkeypatch.setattr(cli, "parse_scores", no_work)
+        loss = tmp_path / "loss.json"
+        loss.write_text(f"[[0, 20, 20], [20, {token}, 20], [20, 20, 0], [1, 1, 1]]")
+        out = tmp_path / "out"
+        code = run_cli("sign", "--input", score_csv, "--pair", "alpha", "beta", "--seed", "1",
+                       "--loss-matrix", loss, "--output-dir", out)
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "cvcompare: validation: losses must be finite\n"
+
+
+class TestErrorComponents:
+    @pytest.mark.parametrize("argv, line", [
+        (["sign", "--pair", "alpha"], "cvcompare: usage: argument --pair: expected 2 arguments"),
+        (["wilcoxon", "--pair", "alpha", "beta", "--rope", "0.1", "0.2"],
+         "cvcompare: validation: rope must contain zero, got [0.1, 0.2]"),
+        (["wilcoxon", "--pair", "alpha", "nope"],
+         "cvcompare: data: classifiers 'alpha'/'nope' missing for datasets: ds0, ds1, ds2, ds3, ds4, ds5"),
+        (["freq-ttest", "--pair", "alpha", "alpha", "--dataset", "ds0"],
+         "cvcompare: frequentist: dataset 'ds0': zero variance, t statistic undefined"),
+        (["wilcoxon", "--pair", "alpha", "beta", "--loss-matrix", "{missing}"],
+         "cvcompare: io: [Errno 2] No such file or directory: '{missing}'"),
+    ], ids=["usage", "validation", "data", "frequentist", "io"])
+    def test_each_component_prefixes_its_error(self, score_csv, tmp_path, capsys, argv, line):
+        missing = str(tmp_path / "missing.json")
+        argv = [a.format(missing=missing) for a in argv]
+        out = tmp_path / "out"
+        code = run_cli(argv[0], "--input", score_csv, *argv[1:], "--output-dir", out)
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == line.format(missing=missing) + "\n"

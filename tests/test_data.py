@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import random
 
 import numpy as np
@@ -513,6 +514,30 @@ class TestTypes:
             Rope(0.01, 0.02)
         with pytest.raises(ValueError):
             Rope(-0.02, -0.01)
+
+    @pytest.mark.parametrize("lower, upper", [(0.0, math.inf), (-math.inf, 0.01), (-math.inf, math.inf)])
+    def test_rope_bounds_must_be_finite(self, lower, upper):
+        with pytest.raises(ValueError) as err:
+            Rope(lower, upper)
+        assert str(err.value) == f"rope bounds must be finite, got [{lower}, {upper}]"
+
+    def test_nan_rope_bound_rejected(self):
+        with pytest.raises(ValueError, match="rope must contain zero"):
+            Rope(math.nan, 0.01)
+
+    def test_scores_are_held_once_and_read_only(self):
+        a = np.full((1, 2), 0.5)
+        table = ScoreTable(entries={("d", "a"): a, ("d", "b"): np.zeros((1, 2))}, runs=1, folds=2)
+        a[0, 0] = 0.9  # the caller's array is not the table's
+        with pytest.raises(ValueError, match="read-only"):
+            table.entries[("d", "a")][0, 0] = 0.9
+        with pytest.raises(ValueError, match="read-only"):
+            table.scores("d", "b")[0, 1] = 0.1
+        assert table.scores("d", "a").tolist() == [[0.5, 0.5]]
+        (d,) = paired_differences(table, "a", "b")
+        assert d.x.tolist() == [0.5, 0.5]
+        rows = table.to_csv().split("\n")[1:-1]
+        assert rows == ["d,a,0,0,0.5", "d,a,0,1,0.5", "d,b,0,0,0.0", "d,b,0,1,0.0"]
 
     def test_diffseries_stats_consistency(self):
         x = np.random.default_rng(0).uniform(-0.2, 0.2, size=50)

@@ -70,6 +70,14 @@ class TestLossDecision:
         with pytest.raises(ValueError):
             LossMatrix(-np.ones((4, 3)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_losses_must_be_finite(self, value):
+        # a NaN loss once reached report.json, which is then not valid JSON
+        matrix = LossMatrix.default().matrix.copy()
+        matrix[2, 1] = value
+        with pytest.raises(ValueError, match="losses must be finite"):
+            LossMatrix(matrix)
+
     def test_matches_threshold_rule_on_simplex_grid(self):
         # the default 0/20/1 matrix reproduces the strict 0.95 threshold rule
         loss = LossMatrix.default()

@@ -11,6 +11,7 @@ from cvcompare.dp import (
     DpPrior,
     TrinomialSamples,
     _dirichlet_draws,
+    _pair_category_masks,
     prior_sensitivity,
     sign_test_params,
     sign_test_probs,
@@ -255,6 +256,45 @@ class TestPriorSensitivity:
         assert set(out) == {"left", "rope", "right"}
 
 
+def pair_category_masks_reference(z, rope, placement):
+    """Reference: the three-branch body that ``_pair_category_masks`` replaced."""
+    zz = np.concatenate([[0.0], z])
+    sums = zz[:, None] + zz[None, :]
+    left = sums < 2.0 * rope.lower
+    right = sums > 2.0 * rope.upper
+    if placement == "rope":
+        left[0, 1:] = left[1:, 0] = z < 0.0
+        right[0, 1:] = right[1:, 0] = z > 0.0
+        left[0, 0] = right[0, 0] = False
+    elif placement == "left":
+        left[0, :] = left[:, 0] = True
+        right[0, :] = right[:, 0] = False
+    else:
+        right[0, :] = right[:, 0] = True
+        left[0, :] = left[:, 0] = False
+    return left.astype(float), right.astype(float)
+
+
+class TestPairCategoryMasks:
+    @pytest.mark.parametrize("placement", ["left", "rope", "right"])
+    def test_matches_the_three_branch_body(self, placement):
+        rng = np.random.default_rng(31)
+        # zeros of both signs, sums exactly at the doubled rope bounds, mixed signs
+        vectors = [
+            np.array([0.0, -0.0, 0.01, -0.01, 0.02, -0.02, 0.005, -0.015, 0.3, -0.4]),
+            np.zeros(4),
+            np.array([-0.0]),
+            rng.normal(0.0, 0.02, 25),
+            rng.choice([-0.02, -0.01, 0.0, 0.01, 0.02], 30),
+        ]
+        for rope in (Rope(-0.01, 0.01), Rope(0.0, 0.0), Rope(-0.02, 0.005)):
+            for z in vectors:
+                new = _pair_category_masks(z, rope, placement)
+                old = pair_category_masks_reference(z, rope, placement)
+                for a, b in zip(new, old):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 class TestValidation:
     def test_prior_validation(self):
         with pytest.raises(ValueError):
@@ -262,14 +302,39 @@ class TestValidation:
         with pytest.raises(ValueError):
             DpPrior(z0="middle")
 
+    @pytest.mark.parametrize("s, message", [
+        (math.inf, "prior strength must be finite, got inf"),
+        (math.nan, "prior strength must be positive, got nan"),
+        (-math.inf, "prior strength must be positive, got -inf"),
+    ])
+    def test_prior_strength_must_be_finite(self, s, message):
+        with pytest.raises(ValueError) as err:
+            DpPrior(s=s)
+        assert str(err.value) == message
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             DirichletParams(-1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             DirichletParams(0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("params", [
+        (1.0, math.inf, 1.0), (math.inf, 0.0, 0.0), (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0),
+    ])
+    def test_params_must_be_finite(self, params):
+        # an infinite parameter once gave P(left) = 1 through inf / inf draws
+        with pytest.raises(ValueError, match="Dirichlet parameters must be finite"):
+            DirichletParams(*params)
+
     def test_samples_validation(self):
         with pytest.raises(ValueError):
             TrinomialSamples(samples=np.array([[0.5, 0.4, 0.2]]))
         with pytest.raises(ValueError):
             TrinomialSamples(samples=np.array([[0.5, 0.6, -0.1]]))
+
+    @pytest.mark.parametrize("row", [
+        [math.nan] * 3, [0.5, math.nan, 0.5], [math.inf, 0.0, 0.0], [0.5, 0.5, math.inf],
+    ])
+    def test_samples_must_be_finite(self, row):
+        with pytest.raises(ValueError, match="theta draws"):
+            TrinomialSamples(samples=np.array([[0.2, 0.3, 0.5], row]))

@@ -22,7 +22,7 @@ from cvcompare.hierarchical import (
     _truncated_gamma,
     _truncated_normal,
 )
-from cvcompare.kernels import RngStream, cs_loglik, student_logpdf
+from cvcompare.kernels import RngStream, cs_loglik, student_logpdf, student_tail
 
 RHO = 0.1
 
@@ -200,8 +200,14 @@ class TestFit:
         draws = fit(data, small_cfg(seed=51, warmup=100, draws=80))
         names = set(draws.diagnostics)
         assert {"mu0", "sigma0", "nu", "alpha", "beta"} <= names
-        assert {f"mu_{i}" for i in range(4)} <= names
-        assert {f"sigma_{i}" for i in range(4)} <= names
+        assert {f"mu_{i}" for i in range(1, 5)} <= names
+        assert {f"sigma_{i}" for i in range(1, 5)} <= names
+
+    def test_diagnostics_keys_are_the_csv_header(self):
+        draws = fit(model_data(3, 15, seed=9), small_cfg(seed=52, warmup=20, draws=8))
+        header = draws.to_csv().split("\n", 1)[0].split(",")
+        assert header[:2] == ["chain", "iteration"]
+        assert list(draws.diagnostics) == header[2:]
 
     def test_csv_export(self):
         data = model_data(3, 15, seed=10)
@@ -326,7 +332,6 @@ def constant_draws(mu0, sigma0, nu, chains=2, draws=50, q=2):
         mu0=np.full(shape, mu0), sigma0=np.full(shape, sigma0), nu=np.full(shape, nu),
         alpha=np.full(shape, 1.0), beta=np.full(shape, 0.1),
         mu=np.zeros((chains, draws, q)), sigma=np.full((chains, draws, q), 0.01),
-        datasets=tuple(f"d{i}" for i in range(q)), seed=0,
         diagnostics={"mu0": Diagnostic(rhat=1.0, ess=100.0)},
     )
 
@@ -360,7 +365,6 @@ class TestCsvExport:
             nu=rng.gamma(2.0, 10.0, scalar), alpha=rng.uniform(0.5, 5.0, scalar),
             beta=rng.uniform(0.05, 0.15, scalar), mu=rng.normal(0.0, 0.02, (chains, n, q)),
             sigma=rng.exponential(0.03, (chains, n, q)),
-            datasets=tuple(f"d{i}" for i in range(q)), seed=0,
         )
         draws.mu[0, 0, 0] = -0.0
         draws.sigma[-1, -1, -1] = 1e-300
@@ -379,6 +383,22 @@ class TestNextDataset:
         assert samples.samples[:, 1].min() > 0.999999
         probs = simplex_region_probs(samples)
         assert probs.as_tuple() == (0.0, 1.0, 0.0)
+
+    def test_matches_the_array_student_cdf(self):
+        def student_cdf_reference(x, dof, loc, scale):
+            # the array CDF next_dataset_probs used before it shared the kernels body
+            t = (x - loc) / scale
+            tail = student_tail(t, dof)
+            return np.where(t < 0, tail, 1.0 - tail)
+
+        draws = fit(model_data(5, 20, seed=12), small_cfg(seed=83, warmup=50, draws=60))
+        mu0, sigma0, nu = (draws.pooled(name) for name in ("mu0", "sigma0", "nu"))
+        m = float(mu0[3])  # a bound at a draw of mu0 gives t = 0 there
+        for rope in (Rope(-0.01, 0.01), Rope(0.0, 0.0), Rope(min(m, 0.0), max(m, 0.0))):
+            lo = student_cdf_reference(rope.lower, nu, mu0, sigma0)
+            hi = student_cdf_reference(rope.upper, nu, mu0, sigma0)
+            expected = np.column_stack([lo, hi - lo, 1.0 - hi])
+            assert np.array_equal(next_dataset_probs(draws, rope).samples, expected)
 
     def test_rows_sum_to_one(self):
         data = model_data(6, 20, seed=13)
