@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .bayes_ttest import (
     HdiSet,
-    NormalGammaPrior,
     TrinomialProbs,
     direction_prob,
     hdis,

@@ -1,25 +1,23 @@
 """Bayesian correlated t-test: closed-form Student posterior with ROPE queries.
 
-Under the matching Normal-Gamma prior (mu0 = 0, k0 -> inf, a = -1/2, b = 0)
-the posterior of the mean difference is
+The test uses one prior, the matching Normal-Gamma prior (mu0 = 0,
+k0 -> inf, a = -1/2, b = 0).  Under it the posterior of the mean
+difference is
 
     St(mu; n - 1, mean, (1/n + rho/(1-rho)) sd^2)
 
 and numerically coincides with the sampling distribution of the frequentist
-correlated t-test.  A general Normal-Gamma prior is accepted for
-sensitivity analyses; every published analysis uses the matching prior.
+correlated t-test.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .data import DiffSeries, Rope
 from .kernels import LocScaleStudent, student_cdf, student_quantile, student_sf
 
 __all__ = [
-    "NormalGammaPrior",
     "TrinomialProbs",
     "HdiSet",
     "posterior",
@@ -29,20 +27,6 @@ __all__ = [
 ]
 
 DEFAULT_HDI_LEVELS = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
-
-
-@dataclass(frozen=True)
-class NormalGammaPrior:
-    """Normal-Gamma prior (mu0, k0, a, b) for the correlated likelihood."""
-
-    mu0: float = 0.0
-    k0: float = math.inf
-    a: float = -0.5
-    b: float = 0.0
-
-    @property
-    def matching(self) -> bool:
-        return self.mu0 == 0.0 and math.isinf(self.k0) and self.a == -0.5 and self.b == 0.0
 
 
 @dataclass(frozen=True)
@@ -89,30 +73,14 @@ class HdiSet:
     intervals: tuple[tuple[float, float], ...]
 
 
-def posterior(d: DiffSeries, prior: NormalGammaPrior | None = None) -> LocScaleStudent:
+def posterior(d: DiffSeries) -> LocScaleStudent:
     """Posterior of the mean difference for one dataset's paired differences.
 
     Zero-variance data yields the degenerate point mass at the observed
     mean (``scale2 == 0``), flagged through ``LocScaleStudent.degenerate``.
     """
-    if prior is None:
-        prior = NormalGammaPrior()
-    if d.sd == 0.0:
-        return LocScaleStudent(dof=d.n - 1, loc=d.mean, scale2=0.0)
-    if prior.matching:
-        scale2 = (1.0 / d.n + d.rho / (1.0 - d.rho)) * d.sd * d.sd
-        return LocScaleStudent(dof=d.n - 1, loc=d.mean, scale2=scale2)
-    # conjugate update: the compound-symmetry likelihood reduces to a normal
-    # observation of the mean with effective sample size n_eff plus an
-    # independent chi-square term for the spread
-    n_eff = d.n / (1.0 + (d.n - 1) * d.rho)
-    prior_w = 0.0 if math.isinf(prior.k0) else 1.0 / prior.k0
-    k_n = 1.0 / (prior_w + n_eff)
-    mu_n = k_n * (prior_w * prior.mu0 + n_eff * d.mean)
-    a_n = prior.a + 0.5 * d.n
-    shrink = prior_w * n_eff / (prior_w + n_eff)
-    b_n = prior.b + 0.5 * (d.ss / (1.0 - d.rho) + shrink * (d.mean - prior.mu0) ** 2)
-    return LocScaleStudent(dof=2.0 * a_n, loc=mu_n, scale2=k_n * b_n / a_n)
+    scale2 = (1.0 / d.n + d.rho / (1.0 - d.rho)) * d.sd * d.sd
+    return LocScaleStudent(dof=d.n - 1, loc=d.mean, scale2=scale2)
 
 
 def rope_probs(post: LocScaleStudent, rope: Rope) -> TrinomialProbs:

@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_rule(args):
     """The decision rule and its report record; a bad rule fails before any work."""
     if args.loss_matrix is not None:
-        with open(args.loss_matrix, encoding="utf-8") as fh:
+        with open(args.loss_matrix, encoding="utf-8-sig") as fh:
             rule = LossMatrix(np.array(json.load(fh), dtype=float))
     else:
         rule = args.threshold

@@ -216,14 +216,14 @@ class MeanDiffVector:
 
 
 def _read_text(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    if hasattr(source, "read"):
-        raw = source.read()
-        return raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    raise TypeError(f"cannot read scores from {type(source)!r}")
+    """The text of ``source``, without one leading byte-order mark (spreadsheet
+    "CSV UTF-8" exports write one); a U+FEFF anywhere else is kept."""
+    text = source.read() if hasattr(source, "read") else source
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    if not isinstance(text, str):
+        raise TypeError(f"cannot read scores from {type(source)!r}")
+    return text.removeprefix("\ufeff")
 
 
 def _tokenize(text: str) -> tuple[list[str] | None, list[str], np.ndarray, tuple[int, int] | None]:

@@ -117,11 +117,9 @@ def wilcoxon_signed_rank(z: MeanDiffVector, exact: bool | None = None) -> Wilcox
         return WilcoxonResult(t_stat=0.0, w=0.0, p_two_sided=1.0, tie_adjust=0.0, exact=True)
     ranks, tie_adjust = _rank_abs(values)
     t_stat = float(ranks[values > 0].sum())
+    # tie_adjust <= (q^3 - q) / 2, so 24 variance >= 3q(q+1)^2 / 2 > 0
     variance = (q * (q + 1) * (2 * q + 1) - tie_adjust) / 24.0
-    if variance > 0:
-        w = (t_stat - q * (q + 1) / 4.0) / np.sqrt(variance)
-    else:
-        w = 0.0
+    w = (t_stat - q * (q + 1) / 4.0) / np.sqrt(variance)
     if exact is None:
         exact = q <= 10
     if exact:

@@ -4,11 +4,15 @@ Model, for datasets i = 1..q with cross-validation differences x_i:
 
     x_i    ~ MVN(1 * mu_i, Sigma_i)      compound symmetry: sigma_i^2, rho
     mu_i   ~ Student(nu, mu0, sigma0)
-    sigma_i ~ unif(0, sigma_bar),        sigma_bar = 1000 * mean(sd_i)
+    sigma_i ~ unif(0, sigma_bar),        sigma_bar = max(1000 * mean(sd_i), 1e-3)
     mu0    ~ unif(-1, 1)
-    sigma0 ~ unif(0, sigma0_bar),        sigma0_bar = 1000 * std(mean_i)
+    sigma0 ~ unif(0, sigma0_bar),        sigma0_bar = max(1000 * std(mean_i), 1e-3)
     nu     ~ Gamma(alpha, beta)
     alpha  ~ unif(0.5, 5),  beta ~ unif(0.05, 0.15)
+
+The scale bounds are the paper's and are not settable: std(mean_i) uses
+divisor q - 1 and is 0 for a single dataset, and the 1e-3 floors keep the
+uniform supports proper for constant data.
 
 Fitted by Gibbs sampling with the Student level written as a normal scale
 mixture, mu_i ~ N(mu0, sigma0^2 / lambda_i) with lambda_i ~ Gamma(nu/2, nu/2)
@@ -63,18 +67,9 @@ RHAT_THRESHOLD = 1.05
 
 @dataclass(frozen=True)
 class HierConfig:
-    """Sampler and prior configuration.
-
-    ``sigma_bar`` / ``sigma0_bar`` default to 1000 times the mean
-    per-dataset standard deviation and 1000 times the standard deviation
-    of the per-dataset means.  A bound that is set must be finite and above
-    twice the scale floor, so that the initial state, which puts each scale
-    at or below half its bound, lies inside the prior support.
-    """
+    """Sampler configuration."""
 
     seed: int
-    sigma_bar: float | None = None
-    sigma0_bar: float | None = None
     chains: int = 4
     warmup: int = 1000
     draws: int = 1000
@@ -86,10 +81,6 @@ class HierConfig:
             raise ValueError("warmup must be non-negative")
         if self.draws < 4:
             raise ValueError("need at least four kept draws")
-        for name in ("sigma_bar", "sigma0_bar"):
-            bound = getattr(self, name)
-            if bound is not None and not (math.isfinite(bound) and bound > 2.0 * _SIGMA_FLOOR):
-                raise ValueError(f"{name} must be finite and above {2.0 * _SIGMA_FLOOR}, got {bound}")
 
 
 @dataclass(frozen=True)
@@ -183,7 +174,7 @@ def _columns(params) -> list[tuple[str, np.ndarray]]:
 class _Problem:
     """Sufficient statistics and prior bounds shared by the sampler."""
 
-    def __init__(self, data: list[DiffSeries], cfg: HierConfig):
+    def __init__(self, data: list[DiffSeries]):
         if not data:
             raise ValueError("need at least one difference series")
         ns = {d.n for d in data}
@@ -197,17 +188,12 @@ class _Problem:
         self.n = data[0].n
         self.rho = rhos.pop()
         self.q = len(data)
-        sds = np.array([d.sd for d in data])
-        # floors keep the uniform supports non-degenerate for constant data
-        self.sigma_bar = cfg.sigma_bar if cfg.sigma_bar is not None else max(
-            1000.0 * float(sds.mean()), 1e-3
-        )
-        s_mean = float(np.std(self.means, ddof=1)) if self.q > 1 else 0.0
-        self.sigma0_bar = cfg.sigma0_bar if cfg.sigma0_bar is not None else max(
-            1000.0 * s_mean, 1e-3
-        )
-        self.sds = sds
-        self.s_mean = s_mean
+        self.sds = np.array([d.sd for d in data])
+        self.s_mean = float(np.std(self.means, ddof=1)) if self.q > 1 else 0.0
+        # the floors keep the uniform supports proper for constant data, and
+        # put half of each bound above the scale floor for the initial state
+        self.sigma_bar = max(1000.0 * float(self.sds.mean()), 1e-3)
+        self.sigma0_bar = max(1000.0 * self.s_mean, 1e-3)
 
     def uniform_const(self) -> float:
         return (
@@ -250,13 +236,13 @@ class _Problem:
         )
 
 
-def log_posterior(state: HierState, data: list[DiffSeries], cfg: HierConfig) -> float:
+def log_posterior(state: HierState, data: list[DiffSeries]) -> float:
     """Joint log density of the hierarchical model at ``state``.
 
     Includes the uniform prior normalization constants; -inf outside the
     prior support.
     """
-    return _Problem(data, cfg).log_posterior(state)
+    return _Problem(data).log_posterior(state)
 
 
 def _truncated_gamma(gen: np.random.Generator, shape: float, rate, lo: float, hi: float) -> np.ndarray:
@@ -465,7 +451,7 @@ def fit(data: list[DiffSeries], cfg: HierConfig) -> HierDraws:
     """
     if len(data) < 2:
         raise ValueError("the hierarchical model needs at least two datasets")
-    problem = _Problem(data, cfg)
+    problem = _Problem(data)
     base = RngStream(cfg.seed)
     results = [_run_chain(problem, cfg, base.spawn(c)) for c in range(cfg.chains)]
 

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvcompare.bayes_ttest import (
-    NormalGammaPrior,
     TrinomialProbs,
     direction_prob,
     hdis,
@@ -41,19 +40,6 @@ class TestPosterior:
         d = series_from_stats(mean=0.01, sd=0.04, n=25, rho=0.0)
         post = posterior(d)
         assert post.scale2 == pytest.approx(d.sd**2 / d.n, rel=1e-12)
-
-    def test_general_prior_approaches_matching(self):
-        d = series_from_stats(mean=-0.02, sd=0.03, n=50, rho=0.1)
-        match = posterior(d)
-        wide = posterior(d, NormalGammaPrior(mu0=0.0, k0=1e12, a=-0.5, b=0.0))
-        assert wide.dof == pytest.approx(match.dof, rel=1e-9)
-        assert wide.loc == pytest.approx(match.loc, rel=1e-9)
-        assert wide.scale2 == pytest.approx(match.scale2, rel=1e-6)
-
-    def test_informative_prior_shrinks_location(self):
-        d = series_from_stats(mean=-0.02, sd=0.03, n=50, rho=0.1)
-        tight = posterior(d, NormalGammaPrior(mu0=0.0, k0=1e-4, a=2.0, b=1e-4))
-        assert abs(tight.loc) < abs(d.mean)
 
 
 class TestRopeProbs:

@@ -559,3 +559,23 @@ class TestErrorComponents:
         assert code == 1
         assert not out.exists()
         assert capsys.readouterr().err == line.format(missing=missing) + "\n"
+
+
+class TestByteOrderMark:
+    # Excel's "CSV UTF-8" and PowerShell's `-Encoding utf8` start files with U+FEFF
+    @pytest.mark.parametrize("marked", [("scores.csv",), ("loss.json",), ("scores.csv", "loss.json")],
+                             ids=["input", "loss-matrix", "both"])
+    def test_leading_mark_gives_the_same_report(self, score_csv, tmp_path, monkeypatch, marked):
+        loss = json.dumps([[0, 20, 20], [20, 0, 20], [20, 20, 0], [1, 1, 1]]).encode("utf-8")
+        reports = []
+        for name, bom in (("plain", ()), ("marked", marked)):
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            for file, data in (("scores.csv", score_csv.read_bytes()), ("loss.json", loss)):
+                (run_dir / file).write_bytes(b"\xef\xbb\xbf" + data if file in bom else data)
+            # report.json records the --input string, so both runs use the same one
+            monkeypatch.chdir(run_dir)
+            assert run_cli("sign", "--input", "scores.csv", "--pair", "alpha", "beta", "--samples", "2000",
+                           "--seed", "3", "--loss-matrix", "loss.json", "--output-dir", "out") == 0
+            reports.append((run_dir / "out" / "report.json").read_bytes())
+        assert reports[0] == reports[1]

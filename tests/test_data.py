@@ -201,6 +201,34 @@ class TestParseScores:
         with pytest.raises(ParseError, match="^line 3:"):
             parse_scores(text.replace("d,a", '"d",a'))
 
+    @pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv-reader"])
+    def test_leading_byte_order_mark_is_dropped(self, quoted):
+        # spreadsheet "CSV UTF-8" exports start with U+FEFF
+        text = csv_for(full_grid("d", "a", [[0.5, 0.6], [0.7, 0.8]]))
+        if quoted:
+            text = text.replace("d,a", '"d",a')
+        plain = parse_scores(text)
+        marked = "\ufeff" + text
+        for source in (marked, marked.encode("utf-8"), io.BytesIO(marked.encode("utf-8")), io.StringIO(marked)):
+            table = parse_scores(source)
+            assert list(table.entries) == list(plain.entries)
+            for key, scores in plain.entries.items():
+                assert table.entries[key].tobytes() == scores.tobytes()
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv-reader"])
+    def test_byte_order_mark_keeps_line_numbers(self, quoted):
+        text = "\ufeff" + csv_for([("d", "a", 0, 0, 0.5), ("d", "a", 0, 1, "oops")])
+        if quoted:
+            text = text.replace("d,a", '"d",a')
+        with pytest.raises(ParseError, match="^line 3: non-numeric score"):
+            parse_scores(text)
+
+    def test_only_one_leading_byte_order_mark_is_dropped(self):
+        text = csv_for([("d\ufeff", "a", 0, 0, 0.5), ("d\ufeff", "a", 0, 1, 0.25)])
+        assert list(parse_scores("\ufeff" + text).entries) == [("d\ufeff", "a")]
+        with pytest.raises(ParseError, match="^line 1: expected header"):
+            parse_scores("\ufeff\ufeff" + text)
+
     @staticmethod
     def _table(ids, runs, folds, seed):
         rng = np.random.default_rng(seed)
