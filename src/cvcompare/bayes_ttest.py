@@ -51,16 +51,6 @@ class TrinomialProbs:
         if abs(self.p_left + self.p_rope + self.p_right - 1.0) > 1e-9:
             raise ValueError("trinomial probabilities must sum to 1")
 
-    def swapped(self) -> "TrinomialProbs":
-        """The same outcome probabilities with the classifier roles exchanged."""
-        se = self.mc_stderr
-        return TrinomialProbs(
-            p_left=self.p_right,
-            p_rope=self.p_rope,
-            p_right=self.p_left,
-            mc_stderr=None if se is None else (se[2], se[1], se[0]),
-        )
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.p_left, self.p_rope, self.p_right)
 

@@ -287,7 +287,7 @@ def run(args) -> int:
     }
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dump_json(report, out_dir / "report.json")
+    files = {"report.json": dump_json(report), **files}
     for name, text in files.items():
         (out_dir / name).write_text(text, encoding="utf-8")
     # a hierarchical fit flagged as non-converged still writes its outputs

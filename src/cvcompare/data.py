@@ -96,9 +96,6 @@ class ScoreTable:
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "_index", {key: i for i, key in enumerate(keys)})
 
-    def scores(self, dataset: str, classifier: str) -> np.ndarray:
-        return self.entries[(dataset, classifier)]
-
     def to_csv(self) -> str:
         """Serialize back to the long CSV schema (round-trips bit-exactly)."""
         key, run, fold = np.indices(self._grid.shape).reshape(3, -1)
@@ -163,7 +160,7 @@ class DiffSeries:
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
         if x.ndim != 1:
-            raise ValueError("difference series needs at least two observations")
+            raise ValueError(f"difference series must be one-dimensional, got shape {x.shape}")
         (mean,), (sd,) = _series_stats(x[np.newaxis], self.rho)
         self._set(x, float(mean), float(sd))
 
@@ -203,7 +200,9 @@ class MeanDiffVector:
         z = np.asarray(self.z, dtype=float)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "datasets", tuple(self.datasets))
-        if z.ndim != 1 or z.size == 0:
+        if z.ndim != 1:
+            raise ValueError(f"mean-difference vector must be one-dimensional, got shape {z.shape}")
+        if z.size == 0:
             raise ValueError("mean-difference vector must be non-empty")
         if len(self.datasets) != z.size:
             raise ValueError("dataset labels and values have different lengths")

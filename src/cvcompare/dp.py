@@ -41,7 +41,6 @@ __all__ = [
     "sign_test_probs",
     "signed_rank_samples",
     "simplex_region_probs",
-    "prior_sensitivity",
 ]
 
 Placement = Literal["left", "rope", "right"]
@@ -226,23 +225,3 @@ def simplex_region_probs(samples: TrinomialSamples) -> TrinomialProbs:
     se = tuple(float(np.sqrt(p * (1.0 - p) / n)) for p in (p_left, p_rope, p_right))
     return TrinomialProbs(p_left=p_left, p_rope=p_rope, p_right=p_right, mc_stderr=se)
 
-
-def prior_sensitivity(
-    z: MeanDiffVector,
-    rope: Rope,
-    s: float = 0.5,
-    count: int = DEFAULT_SAMPLE_COUNT,
-    rng: RngStream | None = None,
-) -> dict[Placement, TrinomialProbs]:
-    """Signed-rank region probabilities at the three pseudo-observation anchors.
-
-    Runs the test with the pseudo-observation at -inf, in the rope, and at
-    +inf, sharing the base seed through distinct derived streams.
-    """
-    if rng is None:
-        raise ValueError("an RngStream is required (no silent nondeterminism)")
-    out: dict[Placement, TrinomialProbs] = {}
-    for index, placement in enumerate(("left", "rope", "right")):
-        samples = signed_rank_samples(z, rope, DpPrior(s=s, z0=placement), count, rng.spawn(index))
-        out[placement] = simplex_region_probs(samples)
-    return out

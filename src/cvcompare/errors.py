@@ -1,5 +1,7 @@
 """Exception types raised by the comparison pipeline."""
 
+__all__ = ["CvCompareError", "ParseError", "ShapeError", "CoverageError", "DegenerateDataError"]
+
 
 class CvCompareError(ValueError):
     """Base class for all validation errors raised by this package."""

@@ -8,14 +8,13 @@ operates on the per-dataset mean differences.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DiffSeries, MeanDiffVector, ScoreTable, mean_differences, paired_differences
+from .data import DiffSeries, MeanDiffVector
 from .errors import DegenerateDataError
 from .kernels import LocScaleStudent, student_sf
 
@@ -24,7 +23,6 @@ __all__ = [
     "WilcoxonResult",
     "correlated_ttest",
     "wilcoxon_signed_rank",
-    "pairwise_pvalues",
 ]
 
 
@@ -136,17 +134,3 @@ def wilcoxon_signed_rank(z: MeanDiffVector, exact: bool | None = None) -> Wilcox
         t_stat=t_stat, w=float(w), p_two_sided=min(p, 1.0), tie_adjust=tie_adjust, exact=exact
     )
 
-
-def pairwise_pvalues(
-    table: ScoreTable, classifiers: list[str] | None = None, rho: float | None = None
-) -> dict[tuple[str, str], float]:
-    """Wilcoxon p-values on mean differences for every unordered pair."""
-    if classifiers is None:
-        classifiers = list(table.classifiers)
-    if len(classifiers) < 2:
-        raise ValueError("need at least two classifiers")
-    out: dict[tuple[str, str], float] = {}
-    for a, b in itertools.combinations(classifiers, 2):
-        z = mean_differences(paired_differences(table, a, b, rho=rho))
-        out[(a, b)] = wilcoxon_signed_rank(z).p_two_sided
-    return out

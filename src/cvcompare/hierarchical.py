@@ -49,6 +49,8 @@ __all__ = [
     "fit",
     "next_dataset_probs",
     "shrinkage_report",
+    "split_rhat",
+    "effective_sample_size",
 ]
 
 _EPS = 1e-6
@@ -116,18 +118,6 @@ class HierDraws:
     diagnostics: dict[str, Diagnostic] = field(default_factory=dict)
 
     @property
-    def n_chains(self) -> int:
-        return int(self.mu0.shape[0])
-
-    @property
-    def n_draws(self) -> int:
-        return int(self.mu0.shape[1])
-
-    @property
-    def q(self) -> int:
-        return int(self.mu.shape[2])
-
-    @property
     def converged(self) -> bool:
         return all(d.rhat <= RHAT_THRESHOLD for d in self.diagnostics.values())
 
@@ -138,7 +128,7 @@ class HierDraws:
     def to_csv(self) -> str:
         """One row per draw: chain, iteration, mu0, sigma0, nu, alpha, beta, mu_i..., sigma_i...."""
         params = _columns(vars(self))
-        columns = np.indices((self.n_chains, self.n_draws)).reshape(2, -1).tolist()
+        columns = np.indices(self.mu.shape[:2]).reshape(2, -1).tolist()
         columns += [x.reshape(-1).tolist() for _, x in params]
         return _csv_text(["chain", "iteration"] + [name for name, _ in params], columns)
 
@@ -492,7 +482,7 @@ def next_dataset_probs(
 
 def shrinkage_report(draws: HierDraws, data: list[DiffSeries]) -> ShrinkageReport:
     """Compare raw per-dataset means against their pooled posterior estimates."""
-    if len(data) != draws.q:
+    if len(data) != draws.mu.shape[2]:
         raise ValueError("draws and data disagree on the number of datasets")
     med = float(np.median([d.mean for d in data]))
     rows = []

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -98,9 +97,6 @@ def density_data(x, bins: int) -> Histogram:
     return Histogram(lo=edges[:-1], hi=edges[1:], count=counts, density=density)
 
 
-def dump_json(obj, path: str | Path | None = None) -> str:
+def dump_json(obj) -> str:
     """Serialize deterministically (sorted keys, fixed separators)."""
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

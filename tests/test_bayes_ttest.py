@@ -145,9 +145,3 @@ class TestTrinomialProbs:
             TrinomialProbs(0.5, 0.5, 0.5)
         with pytest.raises(ValueError):
             TrinomialProbs(-0.1, 0.6, 0.5)
-
-    def test_swapped(self):
-        p = TrinomialProbs(0.2, 0.3, 0.5, mc_stderr=(0.01, 0.02, 0.03))
-        q = p.swapped()
-        assert q.as_tuple() == (0.5, 0.3, 0.2)
-        assert q.mc_stderr == (0.03, 0.02, 0.01)

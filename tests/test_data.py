@@ -50,13 +50,13 @@ class TestParseScores:
         rows = full_grid("anneal", "nbc", scores_a) + full_grid("anneal", "aode", np.full((10, 10), 96.5))
         table = parse_scores(csv_for(rows))
         assert table.runs == 10 and table.folds == 10
-        assert table.scores("anneal", "nbc")[0, 0] == pytest.approx(0.9444, abs=1e-12)
-        assert table.scores("anneal", "aode")[0, 0] == pytest.approx(0.965, abs=1e-12)
+        assert table.entries[("anneal", "nbc")][0, 0] == pytest.approx(0.9444, abs=1e-12)
+        assert table.entries[("anneal", "aode")][0, 0] == pytest.approx(0.965, abs=1e-12)
 
     def test_fraction_file_not_rescaled(self):
         rows = full_grid("d", "a", [[0.5, 0.75]])
         table = parse_scores(csv_for(rows))
-        assert table.scores("d", "a")[0, 1] == 0.75
+        assert table.entries[("d", "a")][0, 1] == 0.75
 
     def test_empty_file(self):
         with pytest.raises(ParseError, match="no rows"):
@@ -100,7 +100,7 @@ class TestParseScores:
     def test_crlf_accepted(self):
         text = csv_for(full_grid("d", "a", [[0.5, 0.6]])).replace("\n", "\r\n")
         table = parse_scores(text)
-        assert table.scores("d", "a")[0, 0] == 0.5
+        assert table.entries[("d", "a")][0, 0] == 0.5
 
     def test_bytes_and_stream_inputs(self):
         import io
@@ -501,7 +501,7 @@ class TestPairedDifferences:
                 again = DiffSeries(d.dataset, d.x, d.rho)
                 assert d.mean == again.mean and d.sd == again.sd and d.n == again.n
                 # the per-series loop the vectorised form replaces
-                x = (table.scores(d.dataset, a) - table.scores(d.dataset, b)).ravel()
+                x = (table.entries[(d.dataset, a)] - table.entries[(d.dataset, b)]).ravel()
                 assert np.array_equal(d.x, x)
                 if np.all(x == x[0]):
                     assert d.mean == x[0] and d.sd == 0.0
@@ -560,8 +560,8 @@ class TestTypes:
         with pytest.raises(ValueError, match="read-only"):
             table.entries[("d", "a")][0, 0] = 0.9
         with pytest.raises(ValueError, match="read-only"):
-            table.scores("d", "b")[0, 1] = 0.1
-        assert table.scores("d", "a").tolist() == [[0.5, 0.5]]
+            table.entries[("d", "b")][0, 1] = 0.1
+        assert table.entries[("d", "a")].tolist() == [[0.5, 0.5]]
         (d,) = paired_differences(table, "a", "b")
         assert d.x.tolist() == [0.5, 0.5]
         rows = table.to_csv().split("\n")[1:-1]
@@ -582,6 +582,24 @@ class TestTypes:
             DiffSeries(dataset="d", x=np.array([0.1, 1.5]), rho=0.1)
         with pytest.raises(ValueError):
             DiffSeries(dataset="d", x=np.array([0.1, 0.2]), rho=1.0)
+
+    def test_shape_errors_name_the_shape(self):
+        cases = [
+            (lambda: DiffSeries("d", np.zeros((2, 3)), 0.1),
+             "difference series must be one-dimensional, got shape (2, 3)"),
+            (lambda: DiffSeries("d", np.array(0.1), 0.1),
+             "difference series must be one-dimensional, got shape ()"),
+            (lambda: DiffSeries("d", np.array([0.1]), 0.1),
+             "difference series needs at least two observations"),
+            (lambda: MeanDiffVector(np.zeros((2, 2)), ("a", "b", "c", "d")),
+             "mean-difference vector must be one-dimensional, got shape (2, 2)"),
+            (lambda: MeanDiffVector(np.array([]), ()),
+             "mean-difference vector must be non-empty"),
+        ]
+        for build, message in cases:
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == message
 
     def test_nan_differences_rejected(self):
         with pytest.raises(ValueError, match=r"score differences must lie in \[-1, 1\]"):

@@ -12,7 +12,6 @@ from cvcompare.dp import (
     TrinomialSamples,
     _dirichlet_draws,
     _pair_category_masks,
-    prior_sensitivity,
     sign_test_params,
     sign_test_probs,
     sign_test_samples,
@@ -242,18 +241,19 @@ class TestSimplexRegions:
 
 class TestPriorSensitivity:
     def test_vanishing_prior_strength_collapses_placements(self, benchmark_z):
-        out = prior_sensitivity(benchmark_z, ROPE, s=1e-7, count=20_000, rng=RngStream(13))
-        triples = [out[k].as_tuple() for k in ("left", "rope", "right")]
-        ses = [out[k].mc_stderr for k in ("left", "rope", "right")]
+        out = [
+            simplex_region_probs(
+                signed_rank_samples(benchmark_z, ROPE, DpPrior(s=1e-7, z0=z0), 20_000, RngStream(13).spawn(i))
+            )
+            for i, z0 in enumerate(("left", "rope", "right"))
+        ]
+        triples = [p.as_tuple() for p in out]
+        ses = [p.mc_stderr for p in out]
         for a in range(3):
             for b in range(a + 1, 3):
                 for k in range(3):
                     tol = 3 * math.sqrt(ses[a][k] ** 2 + ses[b][k] ** 2) + 1e-9
                     assert abs(triples[a][k] - triples[b][k]) <= tol
-
-    def test_returns_all_three_anchors(self, benchmark_z):
-        out = prior_sensitivity(benchmark_z, ROPE, count=5000, rng=RngStream(14))
-        assert set(out) == {"left", "rope", "right"}
 
 
 def pair_category_masks_reference(z, rope, placement):

@@ -10,11 +10,10 @@ from cvcompare.frequentist import (
     _exact_two_sided_p,
     _rank_abs,
     correlated_ttest,
-    pairwise_pvalues,
     wilcoxon_signed_rank,
 )
 
-from conftest import make_table, series_from_stats
+from conftest import series_from_stats
 
 
 class TestCorrelatedTTest:
@@ -103,6 +102,9 @@ class TestWilcoxon:
             MeanDiffVector(z=(z / 100) ** 3 * 50, datasets=tuple(map(str, range(25))))
         )
         assert base.t_stat == cubed.t_stat
+        # exchanging the classifiers negates z and keeps the two-sided p-value
+        swapped = wilcoxon_signed_rank(MeanDiffVector(z=-z / 100, datasets=tuple(map(str, range(25)))))
+        assert swapped.p_two_sided == base.p_two_sided
 
     def test_exact_matches_scipy_for_clean_data(self):
         values = [3.0, -1.5, 2.2, -4.1, 5.9, -0.7, 1.1]
@@ -225,22 +227,3 @@ class TestExactNull:
         assert res.exact
         assert res.p_two_sided == pytest.approx(exact_p_integer_count(ranks, res.t_stat), rel=1e-12)
 
-
-class TestPairwise:
-    def test_symmetric_under_order(self):
-        table = make_table(n_datasets=12, classifiers=("a", "b", "c"), seed=2)
-        p1 = pairwise_pvalues(table, ["a", "b", "c"])
-        p2 = pairwise_pvalues(table, ["c", "b", "a"])
-        assert p1[("a", "b")] == p2[("b", "a")]
-        assert p1[("a", "c")] == p2[("c", "a")]
-        assert set(p1) == {("a", "b"), ("a", "c"), ("b", "c")}
-
-    def test_identical_classifiers(self):
-        table = make_table(n_datasets=4)
-        p = pairwise_pvalues(table, ["alpha", "alpha"])
-        assert p[("alpha", "alpha")] == 1.0
-
-    def test_needs_two(self):
-        table = make_table()
-        with pytest.raises(ValueError):
-            pairwise_pvalues(table, ["alpha"])

@@ -356,11 +356,12 @@ def constant_draws(mu0, sigma0, nu, chains=2, draws=50, q=2):
 def draws_csv_loop(draws):
     """Reference: the per-row writer that ``HierDraws.to_csv`` replaced."""
     header = ["chain", "iteration", "mu0", "sigma0", "nu", "alpha", "beta"]
-    header += [f"mu_{i + 1}" for i in range(draws.q)]
-    header += [f"sigma_{i + 1}" for i in range(draws.q)]
+    n_chains, n_draws, q = draws.mu.shape
+    header += [f"mu_{i + 1}" for i in range(q)]
+    header += [f"sigma_{i + 1}" for i in range(q)]
     lines = [",".join(header)]
-    for c in range(draws.n_chains):
-        for it in range(draws.n_draws):
+    for c in range(n_chains):
+        for it in range(n_draws):
             row = [str(c), str(it)]
             row += [repr(float(v)) for v in (
                 draws.mu0[c, it], draws.sigma0[c, it], draws.nu[c, it],

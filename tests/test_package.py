@@ -2,8 +2,11 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import cvcompare
+
+from conftest import make_table
 
 
 def test_every_public_name_resolves():
@@ -65,12 +68,15 @@ LIBRARY_SURFACE = {
     "dp.sign_test_probs": "params, count, rng",
     "dp.signed_rank_samples": "z, rope, prior, count=150000, rng=None",
     "dp.simplex_region_probs": "samples",
-    "dp.prior_sensitivity": "z, rope, s=0.5, count=150000, rng=None",
+    "errors.CvCompareError": None,
+    "errors.ParseError": None,
+    "errors.ShapeError": None,
+    "errors.CoverageError": None,
+    "errors.DegenerateDataError": None,
     "frequentist.TTestResult": "t, p_two_sided, p_one_sided_greater, dof",
     "frequentist.WilcoxonResult": "t_stat, w, p_two_sided, tie_adjust, exact",
     "frequentist.correlated_ttest": "d, mu0=0.0",
     "frequentist.wilcoxon_signed_rank": "z, exact=None",
-    "frequentist.pairwise_pvalues": "table, classifiers=None, rho=None",
     "hierarchical.HierConfig": "seed, chains=4, warmup=1000, draws=1000",
     "hierarchical.HierState": "mu0, sigma0, nu, alpha, beta, mu, sigma",
     "hierarchical.Diagnostic": "rhat, ess",
@@ -81,6 +87,8 @@ LIBRARY_SURFACE = {
     "hierarchical.fit": "data, cfg",
     "hierarchical.next_dataset_probs": "draws, rope, count=4000, rng=None",
     "hierarchical.shrinkage_report": "draws, data",
+    "hierarchical.split_rhat": "x",
+    "hierarchical.effective_sample_size": "x",
     "kernels.LocScaleStudent": "dof, loc, scale2",
     "kernels.RngStream": "seed, stream_id=0",
     "kernels.student_cdf": "x, d",
@@ -96,7 +104,7 @@ LIBRARY_SURFACE = {
     "report.barycentric_points": "samples",
     "report.barycentric_csv": "points",
     "report.density_data": "x, bins",
-    "report.dump_json": "obj, path=None",
+    "report.dump_json": "obj",
 }
 
 
@@ -107,3 +115,24 @@ def test_library_surface_is_pinned():
         for name in getattr(module, "__all__", ()):
             surface[f"{info.name}.{name}"] = knobs(getattr(module, name))
     assert surface == LIBRARY_SURFACE
+
+
+def test_package_exports_exactly_the_modules_public_names():
+    declared = set()
+    for info in pkgutil.iter_modules(cvcompare.__path__):
+        declared.update(getattr(importlib.import_module(f"cvcompare.{info.name}"), "__all__", ()))
+    exported = {
+        name for name, value in vars(cvcompare).items() if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert exported == declared
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    # the first python block between the heading and the next one
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    table = make_table(n_datasets=5, classifiers=("nbc", "aode"), seed=4)
+    (tmp_path / "scores.csv").write_text(table.to_csv(), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})

@@ -132,11 +132,10 @@ class TestDensityData:
 
 
 class TestJson:
-    def test_deterministic_serialisation(self, tmp_path):
+    def test_deterministic_serialisation(self):
         obj = {"b": 1.5, "a": [1, 2, {"z": True, "y": None}]}
-        text1 = dump_json(obj, tmp_path / "r.json")
+        text1 = dump_json(obj)
         text2 = dump_json(obj)
         assert text1 == text2
-        assert (tmp_path / "r.json").read_text() == text1
         assert json.loads(text1) == obj
         assert text1.index('"a"') < text1.index('"b"')
