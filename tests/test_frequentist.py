@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cvcompare.data import DiffSeries, MeanDiffVector
+from cvcompare.data import DiffSeries, MeanDiffVector, mean_differences, paired_differences
 from cvcompare.errors import DegenerateDataError
 from cvcompare.frequentist import (
     _exact_two_sided_p,
@@ -13,7 +13,7 @@ from cvcompare.frequentist import (
     wilcoxon_signed_rank,
 )
 
-from conftest import series_from_stats
+from conftest import make_table, series_from_stats
 
 
 class TestCorrelatedTTest:
@@ -136,6 +136,18 @@ class TestWilcoxon:
         q = np.count_nonzero(np.asarray(values))
         assert 0.0 <= res.t_stat <= q * (q + 1) / 2
         assert 0.0 <= res.p_two_sided <= 1.0
+
+
+def pair_pvalue(table, a, b):
+    return wilcoxon_signed_rank(mean_differences(paired_differences(table, a, b))).p_two_sided
+
+
+class TestPairwise:
+    def test_symmetric_under_order(self):
+        table = make_table(n_datasets=12, classifiers=("a", "b", "c"), seed=2)
+        assert pair_pvalue(table, "a", "b") == pair_pvalue(table, "b", "a")
+        assert pair_pvalue(table, "a", "c") == pair_pvalue(table, "c", "a")
+        assert pair_pvalue(table, "b", "c") == pair_pvalue(table, "c", "b")
 
 
 def rank_abs_loop(values):
