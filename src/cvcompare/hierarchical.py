@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .data import DiffSeries, Rope, _csv_text
 from .dp import TrinomialSamples
@@ -246,6 +245,7 @@ def _truncated_gamma(gen: np.random.Generator, shape: float, rate, lo: float, hi
     to leading order, the power law x^(shape-1) below the mode (exact at
     ``rate`` 0) or exp(-rate x) above it; that law is inverted instead.
     """
+    from scipy import special
     rate = np.asarray(rate, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = np.asarray(gen.standard_gamma(shape, rate.shape) / rate)
@@ -269,6 +269,7 @@ def _truncated_gamma(gen: np.random.Generator, shape: float, rate, lo: float, hi
 
 def _truncated_normal(gen: np.random.Generator, mean: float, sd: float, lo: float, hi: float) -> float:
     """N(mean, sd^2) restricted to (lo, hi), drawn by inverting its CDF in log space."""
+    from scipy import special
     a, b = (lo - mean) / sd, (hi - mean) / sd
     flip = a + b > 0.0
     if flip:  # invert the lower tail, where log_ndtr keeps its precision

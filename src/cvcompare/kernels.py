@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "LocScaleStudent",
@@ -89,6 +88,7 @@ class RngStream:
 
 def student_tail(t, dof):
     """P(T > |t|) for the standardized Student distribution (vectorized)."""
+    from scipy import special
     return 0.5 * special.betainc(0.5 * dof, 0.5, dof / (dof + t * t))
 
 
@@ -125,6 +125,7 @@ def student_sf(x: float, d: LocScaleStudent) -> float:
 
 def student_quantile(p: float, d: LocScaleStudent) -> float:
     """Inverse of :func:`student_cdf`; ``p`` must lie in the open unit interval."""
+    from scipy import special
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile level must be in (0, 1), got {p}")
     if d.degenerate or p == 0.5:
@@ -137,6 +138,7 @@ def student_quantile(p: float, d: LocScaleStudent) -> float:
 
 def student_logpdf(x, dof, loc, scale):
     """Log density of the location-scale Student distribution (vectorized)."""
+    from scipy import special
     z = (np.asarray(x, dtype=float) - loc) / scale
     return (
         special.gammaln(0.5 * (dof + 1.0))
@@ -149,6 +151,7 @@ def student_logpdf(x, dof, loc, scale):
 
 def gamma_logpdf(x, shape, rate):
     """Log density of Gamma(shape, rate); -inf for x <= 0 (vectorized)."""
+    from scipy import special
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = shape * np.log(rate) - special.gammaln(shape) + (shape - 1.0) * np.log(x) - rate * x

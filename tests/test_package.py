@@ -1,7 +1,11 @@
 import dataclasses
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import cvcompare
@@ -136,3 +140,43 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     (tmp_path / "scores.csv").write_text(table.to_csv(), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     exec(compile(code, "README.md", "exec"), {})
+
+
+# Runs in a fresh interpreter, so no earlier import in this process can
+# hide a module-level scipy import.
+SCIPY_PROBE = """
+import json, sys
+import cvcompare
+from cvcompare import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+io = ["--input", sys.argv[1], "--output-dir", sys.argv[2]]
+codes = [cli.main(argv + io) for argv in (
+    ["sign", "--all-pairs", "--seed", "1"],
+    ["signed-rank", "--all-pairs", "--samples", "2000", "--seed", "1"],
+    ["wilcoxon", "--all-pairs"],
+)]
+before = scipy_modules()
+codes.append(cli.main(["bayes-ttest", "--pair", "alpha", "beta"] + io))
+print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
+"""
+
+
+def test_scipy_loads_only_for_the_methods_that_call_it(tmp_path):
+    # sign, signed-rank and wilcoxon need only numpy; importing scipy.special
+    # would more than double their start-up time
+    table = make_table(n_datasets=6, classifiers=("alpha", "beta", "gamma"), seed=5)
+    (tmp_path / "scores.csv").write_text(table.to_csv(), encoding="utf-8")
+    src = str(Path(cvcompare.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "scores.csv"), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0]
+    assert result["before"] == []
+    assert "scipy.special" in result["after"]
