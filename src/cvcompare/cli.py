@@ -10,6 +10,8 @@ require an explicit seed.  Exit codes: 0 success, 1 validation or I/O error,
 from __future__ import annotations
 
 import argparse
+import codecs
+import hashlib
 import itertools
 import json
 import os
@@ -233,7 +235,10 @@ def run(args) -> int:
         config = HierConfig(seed=args.seed, chains=args.chains, warmup=args.warmup, draws=args.draws)
     elif args.method in ("sign", "signed-rank"):
         config = DpPrior(s=args.prior_strength, z0=args.prior_place)
-    table = parse_scores(input_path.read_bytes())  # no newline translation
+    raw = input_path.read_bytes()  # no newline translation
+    # parse_scores drops a leading byte-order mark, so the input's digest does too
+    digest = hashlib.sha256(raw.removeprefix(codecs.BOM_UTF8)).hexdigest()
+    table = parse_scores(raw)
 
     # the comparisons: one per dataset for the t-tests, else one per classifier pair
     if args.method in ("freq-ttest", "bayes-ttest"):
@@ -279,7 +284,7 @@ def run(args) -> int:
 
     report = {
         "method": args.method,
-        "input": str(args.input),
+        "input": {"name": input_path.name, "sha256": digest},  # not the caller's path to it
         "rope": [rope.lower, rope.upper],
         "rule": rule_json,
         "seed": getattr(args, "seed", None),

@@ -255,6 +255,19 @@ class TestMonteCarloMethods:
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_report_records_the_input_not_its_path(self, score_csv, tmp_path):
+        reports = []
+        for directory in (tmp_path / "a", tmp_path / "a-longer-directory-name" / "nested"):
+            directory.mkdir(parents=True)
+            copy = directory / score_csv.name
+            copy.write_bytes(score_csv.read_bytes())
+            assert run_cli("signed-rank", "--input", copy, "--all-pairs", "--samples", "4000",
+                           "--seed", "123", "--output-dir", directory / "out") == 0
+            reports.append((directory / "out" / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        digest = hashlib.sha256(score_csv.read_bytes()).hexdigest()
+        assert json.loads(reports[0])["input"] == {"name": "scores.csv", "sha256": digest}
+
     def test_different_seed_changes_report(self, score_csv, tmp_path):
         blobs = []
         for seed, name in ((1, "s1"), (2, "s2")):
@@ -336,13 +349,13 @@ class TestGoldenOutputs:
 
     CASES = [
         (["freq-ttest", "--pair", "alpha", "beta"], 0, {
-            "report.json": "4fef541fff2ce2e34f460bdfd45f67ad39f9821e0c88419ab3a8b42d3525e90e",
+            "report.json": "bd63b84982775830d5c21892ad060b14d132edd89eba01f8857de439f1317aac",
         }),
         (["freq-ttest", "--pair", "alpha", "beta", "--dataset", "ds1"], 0, {
-            "report.json": "3861b962b8fc3448de7930131c9e9ff7aa6d0bca657fc90780b3f200c2671fa4",
+            "report.json": "396cb118f9c41cabdd0f7b170b6538bba7e702f3c585e37d8c8d9356ec48565b",
         }),
         (["wilcoxon", "--all-pairs"], 0, {
-            "report.json": "bc059cd39e48413dd1cf2f897f2d45fde18ab6750c65f1f5814f6669d213bef4",
+            "report.json": "b461202f1fa55aecbed5d153c7abe8923b01e4fa88fc52e692a2f1205778ef0e",
         }),
         (["bayes-ttest", "--pair", "alpha", "beta"], 0, {
             "density_ds0.csv": "ab88c3f97d5f86f510d7c110256d8d52ac284815918782732b72f65f0b5e6488",
@@ -352,36 +365,36 @@ class TestGoldenOutputs:
             "density_ds4.csv": "cebed182b76ab410dc96ac610074efaf5f50753782dc4056536d75e3cfca6b95",
             "density_ds5.csv": "0b10a8f6bb59615f890e20828cd30f73c44fcd9edb6fa0462f6f5181aa43cfa3",
             "hdi.csv": "c830090305809804fdfb9dca45c49b8ab6971ea6b2ba9e44e85ac023723e2165",
-            "report.json": "22d4805d80de82223297f17cd31446a99a62dc717eaf26e21629e79f339b8f99",
+            "report.json": "118b4be9f8ea6a11a86efd377019d853d8ff13822c58ba127b939439d9b6c31a",
         }),
         (["sign", "--all-pairs", "--samples", "2000", "--seed", "3"], 0, {
             "barycentric_alpha_vs_beta.csv": "17d842bbdc022aedbc4aec7fdcf35d6b5f2885980525f7a5a04535a50b050793",
             "barycentric_alpha_vs_gamma.csv": "867dd9be6920e37badc6e8c9d080b48f381500edb514f49a8c886d3d96390c79",
             "barycentric_beta_vs_gamma.csv": "ea1ebe183d3c87162538a7d360a8d4c776ce7e1a11a4f0d6c2b95e58e8ad26c6",
-            "report.json": "ac5fa775122a46e9327193c924b80636cef2e2a265264c149c63fa70238e996d",
+            "report.json": "84973c960078b3f0899ffd1691a999ec9ce478a98c672e9665a1f032bfafd5d0",
         }),
         (["sign", "--pair", "beta", "gamma", "--samples", "2000", "--seed", "4",
           "--loss-matrix", "loss.json"], 0, {
             "barycentric_beta_vs_gamma.csv": "3e4a91f46277c5609ef6c65cfa7fe5a40c1d438e714368c4697cdfed771b7e22",
-            "report.json": "13805ec171255b6b50d0f7f274d4e5fd5ae174326fa59753a0ae768aa480eabb",
+            "report.json": "714cfc192caab47a1a65fa701d0014f0456ad35067f3842fec8dfa7276aa2e27",
         }),
         (["signed-rank", "--all-pairs", "--samples", "2000", "--seed", "3"], 0, {
             "barycentric_alpha_vs_beta.csv": "a1d5c0425f558832e9cdbca50a67deb10a565af1ae3801164359f906ab82a2db",
             "barycentric_alpha_vs_gamma.csv": "d48897cd773c99d38c7c6dc54c90a3b367fdd4b55113d3008e351344cdbd49a1",
             "barycentric_beta_vs_gamma.csv": "aef1d507a6dba7823450d201b631d10cdf1f269b94c7ad210cde676ccb06a56c",
-            "report.json": "9740466d0918154004df90e6c89c64f81d08b71ae17adb28c3f110ff75878dd2",
+            "report.json": "60fceef69a4adb717a48599906b39602096c23f5194a460c7c98d65600de9c8d",
         }),
         (["hierarchical", "--pair", "alpha", "gamma", "--chains", "2", "--warmup", "50",
           "--draws", "50", "--seed", "11"], 2, {
             "barycentric_alpha_vs_gamma.csv": "8d037458bc0ce6375b239d316b49af08d8a0d5af82581734f3a3aa40605fefaa",
             "draws_alpha_vs_gamma.csv": "216ccae791e13332824901fbd3a763edfc1cf2400013e7369c4cdafe30d00e20",
-            "report.json": "0a6df1678fc35952a01af6540c65fac59ccddee06694cda585935bc72316b4e2",
+            "report.json": "3e76199a4c56374ea24d020ab48e31dda24d81af865bf7fa3dad183db214adca",
         }),
     ]
 
     @pytest.mark.parametrize("argv, code, hashes", CASES, ids=[" ".join(argv) for argv, _, _ in CASES])
     def test_files_are_byte_identical(self, score_csv, monkeypatch, argv, code, hashes):
-        # report.json records the --input string, so run from the fixture's directory
+        # the loss-matrix case names loss.json relative to the fixture's directory
         monkeypatch.chdir(score_csv.parent)
         (score_csv.parent / "loss.json").write_text(
             json.dumps([[0, 20, 20], [20, 0, 20], [20, 20, 0], [1, 1, 1]]))
@@ -573,7 +586,7 @@ class TestByteOrderMark:
             run_dir.mkdir()
             for file, data in (("scores.csv", score_csv.read_bytes()), ("loss.json", loss)):
                 (run_dir / file).write_bytes(b"\xef\xbb\xbf" + data if file in bom else data)
-            # report.json records the --input string, so both runs use the same one
+            # report.json records the input's name, so both runs use the same one
             monkeypatch.chdir(run_dir)
             assert run_cli("sign", "--input", "scores.csv", "--pair", "alpha", "beta", "--samples", "2000",
                            "--seed", "3", "--loss-matrix", "loss.json", "--output-dir", "out") == 0
