@@ -18,13 +18,22 @@ Conventions (differences are x = A - B for the pair "A vs B"):
   placements at -inf / +inf force their pairs left / right;
 * the pseudo-observation placement is a categorical flag, never a
   floating-point infinity entering arithmetic.
+
+The signed-rank masses are evaluated without a pair matrix.  With the
+observations sorted ascending, the partners j of each i with
+z_i + z_j < 2 * lower form a prefix of length k_i; floating-point addition
+is monotone, so this holds for the computed sums too.  The left mass of a
+draw is then sum_i w_i P[k_i], where P is the running sum of the weights in
+sorted order, plus the pseudo-observation's pairs read off the same P.  The
+right mass is the same computation on -z below -2 * upper, so negating the
+data swaps the two masses bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
@@ -47,6 +56,7 @@ Placement = Literal["left", "rope", "right"]
 
 DEFAULT_SAMPLE_COUNT = 150_000
 _CHUNK = 50_000
+_BLOCK = 2048  # signed-rank draws per block: a (q, _BLOCK) weight block stays in L2 cache
 
 
 @dataclass(frozen=True)
@@ -106,27 +116,21 @@ class TrinomialSamples:
         return int(self.samples.shape[0])
 
 
-def _dirichlet_draws(
-    alpha: np.ndarray, count: int, rng: RngStream, reduce: Callable[[np.ndarray], np.ndarray]
+def _chunked_draws(
+    count: int, rng: RngStream, draw: Callable[[np.random.Generator, int], np.ndarray]
 ) -> TrinomialSamples:
-    """``count`` weight vectors from Dirichlet(alpha), each reduced to a theta triple.
+    """``count`` theta triples, made in chunks of at most ``_CHUNK`` rows.
 
-    The weights are normalised gamma draws, made in chunks of at most
-    ``_CHUNK`` rows with chunk ``i`` taken from ``rng.spawn(i)``.  The chunk
-    layout depends only on ``count``, so a given ``rng`` always yields the
-    same draws.  Zero parameters are legal: that coordinate is identically
-    zero.  ``reduce`` maps a chunk's (rows, len(alpha)) weights to its
-    (rows, 3) thetas and may overwrite the weights.
+    Chunk ``i`` holds ``draw(gen, rows)`` with ``gen`` taken from
+    ``rng.spawn(i)``.  The chunk layout depends only on ``count``, so a
+    given ``rng`` always yields the same draws.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     chunks = []
     for i in range((count + _CHUNK - 1) // _CHUNK):
         m = min(_CHUNK, count - i * _CHUNK)
-        w = rng.spawn(i).generator().standard_gamma(alpha, size=(m, alpha.size))
-        w /= w.sum(axis=1, keepdims=True)
-        chunks.append(reduce(w))
-        del w  # so that two chunks' weights are never held at once
+        chunks.append(draw(rng.spawn(i).generator(), m))
     return TrinomialSamples(samples=np.concatenate(chunks, axis=0))
 
 
@@ -148,10 +152,18 @@ def sign_test_params(z: MeanDiffVector, rope: Rope, prior: DpPrior) -> Dirichlet
 def sign_test_samples(params: DirichletParams, count: int, rng: RngStream) -> TrinomialSamples:
     """Sample the sign-test Dirichlet posterior.
 
-    Zero parameters are legal (that outcome was never observed and holds
-    no prior mass): the corresponding coordinate is identically zero.
+    The draws are normalised gamma variates.  Zero parameters are legal
+    (that outcome was never observed and holds no prior mass): the
+    corresponding coordinate is identically zero.
     """
-    return _dirichlet_draws(params.as_array(), count, rng, lambda w: w)
+    alpha = params.as_array()
+
+    def draw(gen: np.random.Generator, rows: int) -> np.ndarray:
+        w = gen.standard_gamma(alpha, size=(rows, alpha.size))
+        w /= w.sum(axis=1, keepdims=True)
+        return w
+
+    return _chunked_draws(count, rng, draw)
 
 
 def sign_test_probs(params: DirichletParams, count: int, rng: RngStream) -> TrinomialProbs:
@@ -159,23 +171,69 @@ def sign_test_probs(params: DirichletParams, count: int, rng: RngStream) -> Trin
     return simplex_region_probs(sign_test_samples(params, count, rng))
 
 
-def _pair_category_masks(
-    z: np.ndarray, rope: Rope, placement: Placement
-) -> tuple[np.ndarray, np.ndarray]:
-    """Left/right 0-1 masks over all ordered index pairs, pseudo-observation first."""
-    zz = np.concatenate([[0.0], z])
-    sums = zz[:, None] + zz[None, :]
-    left = sums < 2.0 * rope.lower
-    right = sums > 2.0 * rope.upper
-    # pairs with the pseudo-observation fall on its placement's side, or in the rope
-    # placement on the sign of their sum, so the self-pair (sign 0) is in neither mask
-    if placement == "rope":
-        side = np.sign(zz)
-    else:
-        side = np.full_like(zz, -1.0 if placement == "left" else 1.0)
-    left[0, :] = left[:, 0] = side < 0
-    right[0, :] = right[:, 0] = side > 0
-    return left.astype(float), right.astype(float)
+class _Side(NamedTuple):
+    """The ordered pairs on one side of the rope, as prefixes of one sort order.
+
+    ``order`` sorts the datasets ascending; the partners of ``order[i]`` on
+    this side are ``order[:k[i]]``; the pseudo-observation pairs with
+    ``order[:n_pseudo]``, and with itself when ``self_pair``.
+    """
+
+    order: np.ndarray
+    k: np.ndarray
+    n_pseudo: int
+    self_pair: bool
+
+
+def _side(v: np.ndarray, bound: float, placed: int) -> _Side:
+    """The side holding the data pairs with ``v_i + v_j < bound``.
+
+    ``placed`` is 1 when the pseudo-observation sits on this side, -1 when
+    it sits on the other one and 0 when it sits in the rope; there its pairs
+    fall on this side when ``v_j < 0``.  For a fixed i the partners j form a
+    prefix of the ascending order because floating-point addition is
+    monotone, so ``k`` counts the computed sums and is exact.
+    """
+    order = np.argsort(v, kind="stable")
+    vs = v[order]
+    k = np.count_nonzero(vs[:, None] + vs[None, :] < bound, axis=1)
+    n_pseudo = v.size if placed > 0 else int(np.count_nonzero(v < 0.0)) if placed == 0 else 0
+    return _Side(order, k, n_pseudo, placed > 0)
+
+
+def _pair_sides(z: np.ndarray, rope: Rope, placement: Placement) -> tuple[_Side, _Side]:
+    """The left and right sides of the signed-rank statistic.
+
+    The right side is the left side of ``-z`` below ``-2 * upper``.
+    Negation is exact, so it holds exactly the pairs with
+    ``z_i + z_j > 2 * upper``, and negating ``z`` swaps the two sides bit
+    for bit.
+    """
+    placed = {"left": 1, "rope": 0, "right": -1}[placement]
+    return _side(z, 2.0 * rope.lower, placed), _side(-z, -2.0 * rope.upper, -placed)
+
+
+def _side_mass(side: _Side, w0: np.ndarray, w: np.ndarray, running: np.ndarray) -> np.ndarray:
+    """Unnormalised weight of the ordered pairs on ``side``, per draw.
+
+    ``w0`` holds the pseudo-observation's weight of each draw and ``w``
+    the (datasets, draws) data weights.  The mass sum_ij w_i w_j over the
+    side's pairs is read off a running sum of the weights in sort order,
+    built in ``running``, a (datasets + 1, draws) buffer.
+    """
+    running[0] = 0.0
+    for j, d in enumerate(side.order):
+        np.add(running[j], w[d], out=running[j + 1])
+    mass = 2.0 * w0 * running[side.n_pseudo]
+    if side.self_pair:
+        mass += w0 * w0
+    product = np.empty_like(mass)
+    for d, k in zip(side.order, side.k):
+        if k == 0:  # k falls along the order, so no later row has partners
+            break
+        np.multiply(w[d], running[k], out=product)
+        mass += product
+    return mass
 
 
 def signed_rank_samples(
@@ -191,20 +249,33 @@ def signed_rank_samples(
     the thetas are the weight mass of ordered observation pairs whose sums
     fall left of, inside, and right of the doubled rope; theta_rope is
     computed as the complement so each triple sums to one by construction.
+    The weights are drawn unnormalised, in blocks of at most ``_BLOCK``
+    draws: a Gamma(s) pseudo-observation weight per draw, then a
+    (q, draws) block of unit exponentials.
     """
     if rng is None:
         raise ValueError("an RngStream is required (no silent nondeterminism)")
-    left, right = _pair_category_masks(z.z, rope, prior.z0)
-    alpha = np.full(z.q + 1, 1.0)
-    alpha[0] = prior.s
+    left, right = _pair_sides(z.z, rope, prior.z0)
 
-    def thetas(w: np.ndarray) -> np.ndarray:
-        th_l = np.einsum("ij,ij->i", w @ left, w)
-        th_r = np.einsum("ij,ij->i", w @ right, w)
-        th_e = np.maximum(1.0 - (th_l + th_r), 0.0)
-        return np.column_stack([th_l, th_e, th_r])
+    def draw(gen: np.random.Generator, rows: int) -> np.ndarray:
+        out = np.empty((rows, 3))
+        # every block reuses these buffers: fresh pages per block cost more than its arithmetic
+        size = min(rows, _BLOCK)
+        w_buf, running_buf = np.empty(z.q * size), np.empty((z.q + 1) * size)
+        for start in range(0, rows, _BLOCK):
+            th = out[start:start + _BLOCK]
+            b = th.shape[0]
+            w0 = gen.standard_gamma(prior.s, size=b)
+            w = gen.standard_exponential(out=w_buf[: z.q * b].reshape(z.q, b))
+            running = running_buf[: (z.q + 1) * b].reshape(z.q + 1, b)
+            total = w0 + w.sum(axis=0)
+            norm = total * total
+            th[:, 0] = _side_mass(left, w0, w, running) / norm
+            th[:, 2] = _side_mass(right, w0, w, running) / norm
+            th[:, 1] = np.maximum(1.0 - (th[:, 0] + th[:, 2]), 0.0)
+        return out
 
-    return _dirichlet_draws(alpha, count, rng, thetas)
+    return _chunked_draws(count, rng, draw)
 
 
 def simplex_region_probs(samples: TrinomialSamples) -> TrinomialProbs:

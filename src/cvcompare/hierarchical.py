@@ -245,13 +245,13 @@ def _truncated_gamma(gen: np.random.Generator, shape: float, rate, lo: float, hi
     to leading order, the power law x^(shape-1) below the mode (exact at
     ``rate`` 0) or exp(-rate x) above it; that law is inverted instead.
     """
-    from scipy import special
     rate = np.asarray(rate, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = np.asarray(gen.standard_gamma(shape, rate.shape) / rate)
         miss = ~((lo < x) & (x < hi))
         if not miss.any():
             return x
+        from scipy import special
         r = rate[miss]
         u = gen.random(r.shape)
         xl, xh = r * lo, r * hi

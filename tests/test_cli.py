@@ -304,6 +304,20 @@ class TestHierarchicalCli:
         total = sum(entry["probs"].values())
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_unconverged_fit_exits_2_and_writes_every_file(self, tmp_path):
+        # no warm-up and 4 kept draws per chain: max R-hat is about 2 here
+        table = make_table(n_datasets=10, classifiers=("alpha", "beta"), runs=2, folds=5, seed=0)
+        path = tmp_path / "scores.csv"
+        path.write_text(table.to_csv(), encoding="utf-8")
+        out = tmp_path / "out"
+        code = run_cli("hierarchical", "--input", path, "--pair", "alpha", "beta",
+                       "--warmup", "0", "--draws", "4", "--seed", "1", "--output-dir", out)
+        assert code == 2
+        (entry,) = json.loads((out / "report.json").read_text())["results"]
+        assert entry["diagnostics"]["converged"] is False
+        assert sorted(p.name for p in out.iterdir()) == [
+            "barycentric_alpha_vs_beta.csv", "draws_alpha_vs_beta.csv", "report.json"]
+
 
 class TestEnvironment:
     def test_output_dir_from_env(self, score_csv, tmp_path, monkeypatch):
@@ -379,10 +393,10 @@ class TestGoldenOutputs:
             "report.json": "714cfc192caab47a1a65fa701d0014f0456ad35067f3842fec8dfa7276aa2e27",
         }),
         (["signed-rank", "--all-pairs", "--samples", "2000", "--seed", "3"], 0, {
-            "barycentric_alpha_vs_beta.csv": "a1d5c0425f558832e9cdbca50a67deb10a565af1ae3801164359f906ab82a2db",
-            "barycentric_alpha_vs_gamma.csv": "d48897cd773c99d38c7c6dc54c90a3b367fdd4b55113d3008e351344cdbd49a1",
-            "barycentric_beta_vs_gamma.csv": "aef1d507a6dba7823450d201b631d10cdf1f269b94c7ad210cde676ccb06a56c",
-            "report.json": "60fceef69a4adb717a48599906b39602096c23f5194a460c7c98d65600de9c8d",
+            "barycentric_alpha_vs_beta.csv": "3a18af0189b4a6325c9d99b7f0f84baadef7ffdc5d1ea9bfe9d520c068beeed2",
+            "barycentric_alpha_vs_gamma.csv": "8dc8d3c483e7fe5726016be3a66486f540cbcafb0ccef3f7868155d9e1456b30",
+            "barycentric_beta_vs_gamma.csv": "d67883689fd9e435ef83de851943fb258611a96d818a154e435b87e51c0216d4",
+            "report.json": "54d2d4dd5fe946a957e624e75f94324daad1453b4c25786080a220abeb953985",
         }),
         (["hierarchical", "--pair", "alpha", "gamma", "--chains", "2", "--warmup", "50",
           "--draws", "50", "--seed", "11"], 2, {

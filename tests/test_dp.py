@@ -6,12 +6,13 @@ import pytest
 
 from cvcompare.data import MeanDiffVector, Rope
 from cvcompare.dp import (
+    _BLOCK,
     _CHUNK,
     DirichletParams,
     DpPrior,
     TrinomialSamples,
-    _dirichlet_draws,
-    _pair_category_masks,
+    _pair_sides,
+    _side_mass,
     sign_test_params,
     sign_test_probs,
     sign_test_samples,
@@ -27,6 +28,15 @@ def mdv(values):
 
 
 ROPE = Rope(-0.01, 0.01)
+
+
+def first_block_weights(rng, s, q, rows):
+    """Normalised (rows, q + 1) weights of the first signed-rank block, pseudo-observation first."""
+    gen = rng.spawn(0).generator()
+    w0 = gen.standard_gamma(s, size=rows)
+    w = gen.standard_exponential((q, rows))
+    g = np.column_stack([w0, w.T])
+    return g / g.sum(axis=1, keepdims=True)
 
 
 class TestSignTestParams:
@@ -131,12 +141,11 @@ class TestSignTestSampling:
 
 class TestDirichletDraws:
     def test_prior_pseudo_weight_mean(self):
-        alpha = np.concatenate([[0.5], np.ones(54)])
-
-        def pseudo_weight(w):
-            return np.column_stack([w[:, 0], 1.0 - w[:, 0], np.zeros(w.shape[0])])
-
-        w0 = _dirichlet_draws(alpha, 60_000, RngStream(5), pseudo_weight).samples[:, 0]
+        # every data pair lies right of the rope and the pseudo-observation left,
+        # so theta_right = (1 - w_0)^2 for the normalised pseudo-observation weight w_0
+        z = mdv(np.full(54, 0.5))
+        samples = signed_rank_samples(z, ROPE, DpPrior(s=0.5, z0="left"), 60_000, RngStream(5))
+        w0 = 1.0 - np.sqrt(samples.samples[:, 2])
         target = 0.5 / 54.5
         se = w0.std(ddof=1) / math.sqrt(60_000)
         assert abs(w0.mean() - target) < 3 * se
@@ -166,9 +175,7 @@ class TestSignedRankSamples:
         rope = Rope(-r, r)
         count, base = 10_000, RngStream(21)
         samples = signed_rank_samples(mdv(z), rope, DpPrior(s=0.5, z0="rope"), count, base)
-        alpha = np.array([0.5, 1.0, 1.0])
-        g = base.spawn(0).generator().standard_gamma(alpha, size=(count, 3))
-        w = g / g.sum(axis=1, keepdims=True)
+        w = first_block_weights(base, 0.5, 2, min(count, _BLOCK))
         zz = [0.0, -c, c]
         for row_w, row_s in zip(w[:100], samples.samples[:100]):
             th = [0.0, 0.0, 0.0]
@@ -203,9 +210,7 @@ class TestSignedRankSamples:
     def test_point_rope_counts_only_exact_zero_sums(self):
         z = mdv([-0.3, 0.1, 0.3])  # -0.3 + 0.3 == 0 exactly
         samples = signed_rank_samples(z, Rope(0.0, 0.0), DpPrior(s=0.5, z0="rope"), 500, RngStream(8))
-        base = RngStream(8).spawn(0)
-        g = base.generator().standard_gamma(np.array([0.5, 1, 1, 1]), size=(500, 4))
-        w = g / g.sum(axis=1, keepdims=True)
+        w = first_block_weights(RngStream(8), 0.5, 3, 500)
         # rope mass = the two ordered (-c, +c) pairs plus the pseudo self-pair
         expected = 2 * w[:, 1] * w[:, 3] + w[:, 0] ** 2
         assert np.allclose(samples.samples[:, 1], expected, atol=1e-12)
@@ -257,7 +262,7 @@ class TestPriorSensitivity:
 
 
 def pair_category_masks_reference(z, rope, placement):
-    """Reference: the three-branch body that ``_pair_category_masks`` replaced."""
+    """Left and right 0-1 masks over all ordered index pairs, pseudo-observation first."""
     zz = np.concatenate([[0.0], z])
     sums = zz[:, None] + zz[None, :]
     left = sums < 2.0 * rope.lower
@@ -275,9 +280,23 @@ def pair_category_masks_reference(z, rope, placement):
     return left.astype(float), right.astype(float)
 
 
-class TestPairCategoryMasks:
+def mask_sum_reference(z, rope, placement, weights):
+    """Left and right pair masses, sum_ij L_ij w_i w_j, of each (q + 1)-row weight column."""
+    return tuple(np.einsum("in,ij,jn->n", weights, mask, weights)
+                 for mask in pair_category_masks_reference(z, rope, placement))
+
+
+def dirichlet_second_moments(alpha):
+    """E[w_i w_j] under Dirichlet(alpha)."""
+    total = alpha.sum()
+    moments = np.outer(alpha, alpha)
+    moments[np.diag_indices_from(moments)] += alpha
+    return moments / (total * (total + 1.0))
+
+
+class TestPairMasses:
     @pytest.mark.parametrize("placement", ["left", "rope", "right"])
-    def test_matches_the_three_branch_body(self, placement):
+    def test_equals_the_mask_sum(self, placement):
         rng = np.random.default_rng(31)
         # zeros of both signs, sums exactly at the doubled rope bounds, mixed signs
         vectors = [
@@ -289,10 +308,24 @@ class TestPairCategoryMasks:
         ]
         for rope in (Rope(-0.01, 0.01), Rope(0.0, 0.0), Rope(-0.02, 0.005)):
             for z in vectors:
-                new = _pair_category_masks(z, rope, placement)
-                old = pair_category_masks_reference(z, rope, placement)
-                for a, b in zip(new, old):
-                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                g = rng.standard_exponential((z.size + 1, 7))
+                weights = g / g.sum(axis=0)
+                running = np.empty((z.size + 1, 7))
+                got = [_side_mass(side, weights[0], weights[1:], running)
+                       for side in _pair_sides(z, rope, placement)]
+                for a, b in zip(got, mask_sum_reference(z, rope, placement, weights)):
+                    assert np.max(np.abs(a - b)) <= 1e-13
+
+    @pytest.mark.parametrize("placement", ["left", "rope", "right"])
+    def test_means_match_the_exact_moments(self, benchmark_z, placement):
+        count, s = 100_000, 0.5
+        samples = signed_rank_samples(
+            benchmark_z, ROPE, DpPrior(s=s, z0=placement), count, RngStream(17)).samples
+        moments = dirichlet_second_moments(np.concatenate([[s], np.ones(benchmark_z.q)]))
+        masks = pair_category_masks_reference(benchmark_z.z, ROPE, placement)
+        for column, mask in zip((0, 2), masks):
+            se = samples[:, column].std(ddof=1) / math.sqrt(count)
+            assert abs(samples[:, column].mean() - np.sum(mask * moments)) < 4 * se
 
 
 class TestValidation:
