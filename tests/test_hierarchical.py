@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -199,6 +200,24 @@ class TestFit:
         assert np.all(np.isfinite(draws.mu)) and np.all(np.isfinite(draws.nu))
         assert draws.sigma.min() >= _SIGMA_FLOOR
         assert draws.mu.mean(axis=(0, 1)) == pytest.approx([0.01, 0.02, 0.03], abs=1e-8)
+
+    @pytest.mark.parametrize("case, digest", [
+        # 4x(100+100) on the funnel data of seed 1: the beta draw misses its
+        # window in 492 of 800 sweeps
+        pytest.param("funnel", "afdf8f7c83ce198eb73ca65550b9ca0e227d41f9f87aa6cf8cfa8a4052201c7a", id="funnel"),
+        # every tau draw misses, and the first sweep of each chain has rate 0
+        pytest.param("flat", "1ae1b78957435fbc06ff684014be4ef93521aae2fed4c92a23c72839b7598665", id="flat"),
+    ])
+    def test_draws_csv_bytes_are_pinned(self, case, digest):
+        # sha256 of the whole draws CSV, pinned on one numpy build and CPU
+        # dispatch target, as the CLI golden outputs are
+        if case == "funnel":
+            data = model_data(30, 100, mu0=0.0, sigma0=0.004, sd_range=(0.035, 0.047), seed=1)
+            draws = fit(data, HierConfig(seed=1, warmup=100, draws=100))
+        else:
+            data = [DiffSeries(dataset=f"f{i}", x=np.full(20, 0.01 * (i + 1)), rho=RHO) for i in range(3)]
+            draws = fit(data, small_cfg(seed=3, warmup=0, draws=20))
+        assert hashlib.sha256(draws.to_csv().encode()).hexdigest() == digest
 
     def test_validations(self):
         data = model_data(1, 10, seed=8)
