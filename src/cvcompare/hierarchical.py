@@ -234,37 +234,57 @@ def log_posterior(state: HierState, data: list[DiffSeries]) -> float:
     return _Problem(data).log_posterior(state)
 
 
-def _truncated_gamma(gen: np.random.Generator, shape: float, rate, lo: float, hi: float) -> np.ndarray:
-    """Gamma(shape, rate) restricted to (lo, hi); vectorised over ``rate``.
+def _truncated_gamma(gen: np.random.Generator, shape: float, rate, lo: float, hi: float):
+    """Gamma(shape, rate) restricted to (lo, hi), for a float ``rate`` or a 1-d array of rates.
 
     A plain Gamma draw that lands inside the window is kept and the others
-    are redrawn from the truncated law, which together give exactly the
-    truncated law.  The redraw inverts the CDF on the tail that holds the
-    window, so no probability rounds to one.  Where the window holds no
-    representable mass it lies far out in a tail, and the density on it is,
-    to leading order, the power law x^(shape-1) below the mode (exact at
-    ``rate`` 0) or exp(-rate x) above it; that law is inverted instead.
+    are redrawn from the truncated law by ``_gamma_window_inverse``, which
+    together give exactly the truncated law.  A float ``rate`` gives a
+    float; an array gives an array, whose redraws take their uniforms in
+    element order.
     """
-    rate = np.asarray(rate, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = np.asarray(gen.standard_gamma(shape, rate.shape) / rate)
-        miss = ~((lo < x) & (x < hi))
-        if not miss.any():
-            return x
-        from scipy import special
-        r = rate[miss]
-        u = gen.random(r.shape)
-        xl, xh = r * lo, r * hi
-        upper = xl > shape
-        p_lo = np.where(upper, special.gammaincc(shape, xl), special.gammainc(shape, xl))
-        p_hi = np.where(upper, special.gammaincc(shape, xh), special.gammainc(shape, xh))
-        p = p_lo + u * (p_hi - p_lo)
-        inverse = np.where(upper, special.gammainccinv(shape, p), special.gammaincinv(shape, p)) / r
-        ratio = (lo / hi) ** shape
-        power = hi * (ratio + u * (1.0 - ratio)) ** (1.0 / shape)
-        expo = lo - np.log1p(u * np.expm1(xl - xh)) / r
-        x[miss] = np.clip(np.where(p_lo != p_hi, inverse, np.where(upper, expo, power)), lo, hi)
-    return x
+    if isinstance(rate, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x = gen.standard_gamma(shape, rate.shape) / rate
+        for i in np.flatnonzero(~((lo < x) & (x < hi))):
+            x[i] = _gamma_window_inverse(shape, float(rate[i]), lo, hi, gen.random())
+        return x
+    x = gen.standard_gamma(shape)
+    # at rate 0 every draw misses, and the window takes the power law
+    x = x / rate if rate > 0.0 else math.inf
+    if lo < x < hi:
+        return x
+    return _gamma_window_inverse(shape, rate, lo, hi, gen.random())
+
+
+def _gamma_window_inverse(shape: float, rate: float, lo: float, hi: float, u: float) -> float:
+    """The ``u`` quantile of Gamma(shape, rate) restricted to (lo, hi).
+
+    Inverts the CDF on the tail that holds the window, so no probability
+    rounds to one.  Where the window holds no representable mass it lies far
+    out in a tail, and the density on it is, to leading order, the power law
+    x^(shape-1) below the mode (exact at ``rate`` 0) or exp(-rate x) above
+    it; that law is inverted instead.  Those two laws use numpy's ``power``,
+    ``log1p`` and ``expm1``, not ``math``'s: numpy's SIMD loops round
+    differently from libm in the last bit, and the draws must not depend on
+    whether one value or a whole array took this path.
+    """
+    from scipy import special
+    xl, xh = rate * lo, rate * hi
+    if xl > shape:
+        p_lo, p_hi = special.gammaincc(shape, xl), special.gammaincc(shape, xh)
+        if p_lo != p_hi:
+            x = special.gammainccinv(shape, p_lo + u * (p_hi - p_lo)) / rate
+        else:
+            x = lo - np.log1p(u * np.expm1(xl - xh)) / rate
+    else:
+        p_lo, p_hi = special.gammainc(shape, xl), special.gammainc(shape, xh)
+        if p_lo != p_hi:
+            x = special.gammaincinv(shape, p_lo + u * (p_hi - p_lo)) / rate
+        else:
+            ratio = (lo / hi) ** shape
+            x = hi * np.power(ratio + u * (1.0 - ratio), 1.0 / shape)
+    return min(max(float(x), lo), hi)
 
 
 def _truncated_normal(gen: np.random.Generator, mean: float, sd: float, lo: float, hi: float) -> float:
@@ -323,21 +343,25 @@ def _run_chain(p: _Problem, cfg: HierConfig, stream: RngStream) -> dict[str, np.
     tau_window = (p.sigma_bar ** -2, _SIGMA_FLOOR ** -2)
     tau0_window = (p.sigma0_bar ** -2, _SIGMA_FLOOR ** -2)
 
-    # the two slice targets read the sweep's current u2, alpha, beta and nu
+    # the two slice targets read the sweep's current u2, alpha, beta, log_beta and log_nu
+    buf = np.empty(q)
+
     def log_nu_density(eta: float) -> float:
         # Student level with lambda integrated out, Gamma(alpha, beta) prior
         # and the log Jacobian, all in eta = log nu, up to a constant
         v = math.exp(eta)
+        np.divide(u2, v, out=buf)
+        np.log1p(buf, out=buf)
         return (
             q * (math.lgamma(0.5 * (v + 1.0)) - math.lgamma(0.5 * v) - 0.5 * eta)
-            - 0.5 * (v + 1.0) * float(np.log1p(u2 / v).sum())
+            - 0.5 * (v + 1.0) * float(buf.sum())
             + alpha * eta - beta * v
         )
 
     def alpha_density(a: float) -> float:
         if not _ALPHA_LO < a < _ALPHA_HI:
             return -math.inf
-        return a * math.log(beta) + (a - 1.0) * math.log(nu) - math.lgamma(a)
+        return a * log_beta + (a - 1.0) * log_nu - math.lgamma(a)
 
     kept = []
     for it in range(cfg.warmup + cfg.draws):
@@ -356,7 +380,7 @@ def _run_chain(p: _Problem, cfg: HierConfig, stream: RngStream) -> dict[str, np.
         mu0 = _truncated_normal(gen, float(lam @ mu) / lam_sum, sigma0 / math.sqrt(lam_sum), -1.0, 1.0)
         dev = mu - mu0
         tau0 = _truncated_gamma(gen, 0.5 * (q - 1), 0.5 * float(lam @ (dev * dev)), *tau0_window)
-        sigma0 = float(tau0) ** -0.5
+        sigma0 = tau0 ** -0.5
 
         # 3b. non-centred (mu0, sigma0) given u = (mu - mu0) / sigma0; mu moves with them
         u = dev / sigma0
@@ -377,7 +401,8 @@ def _run_chain(p: _Problem, cfg: HierConfig, stream: RngStream) -> dict[str, np.
         lam = gen.standard_gamma(0.5 * (nu + 1.0), q) / (0.5 * (nu + u2))
 
         # 5. beta given nu is conjugate; alpha has no closed form
-        beta = float(_truncated_gamma(gen, alpha + 1.0, nu, _BETA_LO, _BETA_HI))
+        beta = _truncated_gamma(gen, alpha + 1.0, nu, _BETA_LO, _BETA_HI)
+        log_beta, log_nu = math.log(beta), math.log(nu)
         alpha = _slice(gen, alpha_density, alpha, _ALPHA_HI - _ALPHA_LO)
 
         if it >= cfg.warmup:

@@ -258,6 +258,85 @@ class TestFit:
         assert float(first[2]) == draws.mu0[0, 0]
 
 
+def truncated_gamma_reference(gen, shape, rate, lo, hi):
+    """The all-array form of ``_truncated_gamma``: every miss takes one uniform,
+    in element order, and every branch is computed for every miss."""
+    from scipy import special
+    rate = np.asarray(rate, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.asarray(gen.standard_gamma(shape, rate.shape) / rate)
+        miss = ~((lo < x) & (x < hi))
+        if not miss.any():
+            return x
+        r = rate[miss]
+        u = gen.random(r.shape)
+        xl, xh = r * lo, r * hi
+        upper = xl > shape
+        p_lo = np.where(upper, special.gammaincc(shape, xl), special.gammainc(shape, xl))
+        p_hi = np.where(upper, special.gammaincc(shape, xh), special.gammainc(shape, xh))
+        p = p_lo + u * (p_hi - p_lo)
+        inverse = np.where(upper, special.gammainccinv(shape, p), special.gammaincinv(shape, p)) / r
+        ratio = (lo / hi) ** shape
+        power = hi * (ratio + u * (1.0 - ratio)) ** (1.0 / shape)
+        expo = lo - np.log1p(u * np.expm1(xl - xh)) / r
+        x[miss] = np.clip(np.where(p_lo != p_hi, inverse, np.where(upper, expo, power)), lo, hi)
+    return x
+
+
+def miss_branch(shape, rate, lo, hi):
+    """Which law ``_gamma_window_inverse`` inverts for this rate."""
+    from scipy import special
+    upper = rate * lo > shape
+    cdf = special.gammaincc if upper else special.gammainc
+    if cdf(shape, rate * lo) != cdf(shape, rate * hi):
+        return "inverse above the mode" if upper else "inverse below the mode"
+    return "exponential" if upper else "power law"
+
+
+class TestTruncatedGammaBits:
+    """The float path draws the same bits from the same stream as the array reference."""
+
+    # (shape, rate, lo, hi, branch a miss takes); with shape 2 on (0.05, 0.15),
+    # rate 20 puts about half the plain draws in the window
+    SCALAR = [
+        (2.0, 20.0, 0.05, 0.15, "inverse below the mode"),
+        (2.0, 5.0, 0.05, 0.15, "inverse below the mode"),
+        (2.0, 60.0, 0.05, 0.15, "inverse above the mode"),
+        (9.5, 0.0, 1.0, 3.0, "power law"),
+        (9.5, 1e-300, 1.0, 3.0, "power law"),
+        (2.0, 20_000.0, 0.05, 0.15, "exponential"),
+        (0.5, 1e-310, 1.0, 1e20, "inverse below the mode"),
+    ]
+
+    @pytest.mark.parametrize("shape, rate, lo, hi, branch", SCALAR)
+    def test_scalar_rate(self, shape, rate, lo, hi, branch):
+        assert miss_branch(shape, rate, lo, hi) == branch
+        new, ref = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(300):
+            x = _truncated_gamma(new, shape, rate, lo, hi)
+            assert type(x) is float
+            assert x == float(truncated_gamma_reference(ref, shape, rate, lo, hi))
+        assert new.bit_generator.state == ref.bit_generator.state
+
+    def test_vector_rates_mix_hits_and_every_branch(self):
+        rates = np.array([20.0, 5.0, 60.0, 0.0, 1e-300, 20_000.0, 0.1] * 40)
+        branches = {miss_branch(2.0, r, 0.05, 0.15) for r in rates}
+        assert branches == {"inverse below the mode", "inverse above the mode", "power law", "exponential"}
+        new, ref = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(5):
+            x = _truncated_gamma(new, 2.0, rates, 0.05, 0.15)
+            y = truncated_gamma_reference(ref, 2.0, rates, 0.05, 0.15)
+            assert x.shape == y.shape and np.all(x == y)
+        assert new.bit_generator.state == ref.bit_generator.state
+
+    def test_vector_rates_all_hits(self):
+        rates = np.full(50, 20.0)
+        new, ref = np.random.default_rng(10), np.random.default_rng(10)
+        x = _truncated_gamma(new, 2.0, rates, 1e-3, 1e3)
+        assert np.all(x == truncated_gamma_reference(ref, 2.0, rates, 1e-3, 1e3))
+        assert new.bit_generator.state == ref.bit_generator.state
+
+
 def truncated_cdf(dist, lo, hi):
     c_lo, c_hi = dist.cdf(lo), dist.cdf(hi)
     return lambda x: (dist.cdf(x) - c_lo) / (c_hi - c_lo)
