@@ -75,3 +75,54 @@ def test_unequal_run_counts_are_an_error(tmp_path, monkeypatch):
     with pytest.raises(SystemExit, match="2 parent runs, 1 change runs"):
         bench_record.main(["--pr", "3", "--parent", "parent", "--change", "change", "--pytest-log", "tier1.log"])
     assert not (tmp_path / "BENCH_3.json").exists()
+
+
+def test_run_pairs_alternates_which_side_runs_first():
+    calls = []
+
+    def stub(root, workload, seed, seconds):
+        calls.append((root.name, workload, seed, seconds))
+        return {"metrics": {"cpu_s": {"value": float(len(calls))}}}
+
+    cases = [("hier-fit", 7), ("hier-fit", 23)]
+    parent, change = bench_record.run_pairs((Path("old"), Path("new")), cases, 3, 12.0, run=stub)
+    assert [c[:3] for c in calls] == [
+        ("old", "hier-fit", 7), ("new", "hier-fit", 7), ("old", "hier-fit", 23), ("new", "hier-fit", 23),
+        ("new", "hier-fit", 7), ("old", "hier-fit", 7), ("new", "hier-fit", 23), ("old", "hier-fit", 23),
+        ("old", "hier-fit", 7), ("new", "hier-fit", 7), ("old", "hier-fit", 23), ("new", "hier-fit", 23),
+    ]
+    assert {c[3] for c in calls} == {12.0}
+    # each side's records by case, in pair order
+    assert [r["metrics"]["cpu_s"]["value"] for r in parent[("hier-fit", 7)]] == [1.0, 6.0, 9.0]
+    assert [r["metrics"]["cpu_s"]["value"] for r in change[("hier-fit", 23)]] == [4.0, 7.0, 12.0]
+
+
+def test_roots_mode_writes_the_record_from_its_own_runs(tmp_path, monkeypatch):
+    (tmp_path / "tier1.log").write_text(PYTEST_LOG, encoding="utf-8")
+    env = {"git_sha": "a", "src_sha256": "aa", "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1", "nproc": 2}
+
+    def stub(root, workload, seed, seconds):
+        value = 2.0 if root.name == "parent" else 1.0
+        return {"workload": workload, "seed": seed, "env": {**env, "git_sha": root.name},
+                "metrics": {name: {"value": value} for name in METRICS}, "invocations": [{"problems": []}]}
+
+    monkeypatch.setattr(bench_record, "run_benchmark", stub)
+    monkeypatch.chdir(tmp_path)
+    assert bench_record.main(["--pr", "4", "--roots", "parent", "change", "--pairs", "2",
+                              "--case", "hier-fit:7", "--case", "hier-fit:23", "--pytest-log", "tier1.log"]) == 0
+    bench = json.loads((tmp_path / "BENCH_4.json").read_text(encoding="utf-8"))
+    assert (bench["parent"]["git_sha"], bench["change"]["git_sha"]) == ("parent", "change")
+    assert [(w["workload"], w["seed"], w["pairs"]) for w in bench["workloads"]] == [("hier-fit", 7, 2), ("hier-fit", 23, 2)]
+    assert all(m["change_wins"] == 2 for w in bench["workloads"] for m in w["metrics"].values())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--roots", "a", "b"], "needs at least one --case"),
+    (["--roots", "a", "b", "--case", "hier-fit:7", "--parent", "p"], "replaces --parent"),
+    (["--parent", "p"], "give --roots, or --parent and --change"),
+    (["--roots", "a", "b", "--case", "hier-fit"], "expected WORKLOAD:SEED"),
+])
+def test_mode_arguments_are_checked(argv, message, capsys):
+    with pytest.raises(SystemExit):
+        bench_record.main(["--pr", "4", "--pytest-log", "tier1.log"] + argv)
+    assert message in capsys.readouterr().err

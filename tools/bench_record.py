@@ -1,23 +1,33 @@
 """Summarise a parent-versus-change benchmark protocol as ``BENCH_<pr>.json``.
 
-Run from the repository root, after running ``perfbench/run.py --trace 0``
-in alternating pairs from two checkouts (parent first, then change, then
-change first, and so on) and saving the Tier-1 pytest output:
+Run from the repository root.  Either let the script run the alternating
+pairs itself, from two checkouts side by side:
+
+    python3 tools/bench_record.py --pr N --roots ../parent ../change \\
+        --pairs 10 --seconds 12 --case hier-fit:7 --case hier-fit:23 \\
+        --pytest-log tier1.log
+
+which runs ``perfbench/run.py --trace 0`` in each root; pair i (counting
+from 1) runs every case, the parent first when i is odd and the change
+first when i is even.  Or summarise runs made by hand, from alternating
+pairs (parent first, then change, then change first, and so on):
 
     python3 tools/bench_record.py --pr N \\
         --parent ../parent/perfbench/_work --change ../change/perfbench/_work \\
         --pytest-log tier1.log
 
-writes ``BENCH_N.json`` in the working directory.  Every
-``*-trace0.json`` record in each directory is read.  Records are grouped
-by workload and seed; within a group the i-th parent record and the i-th
-change record, in the order the runs finished, form pair i, so both
-sides need the same number of runs.  For each end-to-end metric that
-``BENCHMARK.json`` declares, the file holds each side's median and
-quartiles and the number of pairs the change won (ties count for
-neither).  It also holds each side's commit, source digest, versions and
-processor count, read from the records' ``env``, and from the pytest log
-the Tier-1 counts, time and five slowest tests.  Standard library only.
+which reads every ``*-trace0.json`` record in each directory; the i-th
+parent record and the i-th change record of one workload and seed, in
+the order the runs finished, form pair i, so both sides need the same
+number of runs.
+
+Either way ``BENCH_N.json`` is written in the working directory.  For
+each end-to-end metric that ``BENCHMARK.json`` declares, it holds each
+side's median and quartiles and the number of pairs the change won (ties
+count for neither).  It also holds each side's commit, source digest,
+versions and processor count, read from the records' ``env``, and from
+the pytest log the Tier-1 counts, time and five slowest tests.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ import argparse
 import json
 import re
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,6 +52,43 @@ def read_records(work: Path) -> dict[tuple[str, int], list[dict]]:
         record = json.loads(path.read_text(encoding="utf-8"))
         groups.setdefault((record["workload"], record["seed"]), []).append(record)
     return groups
+
+
+def run_benchmark(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """Run ``perfbench/run.py --trace 0`` once in the checkout ``root``; the run's record."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    with subprocess.Popen(argv, cwd=root, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True) as proc:
+        _, err = proc.communicate()
+    if proc.returncode != 0:
+        sys.stderr.write(err[-2000:])
+        raise SystemExit(f"bench_record: {workload} seed {seed} in {root} exited {proc.returncode}")
+    # run.py names its record after the workload, the seed and its own pid
+    record = root / "perfbench" / "_work" / f"{workload}-seed{seed}-pid{proc.pid}-trace0.json"
+    return json.loads(record.read_text(encoding="utf-8"))
+
+
+def run_pairs(roots: tuple[Path, Path], cases: list[tuple[str, int]], pairs: int, seconds: float,
+              run=None) -> tuple[dict, dict]:
+    """Run ``pairs`` alternating pairs of every (workload, seed) case.
+
+    ``roots`` is (parent, change).  Pair i, counting from 1, runs each case
+    on the parent first when i is odd and on the change first when i is
+    even.  ``run`` (default ``run_benchmark``) makes one run and returns its
+    record.  Returns each side's records by case, in pair order.
+    """
+    run = run or run_benchmark
+    sides: tuple[dict, dict] = ({}, {})
+    for i in range(1, pairs + 1):
+        order = (0, 1) if i % 2 else (1, 0)
+        for workload, seed in cases:
+            for side in order:
+                record = run(roots[side], workload, seed, seconds)
+                sides[side].setdefault((workload, seed), []).append(record)
+                cpu = record["metrics"]["cpu_s"]["value"]
+                print(f"bench_record: pair {i}/{pairs} {workload} seed {seed} "
+                      f"{('parent', 'change')[side]}: cpu_s {cpu:.3f}", file=sys.stderr)
+    return sides
 
 
 def side_env(records: list[dict]) -> dict:
@@ -96,16 +144,42 @@ def read_pytest_log(text: str) -> dict:
     }
 
 
+def parse_case(text: str) -> tuple[str, int]:
+    workload, _, seed = text.rpartition(":")
+    if not workload or not seed.isdigit():
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD:SEED, got {text!r}")
+    return workload, int(seed)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
-    parser.add_argument("--parent", type=Path, required=True, help="perfbench/_work of the parent checkout")
-    parser.add_argument("--change", type=Path, required=True, help="perfbench/_work of the change checkout")
     parser.add_argument("--pytest-log", type=Path, required=True, help="saved output of the Tier-1 run")
+    parser.add_argument("--parent", type=Path, help="perfbench/_work of the parent checkout")
+    parser.add_argument("--change", type=Path, help="perfbench/_work of the change checkout")
+    parser.add_argument("--roots", type=Path, nargs=2, metavar=("PARENT", "CHANGE"),
+                        help="run the pairs in these two checkouts")
+    parser.add_argument("--case", type=parse_case, action="append", metavar="WORKLOAD:SEED",
+                        help="with --roots: a workload and seed to run in every pair; repeatable")
+    parser.add_argument("--pairs", type=int, default=10, help="with --roots: number of pairs")
+    parser.add_argument("--seconds", type=float, default=12.0, help="with --roots: run.py --seconds")
     args = parser.parse_args(argv)
+    if args.roots:
+        if args.parent or args.change:
+            parser.error("--roots replaces --parent and --change")
+        if not args.case:
+            parser.error("--roots needs at least one --case")
+    elif not (args.parent and args.change):
+        parser.error("give --roots, or --parent and --change")
 
+    # read before any run, so a bad log fails at once
+    tier1 = read_pytest_log(args.pytest_log.read_text(encoding="utf-8", errors="replace"))
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
-    parent, change = read_records(args.parent), read_records(args.change)
+    if args.roots:
+        roots = tuple(root.resolve() for root in args.roots)
+        parent, change = run_pairs(roots, args.case, args.pairs, args.seconds)
+    else:
+        parent, change = read_records(args.parent), read_records(args.change)
     if not parent or set(parent) != set(change):
         raise SystemExit(f"bench_record: parent runs {sorted(parent)} and change runs {sorted(change)} "
                          "cover different workloads or seeds")
@@ -124,7 +198,7 @@ def main(argv=None) -> int:
         "parent": side_env([r for runs in parent.values() for r in runs]),
         "change": side_env([r for runs in change.values() for r in runs]),
         "workloads": workloads,
-        "tier1": read_pytest_log(args.pytest_log.read_text(encoding="utf-8", errors="replace")),
+        "tier1": tier1,
     }
     out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
