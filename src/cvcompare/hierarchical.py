@@ -23,7 +23,9 @@ the non-centred one, u_i = (mu_i - mu0) / sigma0 (ancillarity-sufficiency
 interweaving, Yu & Meng 2011), so the chain also mixes when the dataset
 means barely spread, where the centred sampler alone sticks in a funnel.
 Nothing is tuned: warmup is plain burn-in.  Runs are deterministic given
-the seed.
+the seed, byte for byte on one numpy build and CPU dispatch target: numpy's
+SIMD ``log1p``, ``expm1`` and ``power`` can differ from libm in the last
+bit (on an AVX-512 host, on 7.3%, 0.7% and 6.5% of 200k uniform inputs).
 """
 
 from __future__ import annotations
@@ -265,9 +267,9 @@ def _gamma_window_inverse(shape: float, rate: float, lo: float, hi: float, u: fl
     out in a tail, and the density on it is, to leading order, the power law
     x^(shape-1) below the mode (exact at ``rate`` 0) or exp(-rate x) above
     it; that law is inverted instead.  Those two laws use numpy's ``power``,
-    ``log1p`` and ``expm1``, not ``math``'s: numpy's SIMD loops round
-    differently from libm in the last bit, and the draws must not depend on
-    whether one value or a whole array took this path.
+    ``log1p`` and ``expm1`` even on one float: numpy's SIMD loops round
+    differently from libm's in the last bit, so ``math`` would change the
+    draws that the golden outputs pin.
     """
     from scipy import special
     xl, xh = rate * lo, rate * hi

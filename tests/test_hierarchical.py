@@ -297,7 +297,8 @@ class TestTruncatedGammaBits:
     """The float path draws the same bits from the same stream as the array reference."""
 
     # (shape, rate, lo, hi, branch a miss takes); with shape 2 on (0.05, 0.15),
-    # rate 20 puts about half the plain draws in the window
+    # rate 20 puts about half the plain draws in the window; the last case
+    # has a subnormal rate, whose window still holds representable mass
     SCALAR = [
         (2.0, 20.0, 0.05, 0.15, "inverse below the mode"),
         (2.0, 5.0, 0.05, 0.15, "inverse below the mode"),
