@@ -100,8 +100,11 @@ def test_run_pairs_alternates_which_side_runs_first():
 def test_roots_mode_writes_the_record_from_its_own_runs(tmp_path, monkeypatch):
     (tmp_path / "tier1.log").write_text(PYTEST_LOG, encoding="utf-8")
     env = {"git_sha": "a", "src_sha256": "aa", "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1", "nproc": 2}
+    run_seconds = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
 
     def stub(root, workload, seed, seconds):
+        # every run lasts as long as the benchmark sets
+        assert seconds == run_seconds
         value = 2.0 if root.name == "parent" else 1.0
         return {"workload": workload, "seed": seed, "env": {**env, "git_sha": root.name},
                 "metrics": {name: {"value": value} for name in METRICS}, "invocations": [{"problems": []}]}

@@ -4,12 +4,12 @@ Run from the repository root.  Either let the script run the alternating
 pairs itself, from two checkouts side by side:
 
     python3 tools/bench_record.py --pr N --roots ../parent ../change \\
-        --pairs 10 --seconds 12 --case hier-fit:7 --case hier-fit:23 \\
-        --pytest-log tier1.log
+        --pairs 10 --case hier-fit:7 --case hier-fit:23 --pytest-log tier1.log
 
-which runs ``perfbench/run.py --trace 0`` in each root; pair i (counting
-from 1) runs every case, the parent first when i is odd and the change
-first when i is even.  Or summarise runs made by hand, from alternating
+which runs ``perfbench/run.py --trace 0`` in each root for the
+``run_seconds`` that ``BENCHMARK.json`` sets; pair i (counting from 1)
+runs every case, the parent first when i is odd and the change first
+when i is even.  Or summarise runs made by hand, from alternating
 pairs (parent first, then change, then change first, and so on):
 
     python3 tools/bench_record.py --pr N \\
@@ -74,8 +74,8 @@ def run_pairs(roots: tuple[Path, Path], cases: list[tuple[str, int]], pairs: int
 
     ``roots`` is (parent, change).  Pair i, counting from 1, runs each case
     on the parent first when i is odd and on the change first when i is
-    even.  ``run`` (default ``run_benchmark``) makes one run and returns its
-    record.  Returns each side's records by case, in pair order.
+    even.  ``run`` (default ``run_benchmark``) makes one run of ``seconds``
+    and returns its record.  Returns each side's records by case, in pair order.
     """
     run = run or run_benchmark
     sides: tuple[dict, dict] = ({}, {})
@@ -162,7 +162,6 @@ def main(argv=None) -> int:
     parser.add_argument("--case", type=parse_case, action="append", metavar="WORKLOAD:SEED",
                         help="with --roots: a workload and seed to run in every pair; repeatable")
     parser.add_argument("--pairs", type=int, default=10, help="with --roots: number of pairs")
-    parser.add_argument("--seconds", type=float, default=12.0, help="with --roots: run.py --seconds")
     args = parser.parse_args(argv)
     if args.roots:
         if args.parent or args.change:
@@ -174,10 +173,11 @@ def main(argv=None) -> int:
 
     # read before any run, so a bad log fails at once
     tier1 = read_pytest_log(args.pytest_log.read_text(encoding="utf-8", errors="replace"))
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = benchmark["end_to_end"]
     if args.roots:
         roots = tuple(root.resolve() for root in args.roots)
-        parent, change = run_pairs(roots, args.case, args.pairs, args.seconds)
+        parent, change = run_pairs(roots, args.case, args.pairs, benchmark["run_seconds"])
     else:
         parent, change = read_records(args.parent), read_records(args.change)
     if not parent or set(parent) != set(change):
