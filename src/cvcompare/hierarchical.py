@@ -11,8 +11,8 @@ Model, for datasets i = 1..q with cross-validation differences x_i:
     alpha  ~ unif(0.5, 5),  beta ~ unif(0.05, 0.15)
 
 The scale bounds are the paper's and are not settable: std(mean_i) uses
-divisor q - 1 and is 0 for a single dataset, and the 1e-3 floors keep the
-uniform supports proper for constant data.
+divisor q - 1, and the 1e-3 floors keep the uniform supports proper for
+constant data.
 
 Fitted by Gibbs sampling with the Student level written as a normal scale
 mixture, mu_i ~ N(mu0, sigma0^2 / lambda_i) with lambda_i ~ Gamma(nu/2, nu/2)
@@ -32,21 +32,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import DiffSeries, Rope, _csv_text
 from .dp import TrinomialSamples
-from .kernels import RngStream, _student_below_array, cs_loglik, gamma_logpdf, student_logpdf
+from .kernels import RngStream, _student_below_array
 
 __all__ = [
     "HierConfig",
-    "HierState",
     "Diagnostic",
     "HierDraws",
     "ShrinkageRow",
     "ShrinkageReport",
-    "log_posterior",
     "fit",
     "next_dataset_probs",
     "shrinkage_report",
@@ -84,19 +84,6 @@ class HierConfig:
             raise ValueError("warmup must be non-negative")
         if self.draws < 4:
             raise ValueError("need at least four kept draws")
-
-
-@dataclass(frozen=True)
-class HierState:
-    """One point of the hierarchical parameter space."""
-
-    mu0: float
-    sigma0: float
-    nu: float
-    alpha: float
-    beta: float
-    mu: np.ndarray
-    sigma: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -166,8 +153,6 @@ class _Problem:
     """Sufficient statistics and prior bounds shared by the sampler."""
 
     def __init__(self, data: list[DiffSeries]):
-        if not data:
-            raise ValueError("need at least one difference series")
         ns = {d.n for d in data}
         if len(ns) != 1:
             raise ValueError(f"all series must share n, got {sorted(ns)}")
@@ -180,60 +165,25 @@ class _Problem:
         self.rho = rhos.pop()
         self.q = len(data)
         self.sds = np.array([d.sd for d in data])
-        self.s_mean = float(np.std(self.means, ddof=1)) if self.q > 1 else 0.0
+        self.s_mean = float(np.std(self.means, ddof=1))
         # the floors keep the uniform supports proper for constant data, and
         # put half of each bound above the scale floor for the initial state
         self.sigma_bar = max(1000.0 * float(self.sds.mean()), 1e-3)
         self.sigma0_bar = max(1000.0 * self.s_mean, 1e-3)
 
-    def uniform_const(self) -> float:
-        return (
-            -math.log(2.0)
-            - math.log(self.sigma0_bar)
-            - math.log(_ALPHA_HI - _ALPHA_LO)
-            - math.log(_BETA_HI - _BETA_LO)
-            - self.q * math.log(self.sigma_bar)
-        )
 
-    def in_support(self, s: HierState) -> bool:
-        return (
-            -1.0 < s.mu0 < 1.0
-            and _SIGMA_FLOOR < s.sigma0 < self.sigma0_bar
-            and s.nu > 0.0
-            and _ALPHA_LO < s.alpha < _ALPHA_HI
-            and _BETA_LO < s.beta < _BETA_HI
-            and bool(np.all((s.sigma > _SIGMA_FLOOR) & (s.sigma < self.sigma_bar)))
-        )
+class _State(NamedTuple):
+    """One point of the Gibbs chain: the model parameters in ``_PARAMS``
+    order, then the Student mixture weights ``lam``."""
 
-    def log_posterior(self, s: HierState) -> float:
-        if not self.in_support(s):
-            return -math.inf
-        total = (
-            float(np.sum(cs_loglik(self.means, self.ss, self.n, s.mu, s.sigma * s.sigma, self.rho)))
-            + float(np.sum(student_logpdf(s.mu, s.nu, s.mu0, s.sigma0)))
-            + float(gamma_logpdf(s.nu, s.alpha, s.beta))
-            + self.uniform_const()
-        )
-        return total
-
-    def initial_state(self) -> HierState:
-        mu0 = float(np.clip(np.median(self.means), -1.0 + _EPS, 1.0 - _EPS))
-        sigma0 = min(max(self.s_mean, _EPS), 0.5 * self.sigma0_bar)
-        sigma = np.minimum(np.maximum(self.sds, _EPS), 0.5 * self.sigma_bar)
-        return HierState(
-            mu0=mu0, sigma0=sigma0, nu=5.0,
-            alpha=0.5 * (_ALPHA_LO + _ALPHA_HI), beta=0.5 * (_BETA_LO + _BETA_HI),
-            mu=self.means.copy(), sigma=sigma,
-        )
-
-
-def log_posterior(state: HierState, data: list[DiffSeries]) -> float:
-    """Joint log density of the hierarchical model at ``state``.
-
-    Includes the uniform prior normalization constants; -inf outside the
-    prior support.
-    """
-    return _Problem(data).log_posterior(state)
+    mu0: float
+    sigma0: float
+    nu: float
+    alpha: float
+    beta: float
+    mu: np.ndarray
+    sigma: np.ndarray
+    lam: np.ndarray
 
 
 def _truncated_gamma(gen: np.random.Generator, shape: float, rate, lo: float, hi: float):
@@ -353,14 +303,32 @@ def _slice(gen: np.random.Generator, logp, x0: float, width: float) -> float:
             right = x
 
 
-def _run_chain(p: _Problem, cfg: HierConfig, stream: RngStream) -> dict[str, np.ndarray]:
-    gen = stream.generator()
-    q, n = p.q, p.n
-    init = p.initial_state()
-    mu = init.mu.copy()
-    mu0, sigma0, nu, alpha, beta = init.mu0, init.sigma0, init.nu, init.alpha, init.beta
-    lam = np.ones(q)
+def _log_nu_density(u2: np.ndarray, alpha: float, beta: float, buf: np.ndarray, eta: float) -> float:
+    """Target of the ``nu`` slice update: the Student level with lambda
+    integrated out, the Gamma(alpha, beta) prior and the log Jacobian, all in
+    eta = log nu, up to a constant; ``buf`` is scratch space of ``u2``'s size."""
+    v = math.exp(eta)
+    np.divide(u2, v, out=buf)
+    np.log1p(buf, out=buf)
+    return (
+        u2.size * (math.lgamma(0.5 * (v + 1.0)) - math.lgamma(0.5 * v) - 0.5 * eta)
+        - 0.5 * (v + 1.0) * float(buf.sum())
+        + alpha * eta - beta * v
+    )
 
+
+def _alpha_density(log_beta: float, log_nu: float, a: float) -> float:
+    """Target of the ``alpha`` slice update: the Gamma(a, beta) density of
+    nu under the uniform prior on ``a``, up to a constant."""
+    if not _ALPHA_LO < a < _ALPHA_HI:
+        return -math.inf
+    return a * log_beta + (a - 1.0) * log_nu - math.lgamma(a)
+
+
+def _sweep(p: _Problem, state: _State, gen: np.random.Generator) -> _State:
+    """One Gibbs sweep over every parameter; ``state.sigma`` is not read."""
+    mu0, sigma0, nu, alpha, beta, mu, _, lam = state
+    q, n = p.q, p.n
     # the likelihood of mu_i is N(mean_i, 1 / (n tau_i / c1)); the within
     # deviations contribute ss_i / (1 - rho) to the precision's rate
     c1 = 1.0 + (n - 1) * p.rho
@@ -368,71 +336,64 @@ def _run_chain(p: _Problem, cfg: HierConfig, stream: RngStream) -> dict[str, np.
     tau_window = (p.sigma_bar ** -2, _SIGMA_FLOOR ** -2)
     tau0_window = (p.sigma0_bar ** -2, _SIGMA_FLOOR ** -2)
 
-    # the two slice targets read the sweep's current u2, alpha, beta, log_beta and log_nu
-    buf = np.empty(q)
+    # 1. per-dataset precisions tau_i = sigma_i^-2, Gamma((n-1)/2, B_i/2)
+    rate = 0.5 * (ss_term + n * (p.means - mu) ** 2 / c1)
+    tau = _truncated_gamma(gen, 0.5 * (n - 1), rate, *tau_window)
 
-    def log_nu_density(eta: float) -> float:
-        # Student level with lambda integrated out, Gamma(alpha, beta) prior
-        # and the log Jacobian, all in eta = log nu, up to a constant
-        v = math.exp(eta)
-        np.divide(u2, v, out=buf)
-        np.log1p(buf, out=buf)
-        return (
-            q * (math.lgamma(0.5 * (v + 1.0)) - math.lgamma(0.5 * v) - 0.5 * eta)
-            - 0.5 * (v + 1.0) * float(buf.sum())
-            + alpha * eta - beta * v
-        )
+    # 2. per-dataset means given the mixture weights lambda_i
+    w = n * tau / c1
+    w_prior = lam / (sigma0 * sigma0)
+    prec = w + w_prior
+    mu = (w * p.means + w_prior * mu0) / prec + gen.standard_normal(q) / np.sqrt(prec)
 
-    def alpha_density(a: float) -> float:
-        if not _ALPHA_LO < a < _ALPHA_HI:
-            return -math.inf
-        return a * log_beta + (a - 1.0) * log_nu - math.lgamma(a)
+    # 3a. centred (mu0, sigma0) given mu
+    lam_sum = float(lam.sum())
+    mu0 = _truncated_normal(gen, float(lam @ mu) / lam_sum, sigma0 / math.sqrt(lam_sum), -1.0, 1.0)
+    dev = mu - mu0
+    tau0 = _truncated_gamma(gen, 0.5 * (q - 1), 0.5 * float(lam @ (dev * dev)), *tau0_window)
+    sigma0 = tau0 ** -0.5
 
+    # 3b. non-centred (mu0, sigma0) given u = (mu - mu0) / sigma0; mu moves with them
+    u = dev / sigma0
+    w_sum = float(w.sum())
+    mu0 = _truncated_normal(
+        gen, float(w @ (p.means - sigma0 * u)) / w_sum, 1.0 / math.sqrt(w_sum), -1.0, 1.0
+    )
+    wu = w * u
+    wu2 = float(wu @ u)
+    sigma0 = _truncated_normal(
+        gen, float(wu @ (p.means - mu0)) / wu2, 1.0 / math.sqrt(wu2), _SIGMA_FLOOR, p.sigma0_bar
+    )
+    mu = mu0 + sigma0 * u
+
+    # 4. (nu, lambda) as one block: nu from its lambda-marginal conditional
+    u2 = u * u
+    log_nu_density = partial(_log_nu_density, u2, alpha, beta, np.empty(q))
+    nu = math.exp(_slice(gen, log_nu_density, math.log(nu), _LOG_NU_WIDTH))
+    lam = gen.standard_gamma(0.5 * (nu + 1.0), q) / (0.5 * (nu + u2))
+
+    # 5. beta given nu is conjugate; alpha has no closed form
+    beta = _truncated_gamma(gen, alpha + 1.0, nu, _BETA_LO, _BETA_HI)
+    alpha_density = partial(_alpha_density, math.log(beta), math.log(nu))
+    alpha = _slice(gen, alpha_density, alpha, _ALPHA_HI - _ALPHA_LO)
+
+    return _State(mu0, sigma0, nu, alpha, beta, mu, tau ** -0.5, lam)
+
+
+def _run_chain(p: _Problem, cfg: HierConfig, stream: RngStream) -> dict[str, np.ndarray]:
+    gen = stream.generator()
+    state = _State(
+        mu0=float(np.clip(np.median(p.means), -1.0 + _EPS, 1.0 - _EPS)),
+        sigma0=min(max(p.s_mean, _EPS), 0.5 * p.sigma0_bar),
+        nu=5.0, alpha=0.5 * (_ALPHA_LO + _ALPHA_HI), beta=0.5 * (_BETA_LO + _BETA_HI),
+        mu=p.means.copy(), sigma=np.minimum(np.maximum(p.sds, _EPS), 0.5 * p.sigma_bar), lam=np.ones(p.q),
+    )
     kept = []
     for it in range(cfg.warmup + cfg.draws):
-        # 1. per-dataset precisions tau_i = sigma_i^-2, Gamma((n-1)/2, B_i/2)
-        rate = 0.5 * (ss_term + n * (p.means - mu) ** 2 / c1)
-        tau = _truncated_gamma(gen, 0.5 * (n - 1), rate, *tau_window)
-
-        # 2. per-dataset means given the mixture weights lambda_i
-        w = n * tau / c1
-        w_prior = lam / (sigma0 * sigma0)
-        prec = w + w_prior
-        mu = (w * p.means + w_prior * mu0) / prec + gen.standard_normal(q) / np.sqrt(prec)
-
-        # 3a. centred (mu0, sigma0) given mu
-        lam_sum = float(lam.sum())
-        mu0 = _truncated_normal(gen, float(lam @ mu) / lam_sum, sigma0 / math.sqrt(lam_sum), -1.0, 1.0)
-        dev = mu - mu0
-        tau0 = _truncated_gamma(gen, 0.5 * (q - 1), 0.5 * float(lam @ (dev * dev)), *tau0_window)
-        sigma0 = tau0 ** -0.5
-
-        # 3b. non-centred (mu0, sigma0) given u = (mu - mu0) / sigma0; mu moves with them
-        u = dev / sigma0
-        w_sum = float(w.sum())
-        mu0 = _truncated_normal(
-            gen, float(w @ (p.means - sigma0 * u)) / w_sum, 1.0 / math.sqrt(w_sum), -1.0, 1.0
-        )
-        wu = w * u
-        wu2 = float(wu @ u)
-        sigma0 = _truncated_normal(
-            gen, float(wu @ (p.means - mu0)) / wu2, 1.0 / math.sqrt(wu2), _SIGMA_FLOOR, p.sigma0_bar
-        )
-        mu = mu0 + sigma0 * u
-
-        # 4. (nu, lambda) as one block: nu from its lambda-marginal conditional
-        u2 = u * u
-        nu = math.exp(_slice(gen, log_nu_density, math.log(nu), _LOG_NU_WIDTH))
-        lam = gen.standard_gamma(0.5 * (nu + 1.0), q) / (0.5 * (nu + u2))
-
-        # 5. beta given nu is conjugate; alpha has no closed form
-        beta = _truncated_gamma(gen, alpha + 1.0, nu, _BETA_LO, _BETA_HI)
-        log_beta, log_nu = math.log(beta), math.log(nu)
-        alpha = _slice(gen, alpha_density, alpha, _ALPHA_HI - _ALPHA_LO)
-
+        state = _sweep(p, state, gen)
         if it >= cfg.warmup:
-            kept.append((mu0, sigma0, nu, alpha, beta, mu, tau ** -0.5))
-
+            kept.append(state)
+    # zip stops at the last name in _PARAMS, so lam is not kept
     return {name: np.array(column) for name, column in zip(_PARAMS, zip(*kept))}
 
 

@@ -1,9 +1,7 @@
-"""Numerical kernels shared by all tests.
+"""Numerical kernels: Student distribution functions and reproducible RNG streams.
 
-Student distribution functions, the Gamma log density, the
-compound-symmetry Gaussian log-likelihood and reproducible RNG streams.
 Everything here is pure: a given ``RngStream`` yields bit-identical draws
-on every platform.
+with one numpy build on one CPU dispatch target.
 """
 
 from __future__ import annotations
@@ -20,9 +18,6 @@ __all__ = [
     "student_tail",
     "student_sf",
     "student_quantile",
-    "student_logpdf",
-    "gamma_logpdf",
-    "cs_loglik",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -66,7 +61,8 @@ def _splitmix64(x: int) -> int:
 class RngStream:
     """Counter-based random stream keyed by ``(seed, stream_id)``.
 
-    Identical keys produce identical draw sequences on every platform.
+    Identical keys produce identical draw sequences with one numpy build on
+    one CPU dispatch target.
     Sub-streams for Monte-Carlo chunks and chains are derived with
     :meth:`spawn`.
     """
@@ -134,60 +130,3 @@ def student_quantile(p: float, d: LocScaleStudent) -> float:
     w = special.betaincinv(0.5 * d.dof, 0.5, tail)
     t = math.sqrt(d.dof * (1.0 - w) / w)
     return d.loc - d.scale * t if p < 0.5 else d.loc + d.scale * t
-
-
-def student_logpdf(x, dof, loc, scale):
-    """Log density of the location-scale Student distribution (vectorized)."""
-    from scipy import special
-    z = (np.asarray(x, dtype=float) - loc) / scale
-    return (
-        special.gammaln(0.5 * (dof + 1.0))
-        - special.gammaln(0.5 * dof)
-        - 0.5 * np.log(np.pi * dof)
-        - np.log(scale)
-        - 0.5 * (dof + 1.0) * np.log1p(z * z / dof)
-    )
-
-
-def gamma_logpdf(x, shape, rate):
-    """Log density of Gamma(shape, rate); -inf for x <= 0 (vectorized)."""
-    from scipy import special
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = shape * np.log(rate) - special.gammaln(shape) + (shape - 1.0) * np.log(x) - rate * x
-    return np.where(x > 0, out, -np.inf) if out.ndim else (float(out) if x > 0 else -math.inf)
-
-
-def cs_loglik(mean_i, ss_i, n: int, mu, sigma2, rho: float):
-    """Gaussian log-likelihood under a compound-symmetry covariance.
-
-    The covariance has diagonal ``sigma2`` and off-diagonal ``rho * sigma2``;
-    its eigenvalues ``lam1 = sigma2 * (1 + (n-1) rho)`` (multiplicity one) and
-    ``lam2 = sigma2 * (1 - rho)`` (multiplicity n-1) give the closed form
-
-        -(n/2) log 2pi - log(lam1)/2 - (n-1)/2 log(lam2)
-        - ss_i / (2 lam2) - n (mean_i - mu)^2 / (2 lam1)
-
-    evaluated from the sufficient statistics (sample mean ``mean_i`` and
-    centred sum of squares ``ss_i``).  Accepts arrays for the per-dataset
-    arguments and broadcasts.
-    """
-    mean_i = np.asarray(mean_i, dtype=float)
-    ss_i = np.asarray(ss_i, dtype=float)
-    sigma2 = np.asarray(sigma2, dtype=float)
-    if np.any(ss_i < 0):
-        raise ValueError("sum of squares must be non-negative")
-    if np.any(sigma2 <= 0):
-        raise ValueError("sigma2 must be positive")
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
-    lam1 = sigma2 * (1.0 + (n - 1) * rho)
-    lam2 = sigma2 * (1.0 - rho)
-    out = (
-        -0.5 * n * math.log(2.0 * math.pi)
-        - 0.5 * np.log(lam1)
-        - 0.5 * (n - 1) * np.log(lam2)
-        - ss_i / (2.0 * lam2)
-        - n * (mean_i - mu) ** 2 / (2.0 * lam1)
-    )
-    return float(out) if out.ndim == 0 else out

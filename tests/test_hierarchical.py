@@ -12,18 +12,19 @@ from cvcompare.hierarchical import (
     Diagnostic,
     HierConfig,
     HierDraws,
-    HierState,
+    _Problem,
+    _State,
     effective_sample_size,
     fit,
-    log_posterior,
     next_dataset_probs,
     shrinkage_report,
     split_rhat,
     _slice,
+    _sweep,
     _truncated_gamma,
     _truncated_normal,
 )
-from cvcompare.kernels import RngStream, cs_loglik, student_logpdf, student_tail
+from cvcompare.kernels import RngStream, student_tail
 
 RHO = 0.1
 
@@ -48,100 +49,20 @@ def small_cfg(seed, **kw):
     return HierConfig(seed=seed, **kw)
 
 
-class TestLogPosterior:
-    def test_outside_support_is_minus_inf(self):
-        data = model_data(3, 10, seed=1)
-        good = HierState(mu0=0.0, sigma0=0.01, nu=5.0, alpha=1.0, beta=0.1,
-                         mu=np.zeros(3), sigma=np.full(3, 0.05))
-        assert math.isfinite(log_posterior(good, data))
-        for bad in (
-            HierState(mu0=0.0, sigma0=-0.1, nu=5.0, alpha=1.0, beta=0.1,
-                      mu=np.zeros(3), sigma=np.full(3, 0.05)),
-            HierState(mu0=1.5, sigma0=0.01, nu=5.0, alpha=1.0, beta=0.1,
-                      mu=np.zeros(3), sigma=np.full(3, 0.05)),
-            HierState(mu0=0.0, sigma0=0.01, nu=-2.0, alpha=1.0, beta=0.1,
-                      mu=np.zeros(3), sigma=np.full(3, 0.05)),
-            HierState(mu0=0.0, sigma0=0.01, nu=5.0, alpha=0.4, beta=0.1,
-                      mu=np.zeros(3), sigma=np.full(3, 0.05)),
-            HierState(mu0=0.0, sigma0=0.01, nu=5.0, alpha=1.0, beta=0.1,
-                      mu=np.zeros(3), sigma=np.array([0.05, -0.01, 0.05])),
-        ):
-            assert log_posterior(bad, data) == -math.inf
-
-    def test_direct_density_oracle(self):
-        x = np.array([0.011, -0.024, 0.03])
-        series = DiffSeries(dataset="one", x=x, rho=0.25)
-        state = HierState(mu0=0.012, sigma0=4e-4, nu=7.0, alpha=2.0, beta=0.12,
-                          mu=np.array([0.018]), sigma=np.array([0.03]))
-        n = 3
-        cov = state.sigma[0] ** 2 * ((1 - 0.25) * np.eye(n) + 0.25 * np.ones((n, n)))
-        oracle = (
-            stats.multivariate_normal.logpdf(x, mean=np.full(n, state.mu[0]), cov=cov)
-            + stats.t.logpdf(state.mu[0], df=state.nu, loc=state.mu0, scale=state.sigma0)
-            + stats.gamma.logpdf(state.nu, a=state.alpha, scale=1.0 / state.beta)
-            + math.log(1.0 / 2.0)          # mu0 ~ unif(-1, 1)
-            + math.log(1.0 / 1e-3)         # sigma0 ~ unif(0, 1e-3), the floor for q = 1
-            + math.log(1.0 / 4.5)          # alpha ~ unif(0.5, 5)
-            + math.log(1.0 / 0.1)          # beta ~ unif(0.05, 0.15)
-            - math.log(1000.0 * np.std(x, ddof=1))  # sigma_1 ~ unif(0, 1000 sd(x))
-        )
-        assert log_posterior(state, [series]) == pytest.approx(oracle, abs=1e-8)
-
-    def test_per_dataset_decomposition(self):
-        data = model_data(5, 15, seed=3)
-        mu = np.array([d.mean for d in data])
-        sigma = np.array([max(d.sd, 1e-4) for d in data])
-        base = HierState(mu0=0.01, sigma0=0.02, nu=8.0, alpha=1.0, beta=0.1, mu=mu, sigma=sigma)
-        i = 2
-        mu2, sigma2 = mu.copy(), sigma.copy()
-        mu2[i] += 0.004
-        sigma2[i] *= 1.3
-        changed = HierState(mu0=0.01, sigma0=0.02, nu=8.0, alpha=1.0, beta=0.1,
-                            mu=mu2, sigma=sigma2)
-        total_delta = log_posterior(changed, data) - log_posterior(base, data)
-        d = data[i]
-        term = lambda m, s: (
-            cs_loglik(d.mean, d.ss, d.n, m, s * s, RHO)
-            + float(student_logpdf(m, 8.0, 0.01, 0.02))
-        )
-        assert total_delta == pytest.approx(term(mu2[i], sigma2[i]) - term(mu[i], sigma[i]), abs=1e-10)
-
-    @staticmethod
-    def _support_edge(data, bound, at):
-        """log_posterior just inside and just outside a scale bound, with the
-        scale ``at`` ("sigma0" or "sigma_1") placed at 0.999 and 1.001 times it."""
-        means = np.array([d.mean for d in data])
-        sds = np.array([max(d.sd, 1e-4) for d in data])
-        out = []
-        for factor in (0.999, 1.001):
-            sigma0, sigma = 1e-4, sds.copy()
-            if at == "sigma0":
-                sigma0 = factor * bound
-            else:
-                sigma[0] = factor * bound
-            state = HierState(mu0=float(np.median(means)), sigma0=sigma0, nu=5.0, alpha=1.0, beta=0.1,
-                              mu=means, sigma=sigma)
-            out.append(log_posterior(state, data))
-        return out
-
+class TestScaleBounds:
     def test_scale_bounds_follow_the_data_rule(self):
         # sigma0_bar = 1000 std(means) and sigma_bar = 1000 mean(sd), no override
         data = model_data(4, 12, seed=2)
-        means = np.array([d.mean for d in data])
-        sds = np.array([d.sd for d in data])
-        inside, outside = self._support_edge(data, 1000.0 * np.std(means, ddof=1), "sigma0")
-        assert math.isfinite(inside) and outside == -math.inf
-        inside, outside = self._support_edge(data, 1000.0 * sds.mean(), "sigma_1")
-        assert math.isfinite(inside) and outside == -math.inf
+        p = _Problem(data)
+        assert p.sigma0_bar == pytest.approx(1000.0 * np.std([d.mean for d in data], ddof=1), rel=1e-12)
+        assert p.sigma_bar == pytest.approx(1000.0 * np.mean([d.sd for d in data]), rel=1e-12)
 
     def test_scale_bounds_have_a_floor(self):
-        # one dataset has no spread of means, and a constant one no spread of
-        # scores: both bounds fall to the 1e-3 floor
-        inside, outside = self._support_edge(model_data(1, 12, seed=2), 1e-3, "sigma0")
-        assert math.isfinite(inside) and outside == -math.inf
-        flat = [DiffSeries(dataset="flat", x=np.full(12, 0.01), rho=RHO)]
-        inside, outside = self._support_edge(flat, 1e-3, "sigma_1")
-        assert math.isfinite(inside) and outside == -math.inf
+        # equal means have no spread, and constant scores none either: both
+        # bounds fall to the 1e-3 floor
+        flat = [DiffSeries(dataset=f"flat{i}", x=np.full(12, 0.01), rho=RHO) for i in range(2)]
+        p = _Problem(flat)
+        assert p.sigma0_bar == 1e-3 and p.sigma_bar == 1e-3
 
 
 class TestFit:
@@ -183,6 +104,13 @@ class TestFit:
         assert np.all(np.isfinite(draws.mu)) and np.all(np.isfinite(draws.sigma))
         assert draws.sigma.min() >= 1e-10
         assert draws.mu[:, :, 0].mean() == pytest.approx(0.01, abs=1e-6)
+        # every kept draw lies in the prior support
+        p = _Problem(data)
+        for x, lo, hi in (
+            (draws.mu0, -1.0, 1.0), (draws.sigma0, _SIGMA_FLOOR, p.sigma0_bar),
+            (draws.alpha, 0.5, 5.0), (draws.beta, 0.05, 0.15), (draws.sigma, _SIGMA_FLOOR, p.sigma_bar),
+        ):
+            assert lo < x.min() and x.max() < hi
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_converges_in_the_funnel(self, seed):
@@ -228,6 +156,11 @@ class TestFit:
         ]
         with pytest.raises(ValueError, match="share n"):
             fit(mixed, small_cfg(seed=1))
+        mixed = model_data(2, 10, seed=8) + [
+            DiffSeries(dataset="odd", x=np.zeros(10), rho=0.2)
+        ]
+        with pytest.raises(ValueError, match="share rho"):
+            fit(mixed, small_cfg(seed=1))
         with pytest.raises(ValueError, match="chains"):
             HierConfig(seed=1, chains=1)
 
@@ -256,6 +189,96 @@ class TestFit:
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "0"
         assert float(first[2]) == draws.mu0[0, 0]
+
+
+# The Geweke test's model: the paper's priors with the scale bounds held
+# fixed, since the data rule would make the joint law depend on the data.
+# rho is far from 0, so a sweep that dropped the 1 / (1 - rho) of the within
+# sum of squares would show.  sigma_bar = 3 puts the median conditional sd of
+# mu0 in step 3b near 0.3, where a wrong sd shows at mu0's bounds of -1 and
+# 1; at sigma_bar = 1 it is near 0.1 and a wrong sd hides.
+GEWEKE_Q, GEWEKE_N, GEWEKE_RHO = 4, 10, 0.5
+GEWEKE_SIGMA_BAR, GEWEKE_SIGMA0_BAR = 3.0, 1.0
+# prior draws are kept where every |mu_i| is below this, on both sides of the
+# test: at nu far below 1 the Student tails reach 1e12 and beyond, where the
+# simulated scores lose their spread to rounding or overflow.  A sweep moves
+# mu_i by about sigma_i, so no chain crosses the bound in the test's sweeps.
+GEWEKE_MU_BOUND = 1e6
+
+
+def prior_draws(gen, size):
+    """Draws of (mu0, sigma0, nu, alpha, beta, mu, sigma, lam) from the Geweke
+    test's prior, with the Student level as its normal scale mixture; the
+    draws with some |mu_i| >= GEWEKE_MU_BOUND are dropped."""
+    q = GEWEKE_Q
+    mu0 = gen.uniform(-1.0, 1.0, size)
+    sigma0 = gen.uniform(_SIGMA_FLOOR, GEWEKE_SIGMA0_BAR, size)
+    alpha = gen.uniform(0.5, 5.0, size)
+    beta = gen.uniform(0.05, 0.15, size)
+    nu = gen.gamma(alpha, 1.0 / beta)
+    lam = gen.gamma(0.5 * nu[:, None], 2.0 / nu[:, None], (size, q))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mu = mu0[:, None] + sigma0[:, None] * gen.standard_normal((size, q)) / np.sqrt(lam)
+    sigma = gen.uniform(_SIGMA_FLOOR, GEWEKE_SIGMA_BAR, (size, q))
+    keep = np.all(np.abs(mu) < GEWEKE_MU_BOUND, axis=1)
+    return [v[keep] for v in (mu0, sigma0, nu, alpha, beta, mu, sigma, lam)]
+
+
+def geweke_statistics(mu0, sigma0, nu, alpha, beta, mu, sigma):
+    """The functions of the parameters whose means the Geweke test compares.
+    mu_1 has no mean when nu <= 1, so it enters through bounded functions;
+    mu0's mean is 0 under any sampler that keeps its symmetry, so its tails
+    enter too."""
+    mu1 = mu[..., 0]
+    return {
+        "mu0": mu0, "|mu0| > 0.9": np.abs(mu0) > 0.9,
+        "log sigma0": np.log(sigma0), "log nu": np.log(nu), "alpha": alpha, "beta": beta,
+        "sigma_1": sigma[..., 0], "mu_1 > 0": mu1 > 0.0, "|mu_1 - mu0| < sigma0": np.abs(mu1 - mu0) < sigma0,
+    }
+
+
+class TestSweep:
+    CHAINS, SWEEPS = 250, 40
+
+    def test_sweep_keeps_the_joint_law(self):
+        """Geweke's (2004) successive-conditional test of ``_sweep``.
+
+        Each chain starts from a prior draw and alternates a fresh draw of
+        every series from the compound-symmetry normal, given (mu_i, sigma_i),
+        with one sweep on the sufficient statistics of those scores.  Both
+        steps keep the joint law of parameters and data, so every state is a
+        prior draw however slowly the chain mixes; a single long chain would
+        instead have to reach the far Student tails in steps of about sigma_i.
+        The chain means are i.i.d., so the standard errors are batch means
+        with one batch per chain.
+        """
+        q, n, rho = GEWEKE_Q, GEWEKE_N, GEWEKE_RHO
+        gen = np.random.default_rng(2004)
+        p = _Problem([DiffSeries(dataset=f"d{i}", x=np.zeros(n), rho=rho) for i in range(q)])
+        p.sigma_bar, p.sigma0_bar = GEWEKE_SIGMA_BAR, GEWEKE_SIGMA0_BAR
+        starts = prior_draws(gen, 2 * self.CHAINS)
+        chain_means = []
+        for k in range(self.CHAINS):
+            state = _State(*(float(v[k]) for v in starts[:5]), *(v[k] for v in starts[5:]))
+            path = []
+            for _ in range(self.SWEEPS):
+                # one shared N(0, rho) term and independent N(0, 1 - rho) terms
+                noise = math.sqrt(rho) * gen.standard_normal((q, 1)) + math.sqrt(1.0 - rho) * gen.standard_normal((q, n))
+                x = state.mu[:, None] + state.sigma[:, None] * noise
+                p.means = x.mean(axis=1)
+                p.ss = ((x - p.means[:, None]) ** 2).sum(axis=1)
+                state = _sweep(p, state, gen)
+                path.append(state[:-1])  # every parameter but lam
+            stats = geweke_statistics(*(np.array(column) for column in zip(*path)))
+            chain_means.append({name: float(np.mean(g)) for name, g in stats.items()})
+
+        direct = geweke_statistics(*prior_draws(gen, 100_000)[:-1])
+        z = {}
+        for name, g in direct.items():
+            means = np.array([c[name] for c in chain_means])
+            se = math.hypot(means.std(ddof=1) / math.sqrt(self.CHAINS), g.std() / math.sqrt(g.size))
+            z[name] = (means.mean() - g.mean()) / se
+        assert max(map(abs, z.values())) < 4.5, ", ".join(f"{name} z = {v:+.2f}" for name, v in z.items())
 
 
 def truncated_gamma_reference(gen, shape, rate, lo, hi):

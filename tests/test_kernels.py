@@ -9,10 +9,7 @@ from mpmath import mp
 from cvcompare.kernels import (
     LocScaleStudent,
     RngStream,
-    cs_loglik,
-    gamma_logpdf,
     student_cdf,
-    student_logpdf,
     student_quantile,
     student_sf,
     student_tail,
@@ -118,85 +115,6 @@ class TestStudentQuantile:
         for p in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 student_quantile(p, d)
-
-
-class TestStudentLogpdf:
-    def test_matches_quadrature_normalisation(self):
-        from scipy.integrate import quad
-
-        val, _ = quad(lambda x: math.exp(student_logpdf(x, 5.0, 0.3, 0.7)), -60, 60)
-        assert val == pytest.approx(1.0, abs=1e-8)
-
-    def test_vectorized(self):
-        out = student_logpdf(np.array([0.0, 1.0]), 3.0, 0.0, 1.0)
-        assert out.shape == (2,)
-        assert out[0] > out[1]
-
-
-class TestCsLoglik:
-    def test_reduces_to_univariate_normal(self):
-        from scipy.stats import norm
-
-        x = 0.37
-        val = cs_loglik(mean_i=x, ss_i=0.0, n=1, mu=0.1, sigma2=0.5, rho=0.0)
-        assert val == pytest.approx(norm.logpdf(x, 0.1, math.sqrt(0.5)), abs=1e-12)
-
-    def test_dense_mvn_oracle_fixed(self):
-        rng = np.random.default_rng(42)
-        x = rng.normal(0.0, 0.1, size=3)
-        mu, sigma2, rho = 0.02, 0.09, 0.3
-        n = 3
-        cov = sigma2 * ((1 - rho) * np.eye(n) + rho * np.ones((n, n)))
-        resid = x - mu
-        _, logdet = np.linalg.slogdet(cov)
-        dense = -0.5 * (n * math.log(2 * math.pi) + logdet + resid @ np.linalg.solve(cov, resid))
-        val = cs_loglik(x.mean(), ((x - x.mean()) ** 2).sum(), n, mu, sigma2, rho)
-        assert val == pytest.approx(dense, abs=1e-8)
-
-    @given(
-        n=st.integers(2, 8),
-        rho=st.floats(0.0, 0.95),
-        sigma2=st.floats(0.01, 4.0),
-        mu=st.floats(-1.0, 1.0),
-        seed=st.integers(0, 10_000),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_dense_mvn_oracle_property(self, n, rho, sigma2, mu, seed):
-        x = np.random.default_rng(seed).normal(0.0, 1.0, size=n)
-        cov = sigma2 * ((1 - rho) * np.eye(n) + rho * np.ones((n, n)))
-        resid = x - mu
-        _, logdet = np.linalg.slogdet(cov)
-        dense = -0.5 * (n * math.log(2 * math.pi) + logdet + resid @ np.linalg.solve(cov, resid))
-        val = cs_loglik(x.mean(), ((x - x.mean()) ** 2).sum(), n, mu, sigma2, rho)
-        assert val == pytest.approx(dense, abs=1e-8)
-
-    def test_quadratic_terms_vanish_at_the_mean(self):
-        n, rho, sigma2 = 6, 0.25, 0.8
-        lam1 = sigma2 * (1 + (n - 1) * rho)
-        lam2 = sigma2 * (1 - rho)
-        expected = -0.5 * n * math.log(2 * math.pi) - 0.5 * math.log(lam1) - 0.5 * (n - 1) * math.log(lam2)
-        assert cs_loglik(0.4, 0.0, n, 0.4, sigma2, rho) == pytest.approx(expected, abs=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            cs_loglik(0.0, 0.0, 3, 0.0, 0.0, 0.1)
-        with pytest.raises(ValueError):
-            cs_loglik(0.0, 0.0, 3, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            cs_loglik(0.0, -1.0, 3, 0.0, 1.0, 0.1)
-
-
-class TestGammaLogpdf:
-    def test_matches_scipy(self):
-        from scipy.stats import gamma
-
-        assert gamma_logpdf(2.3, 1.5, 0.1) == pytest.approx(
-            gamma.logpdf(2.3, a=1.5, scale=10.0), abs=1e-12
-        )
-
-    def test_non_positive(self):
-        assert gamma_logpdf(0.0, 1.0, 1.0) == -math.inf
-        assert gamma_logpdf(-1.0, 1.0, 1.0) == -math.inf
 
 
 class TestRngStream:

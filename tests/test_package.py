@@ -82,12 +82,10 @@ LIBRARY_SURFACE = {
     "frequentist.correlated_ttest": "d, mu0=0.0",
     "frequentist.wilcoxon_signed_rank": "z, exact=None",
     "hierarchical.HierConfig": "seed, chains=4, warmup=1000, draws=1000",
-    "hierarchical.HierState": "mu0, sigma0, nu, alpha, beta, mu, sigma",
     "hierarchical.Diagnostic": "rhat, ess",
     "hierarchical.HierDraws": "mu0, sigma0, nu, alpha, beta, mu, sigma, diagnostics=<factory>",
     "hierarchical.ShrinkageRow": "dataset, sample_mean, posterior_mean, posterior_sd",
     "hierarchical.ShrinkageReport": "rows, pooled_abs_dev, sample_abs_dev",
-    "hierarchical.log_posterior": "state, data",
     "hierarchical.fit": "data, cfg",
     "hierarchical.next_dataset_probs": "draws, rope, count=4000, rng=None",
     "hierarchical.shrinkage_report": "draws, data",
@@ -99,9 +97,6 @@ LIBRARY_SURFACE = {
     "kernels.student_tail": "t, dof",
     "kernels.student_sf": "x, d",
     "kernels.student_quantile": "p, d",
-    "kernels.student_logpdf": "x, dof, loc, scale",
-    "kernels.gamma_logpdf": "x, shape, rate",
-    "kernels.cs_loglik": "mean_i, ss_i, n, mu, sigma2, rho",
     "report.EXPORT_POINTS": None,
     "report.TRIANGLE_VERTICES": None,
     "report.Histogram": "lo, hi, count, density",
