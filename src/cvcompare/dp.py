@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, NamedTuple
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -55,7 +55,6 @@ __all__ = [
 Placement = Literal["left", "rope", "right"]
 
 DEFAULT_SAMPLE_COUNT = 150_000
-_CHUNK = 50_000
 _BLOCK = 2048  # signed-rank draws per block: a (q, _BLOCK) weight block stays in L2 cache
 
 
@@ -116,24 +115,6 @@ class TrinomialSamples:
         return int(self.samples.shape[0])
 
 
-def _chunked_draws(
-    count: int, rng: RngStream, draw: Callable[[np.random.Generator, int], np.ndarray]
-) -> TrinomialSamples:
-    """``count`` theta triples, made in chunks of at most ``_CHUNK`` rows.
-
-    Chunk ``i`` holds ``draw(gen, rows)`` with ``gen`` taken from
-    ``rng.spawn(i)``.  The chunk layout depends only on ``count``, so a
-    given ``rng`` always yields the same draws.
-    """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    chunks = []
-    for i in range((count + _CHUNK - 1) // _CHUNK):
-        m = min(_CHUNK, count - i * _CHUNK)
-        chunks.append(draw(rng.spawn(i).generator(), m))
-    return TrinomialSamples(samples=np.concatenate(chunks, axis=0))
-
-
 def sign_test_params(z: MeanDiffVector, rope: Rope, prior: DpPrior) -> DirichletParams:
     """Closed-form Dirichlet parameters of the DP sign test.
 
@@ -156,14 +137,12 @@ def sign_test_samples(params: DirichletParams, count: int, rng: RngStream) -> Tr
     (that outcome was never observed and holds no prior mass): the
     corresponding coordinate is identically zero.
     """
+    if count < 1:
+        raise ValueError("count must be at least 1")
     alpha = params.as_array()
-
-    def draw(gen: np.random.Generator, rows: int) -> np.ndarray:
-        w = gen.standard_gamma(alpha, size=(rows, alpha.size))
-        w /= w.sum(axis=1, keepdims=True)
-        return w
-
-    return _chunked_draws(count, rng, draw)
+    w = rng.generator().standard_gamma(alpha, size=(count, alpha.size))
+    w /= w.sum(axis=1, keepdims=True)
+    return TrinomialSamples(samples=w)
 
 
 def sign_test_probs(params: DirichletParams, count: int, rng: RngStream) -> TrinomialProbs:
@@ -255,27 +234,26 @@ def signed_rank_samples(
     """
     if rng is None:
         raise ValueError("an RngStream is required (no silent nondeterminism)")
+    if count < 1:
+        raise ValueError("count must be at least 1")
     left, right = _pair_sides(z.z, rope, prior.z0)
-
-    def draw(gen: np.random.Generator, rows: int) -> np.ndarray:
-        out = np.empty((rows, 3))
-        # every block reuses these buffers: fresh pages per block cost more than its arithmetic
-        size = min(rows, _BLOCK)
-        w_buf, running_buf = np.empty(z.q * size), np.empty((z.q + 1) * size)
-        for start in range(0, rows, _BLOCK):
-            th = out[start:start + _BLOCK]
-            b = th.shape[0]
-            w0 = gen.standard_gamma(prior.s, size=b)
-            w = gen.standard_exponential(out=w_buf[: z.q * b].reshape(z.q, b))
-            running = running_buf[: (z.q + 1) * b].reshape(z.q + 1, b)
-            total = w0 + w.sum(axis=0)
-            norm = total * total
-            th[:, 0] = _side_mass(left, w0, w, running) / norm
-            th[:, 2] = _side_mass(right, w0, w, running) / norm
-            th[:, 1] = np.maximum(1.0 - (th[:, 0] + th[:, 2]), 0.0)
-        return out
-
-    return _chunked_draws(count, rng, draw)
+    gen = rng.generator()
+    out = np.empty((count, 3))
+    # every block reuses these buffers: fresh pages per block cost more than its arithmetic
+    size = min(count, _BLOCK)
+    w_buf, running_buf = np.empty(z.q * size), np.empty((z.q + 1) * size)
+    for start in range(0, count, _BLOCK):
+        th = out[start:start + _BLOCK]
+        b = th.shape[0]
+        w0 = gen.standard_gamma(prior.s, size=b)
+        w = gen.standard_exponential(out=w_buf[: z.q * b].reshape(z.q, b))
+        running = running_buf[: (z.q + 1) * b].reshape(z.q + 1, b)
+        total = w0 + w.sum(axis=0)
+        norm = total * total
+        th[:, 0] = _side_mass(left, w0, w, running) / norm
+        th[:, 2] = _side_mass(right, w0, w, running) / norm
+        th[:, 1] = np.maximum(1.0 - (th[:, 0] + th[:, 2]), 0.0)
+    return TrinomialSamples(samples=out)
 
 
 def simplex_region_probs(samples: TrinomialSamples) -> TrinomialProbs:

@@ -63,7 +63,7 @@ class RngStream:
 
     Identical keys produce identical draw sequences with one numpy build on
     one CPU dispatch target.
-    Sub-streams for Monte-Carlo chunks and chains are derived with
+    Sub-streams for the comparisons of a run and for chains are derived with
     :meth:`spawn`.
     """
 

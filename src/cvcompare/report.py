@@ -36,14 +36,13 @@ TRIANGLE_VERTICES = np.array([
 ])
 
 
-def barycentric_points(samples: TrinomialSamples | np.ndarray) -> np.ndarray:
+def barycentric_points(samples: TrinomialSamples) -> np.ndarray:
     """Map theta triples to 2-d points inside the plotting triangle.
 
     The left vertex collects certainty for the left outcome, the apex the
     rope, the right vertex the right outcome.
     """
-    t = samples.samples if isinstance(samples, TrinomialSamples) else np.asarray(samples, dtype=float)
-    return t @ TRIANGLE_VERTICES
+    return samples.samples @ TRIANGLE_VERTICES
 
 
 def barycentric_csv(points: np.ndarray) -> str:

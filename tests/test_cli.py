@@ -246,6 +246,16 @@ class TestMonteCarloMethods:
         bary = (out / "barycentric_alpha_vs_beta.csv").read_text().split("\n")
         assert bary[0] == "x,y" and len(bary) - 1 == EXPORT_POINTS + 1
 
+    @pytest.mark.parametrize("method", ["sign", "signed-rank"])
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_must_be_positive(self, score_csv, tmp_path, capsys, method, samples):
+        out = tmp_path / "out"
+        code = run_cli(method, "--input", score_csv, "--pair", "alpha", "beta", "--seed", "1",
+                       "--samples", samples, "--output-dir", out)
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "cvcompare: validation: count must be at least 1\n"
+
     def test_byte_identical_reports_for_same_seed(self, score_csv, tmp_path):
         outs = []
         for name in ("o1", "o2"):
@@ -382,21 +392,21 @@ class TestGoldenOutputs:
             "report.json": "118b4be9f8ea6a11a86efd377019d853d8ff13822c58ba127b939439d9b6c31a",
         }),
         (["sign", "--all-pairs", "--samples", "2000", "--seed", "3"], 0, {
-            "barycentric_alpha_vs_beta.csv": "17d842bbdc022aedbc4aec7fdcf35d6b5f2885980525f7a5a04535a50b050793",
-            "barycentric_alpha_vs_gamma.csv": "867dd9be6920e37badc6e8c9d080b48f381500edb514f49a8c886d3d96390c79",
-            "barycentric_beta_vs_gamma.csv": "ea1ebe183d3c87162538a7d360a8d4c776ce7e1a11a4f0d6c2b95e58e8ad26c6",
-            "report.json": "84973c960078b3f0899ffd1691a999ec9ce478a98c672e9665a1f032bfafd5d0",
+            "barycentric_alpha_vs_beta.csv": "59ade73ef9f3de0b5268c4dd774e27830e7c1e2e5c3be37fc4b492fe5683cb49",
+            "barycentric_alpha_vs_gamma.csv": "09aaaf9fdcb621ab024486fa01bb33f2078934ba72c31860d048bf811aeee2f0",
+            "barycentric_beta_vs_gamma.csv": "727f1e928763939262b256633f926abec8e40e2cc24d4a89cec68c4ef6c517aa",
+            "report.json": "6c584aee2e8cde2dc2d220ae8c6103b61bb2c9b84a92fc21da58a27550837c9a",
         }),
         (["sign", "--pair", "beta", "gamma", "--samples", "2000", "--seed", "4",
           "--loss-matrix", "loss.json"], 0, {
-            "barycentric_beta_vs_gamma.csv": "3e4a91f46277c5609ef6c65cfa7fe5a40c1d438e714368c4697cdfed771b7e22",
-            "report.json": "714cfc192caab47a1a65fa701d0014f0456ad35067f3842fec8dfa7276aa2e27",
+            "barycentric_beta_vs_gamma.csv": "04ed52be0d4ebcc27f99f9302b555f3a58fd4ee247e1788dc4831f8859c68584",
+            "report.json": "31b826dfe87bb6226e6216b8246101829081a4281636298d63b79eb72e6ac683",
         }),
         (["signed-rank", "--all-pairs", "--samples", "2000", "--seed", "3"], 0, {
-            "barycentric_alpha_vs_beta.csv": "3a18af0189b4a6325c9d99b7f0f84baadef7ffdc5d1ea9bfe9d520c068beeed2",
-            "barycentric_alpha_vs_gamma.csv": "8dc8d3c483e7fe5726016be3a66486f540cbcafb0ccef3f7868155d9e1456b30",
-            "barycentric_beta_vs_gamma.csv": "d67883689fd9e435ef83de851943fb258611a96d818a154e435b87e51c0216d4",
-            "report.json": "54d2d4dd5fe946a957e624e75f94324daad1453b4c25786080a220abeb953985",
+            "barycentric_alpha_vs_beta.csv": "61b0524935bf5ef2cf0d6b07c09b2d27621a0a2f7f52b30ae473695902a8d31f",
+            "barycentric_alpha_vs_gamma.csv": "27afa975792488cfcc7d2323b7c2ad4c9e20c8dd98939e80374bd469d050d371",
+            "barycentric_beta_vs_gamma.csv": "627942e91f04da714c10ac0a3b94c4c1e973459a3bbda2877aa6540d49f05cdf",
+            "report.json": "96845dc523613a222722602b0ce7b961e16f7f43c73304c57ec86d74dcedf29e",
         }),
         (["hierarchical", "--pair", "alpha", "gamma", "--chains", "2", "--warmup", "50",
           "--draws", "50", "--seed", "11"], 2, {

@@ -7,7 +7,6 @@ import pytest
 from cvcompare.data import MeanDiffVector, Rope
 from cvcompare.dp import (
     _BLOCK,
-    _CHUNK,
     DirichletParams,
     DpPrior,
     TrinomialSamples,
@@ -30,13 +29,36 @@ def mdv(values):
 ROPE = Rope(-0.01, 0.01)
 
 
-def first_block_weights(rng, s, q, rows):
-    """Normalised (rows, q + 1) weights of the first signed-rank block, pseudo-observation first."""
-    gen = rng.spawn(0).generator()
-    w0 = gen.standard_gamma(s, size=rows)
-    w = gen.standard_exponential((q, rows))
-    g = np.column_stack([w0, w.T])
+def signed_rank_weights(rng, s, q, count):
+    """Normalised (count, q + 1) weights of the signed-rank draws, pseudo-observation first.
+
+    Regenerated block by block from the stream, as ``signed_rank_samples`` draws them.
+    """
+    gen = rng.generator()
+    blocks = []
+    for start in range(0, count, _BLOCK):
+        b = min(_BLOCK, count - start)
+        w0 = gen.standard_gamma(s, size=b)
+        w = gen.standard_exponential((q, b))
+        blocks.append(np.column_stack([w0, w.T]))
+    g = np.concatenate(blocks)
     return g / g.sum(axis=1, keepdims=True)
+
+
+def enumerated_thetas(z, rope, weights):
+    """Theta triples summed over every ordered pair, the pseudo-observation first and placed in the rope."""
+    zz = [0.0, *z]
+    th = np.zeros((len(weights), 3))
+    for i in range(len(zz)):
+        for j in range(len(zz)):
+            s_ij = zz[i] + zz[j]
+            if i == 0 or j == 0:
+                # prior pseudo-observation pairs: classified by sign
+                cat = 0 if s_ij < 0 else (2 if s_ij > 0 else 1)
+            else:
+                cat = 0 if s_ij < 2 * rope.lower else (2 if s_ij > 2 * rope.upper else 1)
+            th[:, cat] += weights[:, i] * weights[:, j]
+    return th
 
 
 class TestSignTestParams:
@@ -103,14 +125,9 @@ class TestSignTestSampling:
         params = DirichletParams(7.5, 3.0, 2.0)
         count, base = 72_000, RngStream(11)
         probs = sign_test_probs(params, count, base)
-        # regenerate the identical draws chunk by chunk and count regions naively
-        parts = []
-        alpha = np.array([7.5, 3.0, 2.0])
-        for i in range((count + _CHUNK - 1) // _CHUNK):
-            m = min(_CHUNK, count - i * _CHUNK)
-            g = base.spawn(i).generator().standard_gamma(alpha, size=(m, 3))
-            parts.append(g / g.sum(axis=1, keepdims=True))
-        w = np.concatenate(parts)
+        # regenerate the identical draws from the same stream and count regions naively
+        g = base.generator().standard_gamma(np.array([7.5, 3.0, 2.0]), size=(count, 3))
+        w = g / g.sum(axis=1, keepdims=True)
         n_left = n_rope = n_right = 0
         for row in w:
             if row[1] >= row[0] and row[1] >= row[2]:
@@ -175,22 +192,16 @@ class TestSignedRankSamples:
         rope = Rope(-r, r)
         count, base = 10_000, RngStream(21)
         samples = signed_rank_samples(mdv(z), rope, DpPrior(s=0.5, z0="rope"), count, base)
-        w = first_block_weights(base, 0.5, 2, min(count, _BLOCK))
-        zz = [0.0, -c, c]
-        for row_w, row_s in zip(w[:100], samples.samples[:100]):
-            th = [0.0, 0.0, 0.0]
-            for i in range(3):
-                for j in range(3):
-                    s_ij = zz[i] + zz[j]
-                    if i == 0 or j == 0:
-                        # prior pseudo-observation pairs: classified by sign
-                        cat = 0 if s_ij < 0 else (2 if s_ij > 0 else 1)
-                    else:
-                        cat = 0 if s_ij < -2 * r else (2 if s_ij > 2 * r else 1)
-                    th[cat] += row_w[i] * row_w[j]
-            assert row_s[0] == pytest.approx(th[0], abs=1e-12)
-            assert row_s[1] == pytest.approx(th[1], abs=1e-12)
-            assert row_s[2] == pytest.approx(th[2], abs=1e-12)
+        expected = enumerated_thetas(z, rope, signed_rank_weights(base, 0.5, 2, count))
+        assert np.max(np.abs(samples.samples - expected)) <= 1e-12
+
+    def test_pair_enumeration_oracle_in_every_block(self):
+        # data pairs fall left, inside and right of the rope; the short final block reuses the buffers
+        z = np.array([-0.04, 0.004, 0.03])
+        count, base = 2 * _BLOCK + 5, RngStream(22)
+        samples = signed_rank_samples(mdv(z), ROPE, DpPrior(s=0.5, z0="rope"), count, base)
+        expected = enumerated_thetas(z, ROPE, signed_rank_weights(base, 0.5, 3, count))
+        assert np.max(np.abs(samples.samples - expected)) <= 1e-12
 
     def test_negation_swaps_left_right_bitwise(self, benchmark_z):
         neg = MeanDiffVector(z=-benchmark_z.z, datasets=benchmark_z.datasets)
@@ -210,7 +221,7 @@ class TestSignedRankSamples:
     def test_point_rope_counts_only_exact_zero_sums(self):
         z = mdv([-0.3, 0.1, 0.3])  # -0.3 + 0.3 == 0 exactly
         samples = signed_rank_samples(z, Rope(0.0, 0.0), DpPrior(s=0.5, z0="rope"), 500, RngStream(8))
-        w = first_block_weights(RngStream(8), 0.5, 3, 500)
+        w = signed_rank_weights(RngStream(8), 0.5, 3, 500)
         # rope mass = the two ordered (-c, +c) pairs plus the pseudo self-pair
         expected = 2 * w[:, 1] * w[:, 3] + w[:, 0] ** 2
         assert np.allclose(samples.samples[:, 1], expected, atol=1e-12)
@@ -358,6 +369,12 @@ class TestValidation:
         # an infinite parameter once gave P(left) = 1 through inf / inf draws
         with pytest.raises(ValueError, match="Dirichlet parameters must be finite"):
             DirichletParams(*params)
+
+    def test_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            sign_test_samples(DirichletParams(1.0, 1.0, 1.0), 0, RngStream(1))
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            signed_rank_samples(mdv([0.1, -0.2]), ROPE, DpPrior(), 0, RngStream(1))
 
     def test_samples_validation(self):
         with pytest.raises(ValueError):

@@ -40,20 +40,20 @@ class TestBarycentric:
         assert pts[2] == pytest.approx([1.0, 0.0])
 
     def test_centroid(self):
-        pts = barycentric_points(np.array([[1 / 3, 1 / 3, 1 / 3]]))
+        pts = barycentric_points(samples_of([[1 / 3, 1 / 3, 1 / 3]]))
         assert pts[0] == pytest.approx([0.5, 0.2886751], abs=1e-7)
 
     def test_affine_midpoint(self):
         rng = np.random.default_rng(0)
         raw = rng.dirichlet([1, 1, 1], size=50)
         mid = 0.5 * (raw[:25] + raw[25:])
-        pts = barycentric_points(raw)
-        mid_pts = barycentric_points(mid)
+        pts = barycentric_points(samples_of(raw))
+        mid_pts = barycentric_points(samples_of(mid))
         assert np.allclose(mid_pts, 0.5 * (pts[:25] + pts[25:]), atol=1e-12)
 
     def test_points_inside_triangle(self):
         rng = np.random.default_rng(1)
-        pts = barycentric_points(rng.dirichlet([0.5, 2, 1], size=500))
+        pts = barycentric_points(samples_of(rng.dirichlet([0.5, 2, 1], size=500)))
         x, y = pts[:, 0], pts[:, 1]
         s3 = np.sqrt(3.0)
         assert np.all(y >= -1e-12)
@@ -70,12 +70,12 @@ class TestBarycentric:
 
     @pytest.mark.parametrize("n", [1, 7, EXPORT_POINTS])
     def test_csv_matches_per_row_writer_up_to_the_cap(self, n):
-        pts = barycentric_points(np.random.default_rng(n).dirichlet([0.3, 1, 2], size=n))
+        pts = barycentric_points(samples_of(np.random.default_rng(n).dirichlet([0.3, 1, 2], size=n)))
         assert barycentric_csv(pts) == per_row_csv(pts)
 
     @pytest.mark.parametrize("n", [EXPORT_POINTS + 1, 30_007, 150_000])
     def test_csv_keeps_evenly_spaced_rows_beyond_the_cap(self, n):
-        pts = barycentric_points(np.random.default_rng(n).dirichlet([0.3, 1, 2], size=n))
+        pts = barycentric_points(samples_of(np.random.default_rng(n).dirichlet([0.3, 1, 2], size=n)))
         text = barycentric_csv(pts)
         lines = text.split("\n")
         assert lines[-1] == "" and len(lines) - 1 == EXPORT_POINTS + 1

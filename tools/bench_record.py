@@ -1,27 +1,16 @@
-"""Summarise a parent-versus-change benchmark protocol as ``BENCH_<pr>.json``.
+"""Run a parent-versus-change benchmark protocol and summarise it as ``BENCH_<pr>.json``.
 
-Run from the repository root.  Either let the script run the alternating
-pairs itself, from two checkouts side by side:
+Run from the repository root, with the two checkouts side by side:
 
     python3 tools/bench_record.py --pr N --roots ../parent ../change \\
         --pairs 10 --case hier-fit:7 --case hier-fit:23 --pytest-log tier1.log
 
-which runs ``perfbench/run.py --trace 0`` in each root for the
+This runs ``perfbench/run.py --trace 0`` in each root for the
 ``run_seconds`` that ``BENCHMARK.json`` sets; pair i (counting from 1)
 runs every case, the parent first when i is odd and the change first
-when i is even.  Or summarise runs made by hand, from alternating
-pairs (parent first, then change, then change first, and so on):
+when i is even.
 
-    python3 tools/bench_record.py --pr N \\
-        --parent ../parent/perfbench/_work --change ../change/perfbench/_work \\
-        --pytest-log tier1.log
-
-which reads every ``*-trace0.json`` record in each directory; the i-th
-parent record and the i-th change record of one workload and seed, in
-the order the runs finished, form pair i, so both sides need the same
-number of runs.
-
-Either way ``BENCH_N.json`` is written in the working directory.  For
+``BENCH_N.json`` is written in the working directory.  For
 each end-to-end metric that ``BENCHMARK.json`` declares, it holds each
 side's median and quartiles and the number of pairs the change won (ties
 count for neither).  It also holds each side's commit, source digest,
@@ -42,16 +31,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV_KEYS = ("git_sha", "src_sha256", "python", "numpy", "scipy", "nproc")
-
-
-def read_records(work: Path) -> dict[tuple[str, int], list[dict]]:
-    """The directory's untraced records by (workload, seed), oldest first."""
-    paths = sorted(work.glob("*-trace0.json"), key=lambda p: (p.stat().st_mtime_ns, p.name))
-    groups: dict[tuple[str, int], list[dict]] = {}
-    for path in paths:
-        record = json.loads(path.read_text(encoding="utf-8"))
-        groups.setdefault((record["workload"], record["seed"]), []).append(record)
-    return groups
 
 
 def run_benchmark(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -155,39 +134,26 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
     parser.add_argument("--pytest-log", type=Path, required=True, help="saved output of the Tier-1 run")
-    parser.add_argument("--parent", type=Path, help="perfbench/_work of the parent checkout")
-    parser.add_argument("--change", type=Path, help="perfbench/_work of the change checkout")
-    parser.add_argument("--roots", type=Path, nargs=2, metavar=("PARENT", "CHANGE"),
+    parser.add_argument("--roots", type=Path, nargs=2, required=True, metavar=("PARENT", "CHANGE"),
                         help="run the pairs in these two checkouts")
     parser.add_argument("--case", type=parse_case, action="append", metavar="WORKLOAD:SEED",
-                        help="with --roots: a workload and seed to run in every pair; repeatable")
-    parser.add_argument("--pairs", type=int, default=10, help="with --roots: number of pairs")
+                        help="a workload and seed to run in every pair; repeatable")
+    parser.add_argument("--pairs", type=int, default=10, help="number of pairs")
     args = parser.parse_args(argv)
-    if args.roots:
-        if args.parent or args.change:
-            parser.error("--roots replaces --parent and --change")
-        if not args.case:
-            parser.error("--roots needs at least one --case")
-    elif not (args.parent and args.change):
-        parser.error("give --roots, or --parent and --change")
+    if not args.case:
+        parser.error("--roots needs at least one --case")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
 
     # read before any run, so a bad log fails at once
     tier1 = read_pytest_log(args.pytest_log.read_text(encoding="utf-8", errors="replace"))
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = benchmark["end_to_end"]
-    if args.roots:
-        roots = tuple(root.resolve() for root in args.roots)
-        parent, change = run_pairs(roots, args.case, args.pairs, benchmark["run_seconds"])
-    else:
-        parent, change = read_records(args.parent), read_records(args.change)
-    if not parent or set(parent) != set(change):
-        raise SystemExit(f"bench_record: parent runs {sorted(parent)} and change runs {sorted(change)} "
-                         "cover different workloads or seeds")
+    roots = tuple(root.resolve() for root in args.roots)
+    parent, change = run_pairs(roots, args.case, args.pairs, benchmark["run_seconds"])
     workloads = []
     for key in sorted(parent):
         p, c = parent[key], change[key]
-        if len(p) != len(c):
-            raise SystemExit(f"bench_record: {key[0]} seed {key[1]}: {len(p)} parent runs, {len(c)} change runs")
         workloads.append({
             "workload": key[0], "seed": key[1], "pairs": len(p),
             "parent_runs": failures(p), "change_runs": failures(c),
