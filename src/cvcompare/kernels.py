@@ -64,7 +64,8 @@ class RngStream:
     Identical keys produce identical draw sequences with one numpy build on
     one CPU dispatch target.
     Sub-streams for the comparisons of a run and for chains are derived with
-    :meth:`spawn`.
+    :meth:`spawn`; the signed-rank pairs of a run all read ``spawn(0)``, since
+    they share one stream of weight draws.
     """
 
     seed: int

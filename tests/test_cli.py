@@ -246,6 +246,27 @@ class TestMonteCarloMethods:
         bary = (out / "barycentric_alpha_vs_beta.csv").read_text().split("\n")
         assert bary[0] == "x,y" and len(bary) - 1 == EXPORT_POINTS + 1
 
+    def test_pair_run_equals_its_all_pairs_entry(self, score_csv, tmp_path):
+        # signed-rank pairs share one weight stream, so a pair's draws do not depend on its index
+        runs = {}
+        for name, selection in (("pair", ["--pair", "beta", "gamma"]), ("all", ["--all-pairs"])):
+            out = tmp_path / name
+            assert run_cli("signed-rank", "--input", score_csv, *selection, "--samples", "20000",
+                           "--seed", "9", "--output-dir", out) == 0
+            entries = json.loads((out / "report.json").read_text())["results"]
+            (entry,) = [e for e in entries if e["pair"] == ["beta", "gamma"]]
+            runs[name] = (entry["probs"], entry["mc_stderr"], (out / "barycentric_beta_vs_gamma.csv").read_bytes())
+        assert runs["pair"] == runs["all"]
+
+    @pytest.mark.parametrize("pairs", [1, 2])
+    def test_sampling_groups_leave_the_files_unchanged(self, score_csv, tmp_path, monkeypatch, pairs):
+        argv = ["signed-rank", "--input", score_csv, "--all-pairs", "--samples", "3000", "--seed", "2"]
+        assert run_cli(*argv, "--output-dir", tmp_path / "whole") == 0
+        # three pairs in groups of one, or of two and one
+        monkeypatch.setattr(cli, "_GROUP_BYTES", pairs * 3000 * 3 * 8)
+        assert run_cli(*argv, "--output-dir", tmp_path / "grouped") == 0
+        assert file_hashes(tmp_path / "grouped") == file_hashes(tmp_path / "whole")
+
     @pytest.mark.parametrize("method", ["sign", "signed-rank"])
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_must_be_positive(self, score_csv, tmp_path, capsys, method, samples):
@@ -404,9 +425,9 @@ class TestGoldenOutputs:
         }),
         (["signed-rank", "--all-pairs", "--samples", "2000", "--seed", "3"], 0, {
             "barycentric_alpha_vs_beta.csv": "61b0524935bf5ef2cf0d6b07c09b2d27621a0a2f7f52b30ae473695902a8d31f",
-            "barycentric_alpha_vs_gamma.csv": "27afa975792488cfcc7d2323b7c2ad4c9e20c8dd98939e80374bd469d050d371",
-            "barycentric_beta_vs_gamma.csv": "627942e91f04da714c10ac0a3b94c4c1e973459a3bbda2877aa6540d49f05cdf",
-            "report.json": "96845dc523613a222722602b0ce7b961e16f7f43c73304c57ec86d74dcedf29e",
+            "barycentric_alpha_vs_gamma.csv": "2b04fe017322e41d37170e29705da09d43870f74a01db7be867daac7bc9c9349",
+            "barycentric_beta_vs_gamma.csv": "70c513328642120be662d34f4f2e1b0327e83ae3d4e52d8deae9e68ab041e483",
+            "report.json": "d54f795321a8ce49477ec279ccd1e878dbe4cb53da8e42749c6d1fc13afb34e0",
         }),
         (["hierarchical", "--pair", "alpha", "gamma", "--chains", "2", "--warmup", "50",
           "--draws", "50", "--seed", "11"], 2, {
@@ -502,7 +523,10 @@ class TestRuleAndIoErrors:
         (["hierarchical", "--warmup", "-1"], "warmup must be non-negative"),
         (["sign", "--prior-strength", "0"], "prior strength must be positive, got 0.0"),
         (["signed-rank", "--prior-strength", "0"], "prior strength must be positive, got 0.0"),
-    ], ids=["chains", "draws", "warmup", "sign-prior-strength", "signed-rank-prior-strength"])
+        (["sign", "--samples", "0"], "count must be at least 1"),
+        (["signed-rank", "--samples", "0"], "count must be at least 1"),
+    ], ids=["chains", "draws", "warmup", "sign-prior-strength", "signed-rank-prior-strength",
+            "sign-samples", "signed-rank-samples"])
     def test_bad_method_flag_fails_before_any_work(self, score_csv, tmp_path, monkeypatch, capsys,
                                                    argv, message):
         def no_work(*args, **kwargs):

@@ -15,6 +15,7 @@ from cvcompare.dp import (
     sign_test_params,
     sign_test_probs,
     sign_test_samples,
+    signed_rank_batch,
     signed_rank_samples,
     simplex_region_probs,
 )
@@ -237,6 +238,53 @@ class TestSignedRankSamples:
         assert time.perf_counter() - start < 5.0
 
 
+def batch_vectors(benchmark_z):
+    """Four vectors of q = 54 with different sort orders, ties and a rope-edge sum among them."""
+    rng = np.random.default_rng(41)
+    return [
+        benchmark_z,
+        mdv(rng.normal(0.0, 0.02, 54)),
+        mdv(rng.choice([-0.02, -0.01, 0.0, 0.01, 0.02], 54)),
+        mdv(benchmark_z.z[::-1]),
+    ]
+
+
+class TestSignedRankBatch:
+    COUNT = 2 * _BLOCK + 5  # two full blocks and a short one
+
+    def test_equals_separate_calls(self, benchmark_z):
+        vectors = batch_vectors(benchmark_z)
+        batch = signed_rank_batch(vectors, ROPE, DpPrior(), self.COUNT, RngStream(51))
+        assert len(batch) == len(vectors)
+        for z, samples in zip(vectors, batch):
+            alone = signed_rank_samples(z, ROPE, DpPrior(), self.COUNT, RngStream(51))
+            assert np.array_equal(samples.samples, alone.samples)
+
+    @pytest.mark.parametrize("group", [1, 2])
+    def test_groups_equal_the_whole_list(self, benchmark_z, group):
+        # a vector's draws do not depend on the vectors sampled with it
+        vectors = batch_vectors(benchmark_z)
+        prior = DpPrior(s=0.8, z0="left")
+        whole = signed_rank_batch(vectors, ROPE, prior, self.COUNT, RngStream(52))
+        grouped = [samples for start in range(0, len(vectors), group)
+                   for samples in signed_rank_batch(vectors[start:start + group], ROPE, prior,
+                                                    self.COUNT, RngStream(52))]
+        for a, b in zip(whole, grouped, strict=True):
+            assert np.array_equal(a.samples, b.samples)
+
+    def test_negation_swaps_left_right_bitwise(self, benchmark_z):
+        neg = MeanDiffVector(z=-benchmark_z.z, datasets=benchmark_z.datasets)
+        a, b = signed_rank_batch([benchmark_z, neg], ROPE, DpPrior(), self.COUNT, RngStream(53))
+        assert np.array_equal(a.samples[:, 0], b.samples[:, 2])
+        assert np.array_equal(a.samples[:, 2], b.samples[:, 0])
+        assert np.array_equal(a.samples[:, 1], b.samples[:, 1])
+
+    @pytest.mark.parametrize("vectors", [[], [[0.1, -0.2], [0.1, -0.2, 0.3]]], ids=["empty", "mixed-lengths"])
+    def test_vectors_must_share_one_length(self, vectors):
+        with pytest.raises(ValueError, match="need at least one vector, all of one length"):
+            signed_rank_batch([mdv(v) for v in vectors], ROPE, DpPrior(), 100, RngStream(1))
+
+
 class TestSimplexRegions:
     def test_identical_draws_all_rope(self):
         t = np.tile([0.2, 0.5, 0.3], (1000, 1))
@@ -375,6 +423,8 @@ class TestValidation:
             sign_test_samples(DirichletParams(1.0, 1.0, 1.0), 0, RngStream(1))
         with pytest.raises(ValueError, match="count must be at least 1"):
             signed_rank_samples(mdv([0.1, -0.2]), ROPE, DpPrior(), 0, RngStream(1))
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            signed_rank_batch([mdv([0.1, -0.2])], ROPE, DpPrior(), 0, RngStream(1))
 
     def test_samples_validation(self):
         with pytest.raises(ValueError):

@@ -70,6 +70,7 @@ LIBRARY_SURFACE = {
     "dp.sign_test_params": "z, rope, prior",
     "dp.sign_test_samples": "params, count, rng",
     "dp.sign_test_probs": "params, count, rng",
+    "dp.signed_rank_batch": "vectors, rope, prior, count=150000, rng=None",
     "dp.signed_rank_samples": "z, rope, prior, count=150000, rng=None",
     "dp.simplex_region_probs": "samples",
     "errors.CvCompareError": None,
