@@ -23,7 +23,15 @@ import numpy as np
 
 from . import __version__
 from .bayes_ttest import direction_prob, hdis, posterior, rope_probs
-from .data import Rope, _csv_field, _csv_text, mean_differences, paired_differences, parse_scores
+from .data import (
+    Rope,
+    _check_rho,
+    _csv_field,
+    _csv_text,
+    mean_differences,
+    paired_differences,
+    parse_scores,
+)
 from .decisions import LossMatrix, decide, rule_record
 from .dp import (
     DEFAULT_SAMPLE_COUNT,
@@ -166,7 +174,7 @@ _EXPORTS = {
 }
 
 
-def _analyse(args, rope, config, series, index, hdi_columns):
+def _analyse(args, rope, config, series, hdi_columns):
     """One comparison: the method's own report fields, its rope probabilities
     (None for the frequentist tests) and its export texts, in the order of
     the method's ``_EXPORTS`` templates.
@@ -176,6 +184,8 @@ def _analyse(args, rope, config, series, index, hdi_columns):
     series otherwise; ``config`` is the method's
     ``HierConfig`` or ``DpPrior``.  ``bayes-ttest`` also appends its
     intervals to ``hdi_columns``, the columns of the run's one ``hdi.csv``.
+    A Monte-Carlo comparison draws from streams of ``args.seed`` alone, so
+    its result depends only on the seed, the method's settings and its data.
     """
     if args.method == "freq-ttest":
         res = correlated_ttest(series)
@@ -207,7 +217,7 @@ def _analyse(args, rope, config, series, index, hdi_columns):
         return fields, rope_probs(post, rope), [density_data(series.x, bins=30).to_csv()]
     if args.method == "hierarchical":
         draws = fit(series, config)
-        samples = next_dataset_probs(draws, rope, rng=RngStream(args.seed, stream_id=1))
+        samples = next_dataset_probs(draws, rope)
         diagnostics = {
             "converged": draws.converged,
             "max_rhat": max(d.rhat for d in draws.diagnostics.values()),
@@ -220,7 +230,7 @@ def _analyse(args, rope, config, series, index, hdi_columns):
     if args.method == "sign":
         params = sign_test_params(mean_differences(series), rope, config)
         fields = {"dirichlet": [params.a_left, params.a_rope, params.a_right]}
-        samples = sign_test_samples(params, args.samples, RngStream(args.seed).spawn(index))
+        samples = sign_test_samples(params, args.samples, RngStream(args.seed).spawn(0))
     else:
         fields, samples = {}, series
     return fields, simplex_region_probs(samples), [barycentric_csv(barycentric_points(samples))]
@@ -229,9 +239,9 @@ def _analyse(args, rope, config, series, index, hdi_columns):
 def _signed_rank_draws(zs, rope, prior, count, seed):
     """Each pair's signed-rank samples, in order, sampled in groups whose draws fit ``_GROUP_BYTES``.
 
-    Every group starts over on ``RngStream(seed).spawn(0)``, the stream a
-    ``--pair`` run uses, and the pairs of a group share its weight draws, so
-    a pair's samples depend neither on its index nor on the other pairs.
+    Every group starts over on ``RngStream(seed).spawn(0)``, the stream of
+    every ``sign`` and ``signed-rank`` comparison, and the pairs of a group
+    share its weight draws, so a pair's samples do not depend on the others.
     """
     size = max(1, _GROUP_BYTES // (count * 3 * 8))
     for start in range(0, len(zs), size):
@@ -244,7 +254,11 @@ def run(args) -> int:
         raise CvCompareError(f"input file not found: {args.input}")
     rope = Rope(lower=args.rope[0], upper=args.rope[1])
     rule, rule_json = _load_rule(args)
-    # the method's sampler or prior settings, which fail like the rule before any work
+    # --rho and the method's sampler or prior settings fail like the rule before any work;
+    # only the t-tests and hierarchical have --rho, the others read only the means
+    rho = getattr(args, "rho", None)
+    if rho is not None:
+        _check_rho(rho)
     config = None
     if args.method == "hierarchical":
         config = HierConfig(seed=args.seed, chains=args.chains, warmup=args.warmup, draws=args.draws)
@@ -259,7 +273,7 @@ def run(args) -> int:
 
     # the comparisons: one per dataset for the t-tests, else one per classifier pair
     if args.method in ("freq-ttest", "bayes-ttest"):
-        diffs = paired_differences(table, *args.pair, rho=args.rho)
+        diffs = paired_differences(table, *args.pair, rho=rho)
         if args.dataset is not None:
             diffs = [d for d in diffs if d.dataset == args.dataset]
             if not diffs:
@@ -273,8 +287,6 @@ def run(args) -> int:
             sources = list(itertools.combinations(table.classifiers, 2))
         else:
             sources = [tuple(args.pair)]
-        # of these methods only hierarchical has --rho; the others read only the means
-        rho = getattr(args, "rho", None)
         # formed as the loop reaches each pair, so one pair's differences are held at a time
         comparisons = ((pair, paired_differences(table, *pair, rho=rho)) for pair in sources)
     # name every export before any analysis, so a name clash costs no work
@@ -288,7 +300,7 @@ def run(args) -> int:
     files = {}
     hdi_columns = [[], [], [], []]
     for index, ((a, b), series) in enumerate(comparisons):
-        fields, probs, exports = _analyse(args, rope, config, series, index, hdi_columns)
+        fields, probs, exports = _analyse(args, rope, config, series, hdi_columns)
         entry = {"pair": [a, b], "method": args.method, **fields}
         if probs is not None:
             entry.update({

@@ -122,6 +122,12 @@ def _csv_text(header, columns: list[list]) -> str:
     return ",".join(header) + "\n" + "".join(map(record.format, *columns))
 
 
+def _check_rho(rho: float) -> None:
+    """A cross-validation correlation must lie in [0, 1)."""
+    if not 0.0 <= rho < 1.0:  # NaN fails this test too
+        raise ValueError(f"rho must lie in [0, 1), got {rho}")
+
+
 def _series_stats(x: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
     """Validate difference series, one per row of ``x``, and return their
     means and sample standard deviations (divisor n-1).
@@ -133,8 +139,7 @@ def _series_stats(x: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("difference series needs at least two observations")
     if not np.all(np.abs(x) <= 1.0):  # NaN fails this test too
         raise ValueError("score differences must lie in [-1, 1]")
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
+    _check_rho(rho)
     constant = (x == x[:, :1]).all(axis=1)
     mean = np.where(constant, x[:, 0], x.mean(axis=1))
     sd = np.where(constant, 0.0, x.std(axis=1, ddof=1))

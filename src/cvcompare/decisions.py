@@ -99,18 +99,10 @@ def rule_record(rule: float | LossMatrix) -> dict:
 def threshold_decision(p: TrinomialProbs, threshold: float = 0.95) -> Decision:
     """Declare the outcome whose probability strictly exceeds ``threshold``."""
     rule = rule_record(threshold)
-    candidates = [
-        (prob, verdict)
-        for prob, verdict in (
-            (p.p_left, Verdict.B_BETTER),
-            (p.p_rope, Verdict.EQUIVALENT),
-            (p.p_right, Verdict.A_BETTER),
-        )
-        if prob > threshold
-    ]
-    if len(candidates) == 1:
-        return Decision(verdict=candidates[0][1], probs=p, rule=rule)
-    return Decision(verdict=Verdict.NO_DECISION, probs=p, rule=rule)
+    # zip stops at the three outcomes, before the no-decision action
+    candidates = [verdict for prob, verdict in zip(p.as_tuple(), _ACTION_VERDICTS) if prob > threshold]
+    verdict = candidates[0] if len(candidates) == 1 else Verdict.NO_DECISION
+    return Decision(verdict=verdict, probs=p, rule=rule)
 
 
 def loss_decision(p: TrinomialProbs, loss: LossMatrix | None = None) -> Decision:

@@ -31,7 +31,9 @@ data swaps the two masses bit for bit.
 The weight posterior Dir(s, 1, ..., 1) depends only on q and s, not on the
 differences, so ``signed_rank_batch`` draws each block of weights once and
 passes it through the pair sides of every vector it is given: one vector's
-draws are the same whatever vectors are sampled with it.
+draws are the same whatever vectors are sampled with it.  Every sampler
+takes its draw count and ``RngStream`` as required arguments, so its draws
+depend only on the stream, the prior and the differences it is given.
 """
 
 from __future__ import annotations
@@ -228,8 +230,8 @@ def signed_rank_batch(
     vectors: list[MeanDiffVector],
     rope: Rope,
     prior: DpPrior,
-    count: int = DEFAULT_SAMPLE_COUNT,
-    rng: RngStream | None = None,
+    count: int,
+    rng: RngStream,
 ) -> list[TrinomialSamples]:
     """Monte-Carlo draws of the signed-rank theta triple for each of ``vectors``.
 
@@ -247,8 +249,6 @@ def signed_rank_batch(
     vector's draws therefore equal ``signed_rank_samples`` of it on the
     same ``rng`` bit for bit, whatever the other vectors are.
     """
-    if rng is None:
-        raise ValueError("an RngStream is required (no silent nondeterminism)")
     if count < 1:
         raise ValueError("count must be at least 1")
     lengths = {z.q for z in vectors}
@@ -277,11 +277,7 @@ def signed_rank_batch(
 
 
 def signed_rank_samples(
-    z: MeanDiffVector,
-    rope: Rope,
-    prior: DpPrior,
-    count: int = DEFAULT_SAMPLE_COUNT,
-    rng: RngStream | None = None,
+    z: MeanDiffVector, rope: Rope, prior: DpPrior, count: int, rng: RngStream
 ) -> TrinomialSamples:
     """Monte-Carlo draws of the signed-rank theta triple: ``signed_rank_batch`` of ``z`` alone."""
     return signed_rank_batch([z], rope, prior, count, rng)[0]

@@ -464,28 +464,16 @@ def fit(data: list[DiffSeries], cfg: HierConfig) -> HierDraws:
     return HierDraws(**stack, diagnostics=diagnostics)
 
 
-def next_dataset_probs(
-    draws: HierDraws,
-    rope: Rope,
-    count: int = 4000,
-    rng: RngStream | None = None,
-) -> TrinomialSamples:
+def next_dataset_probs(draws: HierDraws, rope: Rope) -> TrinomialSamples:
     """Rope probabilities for the mean difference on the next, unseen dataset.
 
-    Each posterior draw of (mu0, sigma0, nu) defines a Student predictive
-    for the next dataset's mean difference; the theta triple is that
-    distribution's mass below, inside, and above the rope.  When more
-    pooled draws are available than ``count``, a random subset is used.
+    Each pooled posterior draw of (mu0, sigma0, nu) defines a Student
+    predictive for the next dataset's mean difference; its theta triple is
+    that distribution's mass below, inside, and above the rope.
     """
     mu0 = draws.pooled("mu0")
     sigma0 = draws.pooled("sigma0")
     nu = draws.pooled("nu")
-    total = mu0.size
-    if total > count:
-        if rng is None:
-            raise ValueError("an RngStream is required to subsample posterior draws")
-        idx = np.sort(rng.generator().choice(total, size=count, replace=False))
-        mu0, sigma0, nu = mu0[idx], sigma0[idx], nu[idx]
     lo = _student_below_array(rope.lower - mu0, nu, sigma0)
     hi = _student_below_array(rope.upper - mu0, nu, sigma0)
     samples = np.column_stack([lo, hi - lo, 1.0 - hi])

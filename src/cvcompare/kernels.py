@@ -63,9 +63,9 @@ class RngStream:
 
     Identical keys produce identical draw sequences with one numpy build on
     one CPU dispatch target.
-    Sub-streams for the comparisons of a run and for chains are derived with
-    :meth:`spawn`; the signed-rank pairs of a run all read ``spawn(0)``, since
-    they share one stream of weight draws.
+    Sub-streams are derived with :meth:`spawn`: every ``sign`` and
+    ``signed-rank`` comparison of a run reads ``spawn(0)`` of its seed, and a
+    hierarchical fit reads one child per chain.
     """
 
     seed: int

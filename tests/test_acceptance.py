@@ -218,7 +218,7 @@ def test_criterion_7d_hierarchical_rope_sanity():
         data.append(DiffSeries(dataset=f"t{i}", x=x, rho=0.1))
     assert max(abs(d.mean) for d in data) < 0.002
     draws = fit(data, HierConfig(seed=5, chains=2, warmup=400, draws=400))
-    samples = next_dataset_probs(draws, ROPE, rng=RngStream(5, 1))
+    samples = next_dataset_probs(draws, ROPE)
     probs = simplex_region_probs(samples)
     assert probs.p_rope >= 0.95
     _pass("7d", f"P(rope) = {probs.p_rope:.3f} for near-identical classifiers")

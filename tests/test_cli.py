@@ -246,12 +246,13 @@ class TestMonteCarloMethods:
         bary = (out / "barycentric_alpha_vs_beta.csv").read_text().split("\n")
         assert bary[0] == "x,y" and len(bary) - 1 == EXPORT_POINTS + 1
 
-    def test_pair_run_equals_its_all_pairs_entry(self, score_csv, tmp_path):
-        # signed-rank pairs share one weight stream, so a pair's draws do not depend on its index
+    @pytest.mark.parametrize("method", ["sign", "signed-rank"])
+    def test_pair_run_equals_its_all_pairs_entry(self, score_csv, tmp_path, method):
+        # every pair draws on one stream of the seed, so its draws do not depend on its index
         runs = {}
         for name, selection in (("pair", ["--pair", "beta", "gamma"]), ("all", ["--all-pairs"])):
             out = tmp_path / name
-            assert run_cli("signed-rank", "--input", score_csv, *selection, "--samples", "20000",
+            assert run_cli(method, "--input", score_csv, *selection, "--samples", "20000",
                            "--seed", "9", "--output-dir", out) == 0
             entries = json.loads((out / "report.json").read_text())["results"]
             (entry,) = [e for e in entries if e["pair"] == ["beta", "gamma"]]
@@ -349,6 +350,14 @@ class TestHierarchicalCli:
         assert sorted(p.name for p in out.iterdir()) == [
             "barycentric_alpha_vs_beta.csv", "draws_alpha_vs_beta.csv", "report.json"]
 
+    def test_reports_over_every_pooled_draw(self, score_csv, tmp_path):
+        out = tmp_path / "out"
+        code = run_cli("hierarchical", "--input", score_csv, "--pair", "alpha", "beta", "--chains", "2",
+                       "--warmup", "10", "--draws", "2500", "--seed", "3", "--output-dir", out)
+        assert code in (0, 2)
+        bary = (out / "barycentric_alpha_vs_beta.csv").read_text().split("\n")
+        assert bary[0] == "x,y" and len(bary) - 2 == 5000
+
 
 class TestEnvironment:
     def test_output_dir_from_env(self, score_csv, tmp_path, monkeypatch):
@@ -414,9 +423,9 @@ class TestGoldenOutputs:
         }),
         (["sign", "--all-pairs", "--samples", "2000", "--seed", "3"], 0, {
             "barycentric_alpha_vs_beta.csv": "59ade73ef9f3de0b5268c4dd774e27830e7c1e2e5c3be37fc4b492fe5683cb49",
-            "barycentric_alpha_vs_gamma.csv": "09aaaf9fdcb621ab024486fa01bb33f2078934ba72c31860d048bf811aeee2f0",
-            "barycentric_beta_vs_gamma.csv": "727f1e928763939262b256633f926abec8e40e2cc24d4a89cec68c4ef6c517aa",
-            "report.json": "6c584aee2e8cde2dc2d220ae8c6103b61bb2c9b84a92fc21da58a27550837c9a",
+            "barycentric_alpha_vs_gamma.csv": "3553d8449b45c2664493d5b40e33ef432b12ea1bef0d21b9b5dbb92797ee3558",
+            "barycentric_beta_vs_gamma.csv": "3cf0e87d7de5f0bd5f9b07bc8a83da376b20f1838fd3170a9f7c295b9d1348b8",
+            "report.json": "8cbfea595b8966e317cfc5b9f23cc00bb42936f1d2af56703fea0872fd76bdfd",
         }),
         (["sign", "--pair", "beta", "gamma", "--samples", "2000", "--seed", "4",
           "--loss-matrix", "loss.json"], 0, {
@@ -525,8 +534,11 @@ class TestRuleAndIoErrors:
         (["signed-rank", "--prior-strength", "0"], "prior strength must be positive, got 0.0"),
         (["sign", "--samples", "0"], "count must be at least 1"),
         (["signed-rank", "--samples", "0"], "count must be at least 1"),
+        (["hierarchical", "--rho", "1"], "rho must lie in [0, 1), got 1.0"),
+        (["freq-ttest", "--rho", "1.5"], "rho must lie in [0, 1), got 1.5"),
+        (["bayes-ttest", "--rho", "-0.1"], "rho must lie in [0, 1), got -0.1"),
     ], ids=["chains", "draws", "warmup", "sign-prior-strength", "signed-rank-prior-strength",
-            "sign-samples", "signed-rank-samples"])
+            "sign-samples", "signed-rank-samples", "hierarchical-rho", "freq-ttest-rho", "bayes-ttest-rho"])
     def test_bad_method_flag_fails_before_any_work(self, score_csv, tmp_path, monkeypatch, capsys,
                                                    argv, message):
         def no_work(*args, **kwargs):
@@ -535,7 +547,8 @@ class TestRuleAndIoErrors:
         monkeypatch.setattr(cli, "parse_scores", no_work)
         out = tmp_path / "out"
         # the pair names a missing classifier, which reading the input would report first
-        code = run_cli(argv[0], "--input", score_csv, "--pair", "alpha", "zz", "--seed", "1",
+        seed = [] if argv[0] in ("freq-ttest", "bayes-ttest") else ["--seed", "1"]
+        code = run_cli(argv[0], "--input", score_csv, "--pair", "alpha", "zz", *seed,
                        *argv[1:], "--output-dir", out)
         assert code == 1
         assert not out.exists()

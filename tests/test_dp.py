@@ -170,10 +170,6 @@ class TestDirichletDraws:
 
 
 class TestSignedRankSamples:
-    def test_requires_rng(self):
-        with pytest.raises(ValueError, match="RngStream"):
-            signed_rank_samples(mdv([0.1, -0.2]), ROPE, DpPrior(), 100, None)
-
     def test_triples_sum_to_one_exactly(self, benchmark_z):
         samples = signed_rank_samples(benchmark_z, ROPE, DpPrior(), 20_000, RngStream(1))
         s = samples.samples

@@ -24,7 +24,7 @@ from cvcompare.hierarchical import (
     _truncated_gamma,
     _truncated_normal,
 )
-from cvcompare.kernels import RngStream, student_tail
+from cvcompare.kernels import student_tail
 
 RHO = 0.1
 
@@ -546,19 +546,12 @@ class TestNextDataset:
         samples = next_dataset_probs(draws, Rope(-0.01, 0.01))
         assert np.max(np.abs(samples.samples.sum(axis=1) - 1.0)) < 1e-12
 
-    def test_subsampling_needs_rng_and_is_deterministic(self):
-        draws = constant_draws(mu0=0.0, sigma0=0.02, nu=10.0, chains=2, draws=3000)
-        with pytest.raises(ValueError, match="RngStream"):
-            next_dataset_probs(draws, Rope(-0.01, 0.01), count=4000)
-        a = next_dataset_probs(draws, Rope(-0.01, 0.01), count=4000, rng=RngStream(1))
-        b = next_dataset_probs(draws, Rope(-0.01, 0.01), count=4000, rng=RngStream(1))
-        assert a.count == 4000
-        assert np.array_equal(a.samples, b.samples)
-
     def test_uses_all_draws_when_pool_is_small(self):
-        draws = constant_draws(mu0=0.0, sigma0=0.02, nu=10.0, chains=2, draws=100)
-        samples = next_dataset_probs(draws, Rope(-0.01, 0.01))
-        assert samples.count == 200
+        # 6,000 pooled draws, more than the 4,000 of a default fit
+        for per_chain in (100, 3000):
+            draws = constant_draws(mu0=0.0, sigma0=0.02, nu=10.0, chains=2, draws=per_chain)
+            samples = next_dataset_probs(draws, Rope(-0.01, 0.01))
+            assert samples.count == 2 * per_chain
 
 
 class TestShrinkage:

@@ -70,8 +70,8 @@ LIBRARY_SURFACE = {
     "dp.sign_test_params": "z, rope, prior",
     "dp.sign_test_samples": "params, count, rng",
     "dp.sign_test_probs": "params, count, rng",
-    "dp.signed_rank_batch": "vectors, rope, prior, count=150000, rng=None",
-    "dp.signed_rank_samples": "z, rope, prior, count=150000, rng=None",
+    "dp.signed_rank_batch": "vectors, rope, prior, count, rng",
+    "dp.signed_rank_samples": "z, rope, prior, count, rng",
     "dp.simplex_region_probs": "samples",
     "errors.CvCompareError": None,
     "errors.ParseError": None,
@@ -88,7 +88,7 @@ LIBRARY_SURFACE = {
     "hierarchical.ShrinkageRow": "dataset, sample_mean, posterior_mean, posterior_sd",
     "hierarchical.ShrinkageReport": "rows, pooled_abs_dev, sample_abs_dev",
     "hierarchical.fit": "data, cfg",
-    "hierarchical.next_dataset_probs": "draws, rope, count=4000, rng=None",
+    "hierarchical.next_dataset_probs": "draws, rope",
     "hierarchical.shrinkage_report": "draws, data",
     "hierarchical.split_rhat": "x",
     "hierarchical.effective_sample_size": "x",
