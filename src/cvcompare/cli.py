@@ -253,6 +253,8 @@ def run(args) -> int:
     if not input_path.is_file():
         raise CvCompareError(f"input file not found: {args.input}")
     rope = Rope(lower=args.rope[0], upper=args.rope[1])
+    if args.pair is not None and args.pair[0] == args.pair[1]:
+        raise ValueError(f"--pair needs two different classifiers, got {args.pair[0]!r} twice")
     rule, rule_json = _load_rule(args)
     # --rho and the method's sampler or prior settings fail like the rule before any work;
     # only the t-tests and hierarchical have --rho, the others read only the means

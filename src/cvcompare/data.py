@@ -34,6 +34,10 @@ __all__ = [
 
 CSV_HEADER = ("dataset", "classifier", "run", "fold", "score")
 
+# characters of records parse_scores splits and converts at a time; its peak
+# memory grows with one chunk's fields, not with the whole file's
+_CHUNK = 1 << 20
+
 
 @dataclass(frozen=True)
 class Rope:
@@ -230,26 +234,44 @@ def _read_text(source) -> str:
     return text.removeprefix("\ufeff")
 
 
-def _tokenize(text: str) -> tuple[list[str] | None, list[str], np.ndarray, tuple[int, int] | None]:
-    """Split ``text`` into records and fields.
+def _tokenize(text: str):
+    """Split ``text`` into records and fields, about ``_CHUNK`` characters of
+    records at a time.
 
     Records end at LF or CRLF outside quoted fields.  Returns the header's
-    fields (None for an empty text); the fields of the non-blank records
-    after it, five per record, up to the first record with another field
-    count; the line numbers of those records; and ``(line, field count)``
-    of that record, or None.  Line numbers count records from 1 for the
-    header, blank ones included.  Text without a quote is split with
-    ``str.split``, which gives the fields ``csv.reader`` would.
+    fields (None for an empty text) and an iterator of chunks, one per
+    stretch of records after the header.  A chunk holds the fields of its
+    non-blank records, five per record, and the line numbers of those
+    records, up to the first record with another field count; it then also
+    holds ``(line, field count)`` of that record, else None, and is the
+    last chunk.  Line numbers count records from 1 for the header, blank
+    ones included.  Text without a quote is split with ``str.split``, which
+    gives the fields ``csv.reader`` would.
     """
-    if '"' in text:
-        reader = csv.reader(io.StringIO(text, newline="\n"))
-        try:
-            records = list(reader)
-        except csv.Error as exc:
-            raise ParseError(f"malformed record: {exc}", line=reader.line_num) from None
-        header = records[0] if records else None
-        data = records[1:]
-        widths = np.fromiter(map(len, data), dtype=np.intp, count=len(data))
+    quoted = '"' in text
+    if quoted:
+        stream = io.StringIO(text, newline="\n")
+        reader = csv.reader(stream)
+
+        def read(size):
+            # the records up to the one holding the size-th character from here (a line break may
+            # lie inside a quoted field, so the reader finds where records end)
+            end = stream.tell() + size
+            records = []
+            try:
+                for record in reader:
+                    records.append(record)
+                    if stream.tell() > end:
+                        break
+            except csv.Error as exc:
+                raise ParseError(f"malformed record: {exc}", line=reader.line_num) from None
+            return records
+
+        header = next(iter(read(0)), None)
+        batches = (
+            (data, np.fromiter(map(len, data), dtype=np.intp, count=len(data)))
+            for data in iter(lambda: read(_CHUNK), [])
+        )
 
         def flatten(rows):
             return list(itertools.chain.from_iterable(rows))
@@ -259,41 +281,67 @@ def _tokenize(text: str) -> tuple[list[str] | None, list[str], np.ndarray, tuple
             if "\r" in text:
                 line = text.count("\n", 0, text.index("\r")) + 1
                 raise ParseError("carriage return outside a quoted field", line=line)
-        records = text.split("\n")
-        if records[-1] == "":
-            records.pop()  # the line break ending the last record
-        header = records[0].split(",") if records else None
-        data = records[1:]
-        widths = np.fromiter(map(str.count, data, itertools.repeat(",")), dtype=np.intp, count=len(data)) + 1
-        if "" in data:
-            # csv.reader reads an empty line as a record with no fields
-            widths[np.fromiter(map(len, data), dtype=np.intp, count=len(data)) == 0] = 0
+        end = text.find("\n")
+        end = len(text) if end < 0 else end
+        header = text[:end].split(",") if text else None
+        batches = _plain_batches(text, end + 1)
 
         def flatten(rows):
             return ",".join(rows).split(",")
-    nonblank = widths > 0
-    wrong = np.flatnonzero(nonblank & (widths != 5))
-    stop = int(wrong[0]) if wrong.size else len(data)
-    lines = np.flatnonzero(nonblank[:stop]) + 2
-    fields = flatten(itertools.compress(data[:stop], nonblank[:stop].tolist())) if lines.size else []
-    bad = (stop + 2, int(widths[stop])) if wrong.size else None
-    return header, fields, lines, bad
+
+    def chunks():
+        line = 2
+        for data, widths in batches:
+            nonblank = widths > 0
+            wrong = np.flatnonzero(nonblank & (widths != 5))
+            stop = int(wrong[0]) if wrong.size else len(data)
+            lines = np.flatnonzero(nonblank[:stop]) + line
+            fields = flatten(itertools.compress(data[:stop], nonblank[:stop].tolist())) if lines.size else []
+            if wrong.size:
+                if quoted:
+                    # csv.reader still reads the rest, so a malformed record there is reported first
+                    for _ in batches:
+                        pass
+                yield fields, lines, (line + stop, int(widths[stop]))
+                return
+            yield fields, lines, None
+            line += len(data)
+
+    return header, chunks()
 
 
-def _factorize(values: list) -> tuple[list, np.ndarray]:
-    """The distinct values in order of first appearance, and the position of
-    each value among them."""
-    position = {value: i for i, value in enumerate(dict.fromkeys(values))}
-    codes = np.fromiter(map(position.__getitem__, values), dtype=np.intp, count=len(values))
-    return list(position), codes
+def _plain_batches(text: str, start: int):
+    """The records of quote-free ``text`` from ``start`` on, in chunks that
+    end with the record holding each chunk's ``_CHUNK``-th character, with
+    each record's field count (0 for an empty line, which ``csv.reader``
+    reads as no fields)."""
+    while start < len(text):
+        stop = text.find("\n", start + _CHUNK)
+        stop = len(text) if stop < 0 else stop + 1
+        data = text[start:stop].split("\n")
+        if data[-1] == "":
+            data.pop()  # the line break ending the chunk's last record
+        widths = np.fromiter(map(str.count, data, itertools.repeat(",")), dtype=np.intp, count=len(data)) + 1
+        if "" in data:
+            widths[np.fromiter(map(len, data), dtype=np.intp, count=len(data)) == 0] = 0
+        yield data, widths
+        start = stop
 
 
-def _ids(values: list[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct ids, stripped of surrounding whitespace, in order of
-    first appearance, and the position of each value's id among them."""
-    raw, codes = _factorize(values)
-    ids, merged = _factorize([value.strip() for value in raw])
-    return ids, merged[codes]
+def _codes(position: dict, values: list) -> np.ndarray:
+    """The position of each value in ``position``, which first gains the
+    values it lacks, in order of first appearance."""
+    for value in dict.fromkeys(values):
+        position.setdefault(value, len(position))
+    return np.fromiter(map(position.__getitem__, values), dtype=np.intp, count=len(values))
+
+
+def _ids(position: dict, codes: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct ids of ``position``'s texts, stripped of surrounding
+    whitespace, in order of first appearance, and the id of each code."""
+    ids = {}
+    merged = _codes(ids, [value.strip() for value in position])
+    return list(ids), merged[codes]
 
 
 def _convert(values: list[str], dtype) -> np.ndarray:
@@ -309,6 +357,45 @@ def _convert(values: list[str], dtype) -> np.ndarray:
         except (ValueError, OverflowError):
             return np.array(values[:i], dtype=dtype)
     raise AssertionError("unreachable: the whole column converted one value at a time")
+
+
+def _columns(chunks) -> tuple[tuple[dict, dict], list[np.ndarray], list, tuple[int, int] | None]:
+    """The records of ``_tokenize``'s ``chunks`` as columns, each chunk's
+    fields converted to arrays and then freed.
+
+    Returns the dataset and classifier texts, each mapped to its position
+    in order of first appearance; the columns, joined over the chunks: each
+    row's dataset and classifier position, run, fold, score and line
+    number; the texts of the first values that do not convert; and the
+    record with a wrong field count, or None.  Run and fold, as a pair, and
+    score convert up to their first value that does not (``_convert``'s
+    rule), whose text is kept (else None); the column then takes nothing
+    from later chunks.
+    """
+    texts = ({}, {})
+    # dataset and classifier positions, run, fold, score, line numbers: one array per chunk
+    parts = tuple([np.empty(0, dtype)] for dtype in (np.intp, np.intp, np.int64, np.int64, float, np.intp))
+    faults = [None, None]
+    bad = None
+    for fields, lines, bad in chunks:
+        for i in (0, 1):
+            parts[i].append(_codes(texts[i], fields[i::5]))
+        if faults[0] is None:
+            run_text, fold_text = fields[2::5], fields[3::5]
+            run, fold = _convert(run_text, np.int64), _convert(fold_text, np.int64)
+            m = min(run.size, fold.size)
+            parts[2].append(run[:m])
+            parts[3].append(fold[:m])
+            if m < len(lines):
+                faults[0] = run_text[m], fold_text[m]
+        if faults[1] is None:
+            score_text = fields[4::5]
+            score = _convert(score_text, float)
+            parts[4].append(score)
+            if score.size < len(lines):
+                faults[1] = score_text[score.size]
+        parts[5].append(lines)
+    return texts, [np.concatenate(part) for part in parts], faults, bad
 
 
 def _first_repeat(ids: np.ndarray, run: np.ndarray, fold: np.ndarray) -> int | None:
@@ -331,12 +418,21 @@ def parse_scores(source) -> ScoreTable:
     ending at LF or CRLF).  Raises :class:`ParseError` with the line number
     of the earliest malformed row and :class:`ShapeError` for ragged
     matrices.  Each check runs once over a whole column.
+
+    The text is split and converted about ``_CHUNK`` characters of records
+    at a time, so besides the input text its peak memory holds one chunk's
+    field strings and the column arrays (six 8-byte values per row), not a
+    string per field of the whole file; the finished table then holds its
+    scores twice while :class:`ScoreTable` copies them.
     """
-    header, fields, lines, bad = _tokenize(_read_text(source))
+    header, chunks = _tokenize(_read_text(source))
+    texts, columns, faults, bad = _columns(chunks)
     if header is None:
         raise ParseError("no rows")
     if tuple(h.strip().lower() for h in header) != CSV_HEADER:
         raise ParseError(f"expected header {','.join(CSV_HEADER)}, got {','.join(header)}", line=1)
+    d, c, run, fold, score, lines = columns
+    del columns
     n = len(lines)
     if not n and bad is None:
         raise ParseError("no rows")
@@ -347,20 +443,17 @@ def parse_scores(source) -> ScoreTable:
     failures = []
     if bad is not None:
         failures.append((n, bad[0], f"expected 5 columns, got {bad[1]}"))
-    datasets, d = _ids(fields[0::5])
-    classifiers, c = _ids(fields[1::5])
+    datasets, d = _ids(texts[0], d)
+    classifiers, c = _ids(texts[1], c)
     empty = [_first(codes == ids.index("")) for ids, codes in ((datasets, d), (classifiers, c)) if "" in ids]
     if empty:
         failures.append((min(empty), lines[min(empty)], "empty dataset or classifier id"))
-    run_text, fold_text, score_text = fields[2::5], fields[3::5], fields[4::5]
-    del fields
-    run, fold = _convert(run_text, np.int64), _convert(fold_text, np.int64)
-    m = min(run.size, fold.size)
-    run, fold = run[:m], fold[:m]
-    if m < n:
-        values = f"{run_text[m]!r}/{fold_text[m]!r}"
+    m = run.size
+    if faults[0] is not None:
+        run_text, fold_text = faults[0]
+        values = f"{run_text!r}/{fold_text!r}"
         try:
-            int(run_text[m]), int(fold_text[m])
+            int(run_text), int(fold_text)
         except ValueError:
             failures.append((m, lines[m], f"run/fold must be integers, got {values}"))
         else:
@@ -368,9 +461,8 @@ def parse_scores(source) -> ScoreTable:
     i = _first((run < 0) | (fold < 0))
     if i is not None:
         failures.append((i, lines[i], "run and fold must be non-negative"))
-    score = _convert(score_text, float)
-    if score.size < n:
-        failures.append((score.size, lines[score.size], f"non-numeric score {score_text[score.size]!r}"))
+    if faults[1] is not None:
+        failures.append((score.size, lines[score.size], f"non-numeric score {faults[1]!r}"))
     i = _first(~np.isfinite(score) | (score < 0.0) | (score > 100.0))
     if i is not None:
         failures.append((i, lines[i], f"score {float(score[i])!r} outside [0, 100]"))
@@ -403,6 +495,7 @@ def parse_scores(source) -> ScoreTable:
         )
     grid = np.empty((len(keys), runs, folds))
     grid[ids, run, fold] = score / 100.0 if score.max() > 1.0 else score
+    del d, c, run, fold, score, lines, inverse, ids  # freed before ScoreTable copies the grid
     return ScoreTable(entries=dict(zip(keys, grid)), runs=runs, folds=folds)
 
 

@@ -554,6 +554,21 @@ class TestRuleAndIoErrors:
         assert not out.exists()
         assert capsys.readouterr().err == f"cvcompare: validation: {message}\n"
 
+    @pytest.mark.parametrize("method", [argv[0] for argv in SUBCOMMANDS])
+    def test_pair_of_one_classifier_fails_before_any_work(self, score_csv, tmp_path, monkeypatch, capsys,
+                                                          method):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the input was parsed before the pair was checked")
+
+        monkeypatch.setattr(cli, "parse_scores", no_work)
+        out = tmp_path / "out"
+        seed = ["--seed", "1"] if method in ("sign", "signed-rank", "hierarchical") else []
+        code = run_cli(method, "--input", score_csv, "--pair", "alpha", "alpha", *seed, "--output-dir", out)
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "cvcompare: validation: --pair needs two different classifiers, got 'alpha' twice\n"
+
     def test_missing_loss_matrix_is_an_io_error(self, score_csv, tmp_path, capsys):
         out = tmp_path / "out"
         code = run_cli("sign", "--input", score_csv, "--pair", "alpha", "beta", "--seed", "1",
@@ -615,24 +630,29 @@ class TestNonFiniteInputs:
 
 class TestErrorComponents:
     @pytest.mark.parametrize("argv, line", [
-        (["sign", "--pair", "alpha"], "cvcompare: usage: argument --pair: expected 2 arguments"),
-        (["wilcoxon", "--pair", "alpha", "beta", "--rope", "0.1", "0.2"],
+        (["sign", "--input", "{scores}", "--pair", "alpha"],
+         "cvcompare: usage: argument --pair: expected 2 arguments"),
+        (["wilcoxon", "--input", "{scores}", "--pair", "alpha", "beta", "--rope", "0.1", "0.2"],
          "cvcompare: validation: rope must contain zero, got [0.1, 0.2]"),
-        (["wilcoxon", "--pair", "alpha", "nope"],
+        (["wilcoxon", "--input", "{scores}", "--pair", "alpha", "nope"],
          "cvcompare: data: classifiers 'alpha'/'nope' missing for datasets: ds0, ds1, ds2, ds3, ds4, ds5"),
-        (["freq-ttest", "--pair", "alpha", "alpha", "--dataset", "ds0"],
+        (["freq-ttest", "--input", "{flat}", "--pair", "alpha", "beta", "--dataset", "ds0"],
          "cvcompare: frequentist: dataset 'ds0': zero variance, t statistic undefined"),
-        (["wilcoxon", "--pair", "alpha", "beta", "--loss-matrix", "{missing}"],
+        (["wilcoxon", "--input", "{scores}", "--pair", "alpha", "beta", "--loss-matrix", "{missing}"],
          "cvcompare: io: [Errno 2] No such file or directory: '{missing}'"),
     ], ids=["usage", "validation", "data", "frequentist", "io"])
     def test_each_component_prefixes_its_error(self, score_csv, tmp_path, capsys, argv, line):
-        missing = str(tmp_path / "missing.json")
-        argv = [a.format(missing=missing) for a in argv]
+        # alpha - beta is 0.25 in every fold of ds0, exactly
+        flat = tmp_path / "flat.csv"
+        entries = {("ds0", "alpha"): np.array([[0.75, 0.625]]), ("ds0", "beta"): np.array([[0.5, 0.375]])}
+        flat.write_text(ScoreTable(entries=entries, runs=1, folds=2).to_csv())
+        paths = {"scores": score_csv, "flat": flat, "missing": tmp_path / "missing.json"}
+        argv = [a.format(**paths) for a in argv]
         out = tmp_path / "out"
-        code = run_cli(argv[0], "--input", score_csv, *argv[1:], "--output-dir", out)
+        code = run_cli(*argv, "--output-dir", out)
         assert code == 1
         assert not out.exists()
-        assert capsys.readouterr().err == line.format(missing=missing) + "\n"
+        assert capsys.readouterr().err == line.format(**paths) + "\n"
 
 
 class TestByteOrderMark:

@@ -1,13 +1,16 @@
 import csv
 import io
+import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvcompare import data
 from cvcompare.data import (
     CSV_HEADER,
     DiffSeries,
@@ -383,11 +386,112 @@ def outcome(parse, text):
     return runs, folds, [(key, scores.tobytes()) for key, scores in entries.items()]
 
 
+def test_parse_memory_grows_with_the_columns_not_the_fields():
+    # 100,000 rows of about 33 characters: a parse holding a string per field
+    # of the whole text peaks at 11.3 times its length, chunk by chunk at 6.8
+    classifiers = tuple(f"clf{j}" for j in range(10))
+    text = make_table(n_datasets=100, classifiers=classifiers, runs=10, folds=10, seed=1).to_csv()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        parse_scores(text)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * len(text)
+
+
 class TestAgainstRowLoop:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=400, deadline=None)
     def test_same_table_or_same_error(self, seed):
         text = mutated_file(seed)
+        assert outcome(parse_scores, text) == outcome(reference_parse, text)
+
+    @pytest.mark.parametrize("chunk", [1, 40])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_same_table_or_same_error_chunk_by_chunk(self, chunk, seed):
+        # one or a few records per chunk, on quoted and quote-free text alike
+        text = mutated_file(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data, "_CHUNK", chunk)
+            assert outcome(parse_scores, text) == outcome(reference_parse, text)
+
+
+@pytest.fixture(scope="module")
+def long_rows():
+    """Rows of a valid table that spans two default chunks: 170 keys of 10 x 10
+    cells with long ids, and the index of the second chunk's first record."""
+    scores = np.random.default_rng(5).uniform(size=17000).tolist()
+    rows = [
+        [f"dataset-{k // 5:04d}-of-a-benchmark-suite", f"classifier-{k % 5}", str(r), str(f), repr(scores[i])]
+        for i, (k, r, f) in enumerate(itertools.product(range(170), range(10), range(10)))
+    ]
+    return rows, second_chunk_start(csv_for(rows))
+
+
+def second_chunk_start(text):
+    """Index of the first record that the second default chunk of ``text`` holds."""
+    cut = text.find("\n", text.index("\n") + 1 + data._CHUNK) + 1
+    return text.count("\n", 0, cut) - 1
+
+
+class TestChunkBoundary:
+    """Faults after the first default chunk give the row loop's error and line."""
+
+    # (record, fields, value) edits; record counts from the second chunk's first record
+    @pytest.mark.parametrize("edits", [
+        [],
+        [(0, slice(3, None), [])],
+        [(0, 2, "x")],
+        [(1, 3, "1.5")],
+        [(0, 3, "-1")],
+        [(0, 4, "oops")],
+        [(2, 4, "100.5")],
+        [(0, 0, " ")],
+        [(0, slice(0, 4), ["dataset-0000-of-a-benchmark-suite", "classifier-0", "0", "0"])],
+        # a failure in the first chunk wins over a later one in another column
+        [(-1000, 4, "oops"), (0, 2, "x")],
+        [(-1000, 2, "x"), (0, 4, "oops")],
+    ], ids=["none", "wrong-width", "bad-run", "bad-fold", "negative-fold", "non-numeric-score",
+            "score-out-of-range", "empty-id", "duplicate-of-first-chunk", "score-fault-first",
+            "run-fault-first"])
+    def test_fault_after_the_first_chunk(self, long_rows, edits):
+        rows, b = [list(row) for row in long_rows[0]], long_rows[1]
+        assert 1000 < b < len(rows) - 1000
+        for record, fields, value in edits:
+            rows[b + record][fields] = value
+        text = csv_for(rows)
+        assert outcome(parse_scores, text) == outcome(reference_parse, text)
+
+    @pytest.mark.parametrize("fault", [False, True], ids=["table", "fault"])
+    def test_blank_lines_at_the_boundary(self, long_rows, fault):
+        rows, b = [list(row) for row in long_rows[0]], long_rows[1]
+        if fault:
+            rows[b + 4][4] = "oops"
+        rows[b - 1:b + 1] = [rows[b - 1], [], [], rows[b], []]
+        text = csv_for(rows)
+        assert outcome(parse_scores, text) == outcome(reference_parse, text)
+
+    def test_malformed_record_after_a_wrong_width_is_reported(self, long_rows):
+        rows, b = [list(row) for row in long_rows[0]], long_rows[1]
+        rows[0][0] = f'"{rows[0][0]}"'  # quoted text goes through csv.reader
+        rows[3] = rows[3][:4]
+        rows[b + 10][0] = "d\rx"
+        with pytest.raises(ParseError, match=f"^line {b + 12}: malformed record"):
+            parse_scores(csv_for(rows))
+
+    @pytest.mark.parametrize("fault", [False, True], ids=["table", "fault"])
+    def test_quoted_line_breaks_across_the_boundary(self, long_rows, fault):
+        rows, b = [list(row) for row in long_rows[0]], long_rows[1]
+        # every record from 200 before the cut to 200 after it names a dataset holding a line break
+        for row in rows[b - 200:b + 200]:
+            row[0] = f'"{row[0]}\nx"'
+        if fault:
+            rows[b + 300][4] = "oops"
+        text = csv_for(rows)
         assert outcome(parse_scores, text) == outcome(reference_parse, text)
 
 
