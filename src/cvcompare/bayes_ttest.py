@@ -7,7 +7,7 @@ difference is
     St(mu; n - 1, mean, (1/n + rho/(1-rho)) sd^2)
 
 and numerically coincides with the sampling distribution of the frequentist
-correlated t-test.
+correlated t-test.  ``rope_probs`` returns a ``decisions.TrinomialProbs``.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .data import DiffSeries, Rope
+from .decisions import TrinomialProbs
 from .kernels import LocScaleStudent, student_cdf, student_quantile, student_sf
 
 __all__ = [
-    "TrinomialProbs",
     "HdiSet",
     "posterior",
     "rope_probs",
@@ -27,32 +27,6 @@ __all__ = [
 ]
 
 DEFAULT_HDI_LEVELS = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
-
-
-@dataclass(frozen=True)
-class TrinomialProbs:
-    """Probabilities of the three ROPE outcomes for differences x = A - B.
-
-    ``p_left`` is the probability that the mean difference lies below the
-    rope (classifier A practically worse), ``p_right`` that it lies above
-    (A practically better).  ``mc_stderr`` carries Monte-Carlo standard
-    errors when the probabilities were estimated by sampling.
-    """
-
-    p_left: float
-    p_rope: float
-    p_right: float
-    mc_stderr: tuple[float, float, float] | None = None
-
-    def __post_init__(self) -> None:
-        for p in (self.p_left, self.p_rope, self.p_right):
-            if not -1e-12 <= p <= 1.0 + 1e-12:
-                raise ValueError(f"probability {p} outside [0, 1]")
-        if abs(self.p_left + self.p_rope + self.p_right - 1.0) > 1e-9:
-            raise ValueError("trinomial probabilities must sum to 1")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.p_left, self.p_rope, self.p_right)
 
 
 @dataclass(frozen=True)

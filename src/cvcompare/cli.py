@@ -32,15 +32,8 @@ from .data import (
     paired_differences,
     parse_scores,
 )
-from .decisions import LossMatrix, decide, rule_record
-from .dp import (
-    DEFAULT_SAMPLE_COUNT,
-    DpPrior,
-    sign_test_params,
-    sign_test_samples,
-    signed_rank_batch,
-    simplex_region_probs,
-)
+from .decisions import _OUTCOMES, LossMatrix, decide, rule_record, simplex_region_probs
+from .dp import DEFAULT_SAMPLE_COUNT, DpPrior, sign_test_params, sign_test_samples, signed_rank_batch
 from .errors import CoverageError, CvCompareError
 from .frequentist import correlated_ttest, wilcoxon_signed_rank
 from .hierarchical import HierConfig, fit, next_dataset_probs
@@ -80,12 +73,6 @@ def _export_names(template: str, sources: list[tuple[str, ...]]) -> list[str]:
             raise CvCompareError(f"{owners[name]!r} and {label!r} would both be exported to {name}")
         owners[name] = label
     return list(owners)
-
-
-def _outcomes_json(left, rope, right) -> dict:
-    # report keys name the classifiers explicitly: differences are A - B,
-    # so the "left" outcome means B is practically better
-    return {"a_better": right, "rope": rope, "b_better": left}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,7 +258,10 @@ def run(args) -> int:
     raw = input_path.read_bytes()  # no newline translation
     # parse_scores drops a leading byte-order mark, so the input's digest does too
     digest = hashlib.sha256(raw.removeprefix(codecs.BOM_UTF8)).hexdigest()
+    # decoded here so the bytes are freed before the parse, and the text after it
+    raw = raw.decode("utf-8")
     table = parse_scores(raw)
+    del raw
 
     # the comparisons: one per dataset for the t-tests, else one per classifier pair
     if args.method in ("freq-ttest", "bayes-ttest"):
@@ -306,8 +296,8 @@ def run(args) -> int:
         entry = {"pair": [a, b], "method": args.method, **fields}
         if probs is not None:
             entry.update({
-                "probs": _outcomes_json(probs.p_left, probs.p_rope, probs.p_right),
-                "mc_stderr": None if probs.mc_stderr is None else _outcomes_json(*probs.mc_stderr),
+                "probs": dict(zip(_OUTCOMES, probs.as_tuple())),
+                "mc_stderr": None if probs.mc_stderr is None else dict(zip(_OUTCOMES, probs.mc_stderr)),
                 "decision": decide(probs, rule).verdict.value, "rule": rule_json,
                 "seed": getattr(args, "seed", None),
             })

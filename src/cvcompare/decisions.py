@@ -1,10 +1,17 @@
-"""Turn rope probabilities into decisions and cross-tabulated summaries.
+"""Rope outcomes, and the decisions and cross-tabulations drawn from them.
 
-Two rules are offered: a probability threshold (declare an outcome when
-its posterior probability strictly exceeds the threshold) and expected
-loss minimisation under a 4 x 3 loss matrix.  With the default matrix the
-two rules coincide, since a 0.05 error probability times a loss of 20
-equals the unit cost of abstaining.
+Every Bayesian test ends in three rope outcomes of the differences
+x = A - B: left (A practically worse), rope, and right (A practically
+better).  This module owns their types (``TrinomialProbs``,
+``TrinomialSamples``), the argmax region rule ``simplex_region_probs`` and
+the one map from each outcome to its report key and verdict; it imports no
+other cvcompare module.
+
+Two rules turn probabilities into a verdict: a probability threshold
+(declare an outcome when its posterior probability strictly exceeds the
+threshold) and expected loss minimisation under a 4 x 3 loss matrix.  With
+the default matrix the two rules coincide, since a 0.05 error probability
+times a loss of 20 equals the unit cost of abstaining.
 """
 
 from __future__ import annotations
@@ -15,9 +22,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .bayes_ttest import TrinomialProbs
-
 __all__ = [
+    "TrinomialProbs",
+    "TrinomialSamples",
+    "simplex_region_probs",
     "Verdict",
     "Decision",
     "LossMatrix",
@@ -31,6 +39,72 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class TrinomialProbs:
+    """Probabilities of the three ROPE outcomes for differences x = A - B.
+
+    ``p_left`` is the probability that the mean difference lies below the
+    rope (classifier A practically worse), ``p_right`` that it lies above
+    (A practically better).  ``mc_stderr`` carries Monte-Carlo standard
+    errors when the probabilities were estimated by sampling.
+    """
+
+    p_left: float
+    p_rope: float
+    p_right: float
+    mc_stderr: tuple[float, float, float] | None = None
+
+    def __post_init__(self) -> None:
+        for p in (self.p_left, self.p_rope, self.p_right):
+            if not -1e-12 <= p <= 1.0 + 1e-12:
+                raise ValueError(f"probability {p} outside [0, 1]")
+        if abs(self.p_left + self.p_rope + self.p_right - 1.0) > 1e-9:
+            raise ValueError("trinomial probabilities must sum to 1")
+
+    def as_tuple(self) -> tuple[float, float, float]:
+        return (self.p_left, self.p_rope, self.p_right)
+
+
+@dataclass(frozen=True)
+class TrinomialSamples:
+    """Monte-Carlo draws of (theta_left, theta_rope, theta_right)."""
+
+    samples: np.ndarray
+
+    def __post_init__(self) -> None:
+        s = np.asarray(self.samples, dtype=float)
+        object.__setattr__(self, "samples", s)
+        if s.ndim != 2 or s.shape[1] != 3 or s.shape[0] == 0:
+            raise ValueError("samples must be a non-empty (count, 3) matrix")
+        if not s.min() >= 0.0:  # NaN fails this test too
+            raise ValueError("theta draws must be non-negative")
+        if not np.max(np.abs(s.sum(axis=1) - 1.0)) <= 1e-12:
+            raise ValueError("theta draws must sum to one")
+
+    @property
+    def count(self) -> int:
+        return int(self.samples.shape[0])
+
+
+def simplex_region_probs(samples: TrinomialSamples) -> TrinomialProbs:
+    """Fraction of draws in each argmax region of the simplex.
+
+    A draw belongs to region i when theta_i >= max of the others; ties
+    are resolved toward the rope, then toward the left region.  Reports
+    binomial Monte-Carlo standard errors alongside the fractions.
+    """
+    t = samples.samples
+    rope_win = (t[:, 1] >= t[:, 0]) & (t[:, 1] >= t[:, 2])
+    left_win = ~rope_win & (t[:, 0] >= t[:, 2])
+    n = samples.count
+    n_rope = int(np.count_nonzero(rope_win))
+    n_left = int(np.count_nonzero(left_win))
+    n_right = n - n_rope - n_left
+    p_left, p_rope, p_right = n_left / n, n_rope / n, n_right / n
+    se = tuple(float(np.sqrt(p * (1.0 - p) / n)) for p in (p_left, p_rope, p_right))
+    return TrinomialProbs(p_left=p_left, p_rope=p_rope, p_right=p_right, mc_stderr=se)
+
+
 class Verdict(str, Enum):
     A_BETTER = "a-better"
     B_BETTER = "b-better"
@@ -38,18 +112,20 @@ class Verdict(str, Enum):
     NO_DECISION = "no-decision"
 
 
+# each rope outcome in (left, rope, right) order: its report key and its verdict.  The
+# differences are A - B, so the left outcome, below the rope, means B is practically better
+_OUTCOMES = {"b_better": Verdict.B_BETTER, "rope": Verdict.EQUIVALENT, "a_better": Verdict.A_BETTER}
+# actions indexed as (decide-left, decide-rope, decide-right, no-decision)
+_ACTION_VERDICTS = (*_OUTCOMES.values(), Verdict.NO_DECISION)
+# tie preference: abstain first, then the rope, then left before right
+_TIE_ORDER = (3, 1, 0, 2)
+
+
 @dataclass(frozen=True)
 class Decision:
     verdict: Verdict
     probs: TrinomialProbs
     rule: dict
-
-
-# actions indexed as (decide-left, decide-rope, decide-right, no-decision);
-# the "left" outcome (mean difference below the rope) means A is worse
-_ACTION_VERDICTS = (Verdict.B_BETTER, Verdict.EQUIVALENT, Verdict.A_BETTER, Verdict.NO_DECISION)
-# tie preference: abstain first, then the rope, then left before right
-_TIE_ORDER = (3, 1, 0, 2)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ a mixture of point masses at the observations plus one prior
 pseudo-observation whose weight vector is Dirichlet(s, 1, ..., 1).  The
 sign test has a closed-form Dirichlet posterior over the three rope
 outcomes; the signed-rank test pushes the sampled weights through the
-pairwise-sum statistic and is evaluated by Monte Carlo.
+pairwise-sum statistic and is evaluated by Monte Carlo.  Both samplers
+return ``decisions.TrinomialSamples``.
 
 Conventions (differences are x = A - B for the pair "A vs B"):
 
@@ -44,20 +45,18 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .bayes_ttest import TrinomialProbs
 from .data import MeanDiffVector, Rope
+from .decisions import TrinomialProbs, TrinomialSamples, simplex_region_probs
 from .kernels import RngStream
 
 __all__ = [
     "DpPrior",
     "DirichletParams",
-    "TrinomialSamples",
     "sign_test_params",
     "sign_test_samples",
     "sign_test_probs",
     "signed_rank_batch",
     "signed_rank_samples",
-    "simplex_region_probs",
 ]
 
 Placement = Literal["left", "rope", "right"]
@@ -103,27 +102,6 @@ class DirichletParams:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a_left, self.a_rope, self.a_right])
-
-
-@dataclass(frozen=True)
-class TrinomialSamples:
-    """Monte-Carlo draws of (theta_left, theta_rope, theta_right)."""
-
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.samples, dtype=float)
-        object.__setattr__(self, "samples", s)
-        if s.ndim != 2 or s.shape[1] != 3 or s.shape[0] == 0:
-            raise ValueError("samples must be a non-empty (count, 3) matrix")
-        if not s.min() >= 0.0:  # NaN fails this test too
-            raise ValueError("theta draws must be non-negative")
-        if not np.max(np.abs(s.sum(axis=1) - 1.0)) <= 1e-12:
-            raise ValueError("theta draws must sum to one")
-
-    @property
-    def count(self) -> int:
-        return int(self.samples.shape[0])
 
 
 def sign_test_params(z: MeanDiffVector, rope: Rope, prior: DpPrior) -> DirichletParams:
@@ -281,23 +259,3 @@ def signed_rank_samples(
 ) -> TrinomialSamples:
     """Monte-Carlo draws of the signed-rank theta triple: ``signed_rank_batch`` of ``z`` alone."""
     return signed_rank_batch([z], rope, prior, count, rng)[0]
-
-
-def simplex_region_probs(samples: TrinomialSamples) -> TrinomialProbs:
-    """Fraction of draws in each argmax region of the simplex.
-
-    A draw belongs to region i when theta_i >= max of the others; ties
-    are resolved toward the rope, then toward the left region.  Reports
-    binomial Monte-Carlo standard errors alongside the fractions.
-    """
-    t = samples.samples
-    rope_win = (t[:, 1] >= t[:, 0]) & (t[:, 1] >= t[:, 2])
-    left_win = ~rope_win & (t[:, 0] >= t[:, 2])
-    n = samples.count
-    n_rope = int(np.count_nonzero(rope_win))
-    n_left = int(np.count_nonzero(left_win))
-    n_right = n - n_rope - n_left
-    p_left, p_rope, p_right = n_left / n, n_rope / n, n_right / n
-    se = tuple(float(np.sqrt(p * (1.0 - p) / n)) for p in (p_left, p_rope, p_right))
-    return TrinomialProbs(p_left=p_left, p_rope=p_rope, p_right=p_right, mc_stderr=se)
-

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import DiffSeries, Rope, _csv_text
-from .dp import TrinomialSamples
+from .decisions import TrinomialSamples
 from .kernels import RngStream, _student_below_array
 
 __all__ = [

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _csv_text
-from .dp import TrinomialSamples
+from .decisions import TrinomialSamples
 
 __all__ = [
     "EXPORT_POINTS",

@@ -10,16 +10,17 @@ import time
 import numpy as np
 import pytest
 
-from cvcompare.bayes_ttest import TrinomialProbs, posterior, rope_probs
+from cvcompare.bayes_ttest import posterior, rope_probs
 from cvcompare.data import DiffSeries, MeanDiffVector, Rope
-from cvcompare.decisions import LossMatrix, decision_table, loss_decision, threshold_decision
-from cvcompare.dp import (
-    DirichletParams,
-    DpPrior,
-    sign_test_probs,
-    signed_rank_samples,
+from cvcompare.decisions import (
+    LossMatrix,
+    TrinomialProbs,
+    decision_table,
+    loss_decision,
     simplex_region_probs,
+    threshold_decision,
 )
+from cvcompare.dp import DirichletParams, DpPrior, sign_test_probs, signed_rank_samples
 from cvcompare.frequentist import correlated_ttest, wilcoxon_signed_rank
 from cvcompare.hierarchical import HierConfig, fit, next_dataset_probs
 from cvcompare.kernels import LocScaleStudent, RngStream, student_cdf

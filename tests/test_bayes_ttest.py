@@ -3,14 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvcompare.bayes_ttest import (
-    TrinomialProbs,
-    direction_prob,
-    hdis,
-    posterior,
-    rope_probs,
-)
+from cvcompare.bayes_ttest import direction_prob, hdis, posterior, rope_probs
 from cvcompare.data import DiffSeries, Rope
+from cvcompare.decisions import TrinomialProbs
 from cvcompare.frequentist import correlated_ttest
 from cvcompare.kernels import LocScaleStudent, student_cdf
 

@@ -11,7 +11,8 @@ from cvcompare import cli
 from cvcompare.cli import build_parser, main
 from cvcompare.bayes_ttest import hdis, posterior
 from cvcompare.data import Rope, ScoreTable, mean_differences, paired_differences, parse_scores
-from cvcompare.dp import DpPrior, signed_rank_samples, simplex_region_probs
+from cvcompare.decisions import simplex_region_probs
+from cvcompare.dp import DpPrior, signed_rank_samples
 from cvcompare.kernels import RngStream
 from cvcompare.report import EXPORT_POINTS
 
@@ -83,6 +84,19 @@ class TestValidation:
         assert code == 1
         assert "cvcompare: data:" in capsys.readouterr().err
 
+    def test_input_that_is_not_utf8(self, score_csv, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(score_csv.read_bytes() + b"ds9,alpha,0,0,0.5\xff\n")
+        out = tmp_path / "out"
+        code = run_cli("wilcoxon", "--input", bad, "--pair", "alpha", "beta", "--output-dir", out)
+        assert code == 1
+        assert not out.exists()
+        position = len(score_csv.read_bytes()) + len("ds9,alpha,0,0,0.5")
+        assert capsys.readouterr().err == (
+            f"cvcompare: validation: 'utf-8' codec can't decode byte 0xff in position {position}: "
+            "invalid start byte\n"
+        )
+
     def test_missing_classifier(self, score_csv, tmp_path, capsys):
         code = run_cli("wilcoxon", "--input", score_csv, "--pair", "alpha", "nope",
                        "--output-dir", tmp_path / "out")
@@ -149,6 +163,26 @@ class TestFreqAndBayes:
             )
         assert (out / "hdi.csv").exists()
         assert (out / "density_ds0.csv").exists()
+
+    @pytest.mark.parametrize("pair, key, decision", [
+        (("strong", "weak"), "a_better", "a-better"),
+        (("weak", "strong"), "b_better", "b-better"),
+    ], ids=["a-first", "b-first"])
+    def test_report_key_and_decision_name_the_same_classifier(self, tmp_path, pair, key, decision):
+        # strong beats weak by about 0.1 on every fold: the key holding the larger
+        # probability and the decision must both name it, in either order
+        rng = np.random.default_rng(8)
+        base = rng.uniform(0.6, 0.8, size=(2, 5))
+        table = ScoreTable(entries={("ds0", "strong"): base + 0.1 + rng.uniform(-0.01, 0.01, size=(2, 5)),
+                                    ("ds0", "weak"): base}, runs=2, folds=5)
+        path = tmp_path / "scores.csv"
+        path.write_text(table.to_csv(), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("bayes-ttest", "--input", path, "--pair", *pair, "--output-dir", out) == 0
+        (entry,) = json.loads((out / "report.json").read_text())["results"]
+        assert max(entry["probs"], key=entry["probs"].get) == key
+        assert entry["probs"][key] > 0.95
+        assert entry["decision"] == decision
 
     def test_hdi_csv_quotes_dataset_ids(self, tmp_path):
         path = renamed_csv(tmp_path, ("alpha", "beta"), ['"iris, binary"', "ds1"])

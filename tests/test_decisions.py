@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from cvcompare.bayes_ttest import TrinomialProbs
 from cvcompare.decisions import (
     Decision,
     LossMatrix,
+    TrinomialProbs,
     Verdict,
     decision_table,
     loss_decision,

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from cvcompare.data import MeanDiffVector, Rope
+from cvcompare.decisions import TrinomialSamples, simplex_region_probs
 from cvcompare.dp import (
     _BLOCK,
     DirichletParams,
     DpPrior,
-    TrinomialSamples,
     _pair_sides,
     _side_mass,
     sign_test_params,
@@ -17,7 +17,6 @@ from cvcompare.dp import (
     sign_test_samples,
     signed_rank_batch,
     signed_rank_samples,
-    simplex_region_probs,
 )
 from cvcompare.kernels import RngStream
 

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from cvcompare.data import DiffSeries, Rope
-from cvcompare.dp import simplex_region_probs
+from cvcompare.decisions import simplex_region_probs
 from cvcompare.hierarchical import (
     _SIGMA_FLOOR,
     Diagnostic,

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -40,7 +41,6 @@ def knobs(obj):
 
 # every settable value of the library; adding or removing one is a diff here
 LIBRARY_SURFACE = {
-    "bayes_ttest.TrinomialProbs": "p_left, p_rope, p_right, mc_stderr=None",
     "bayes_ttest.HdiSet": "levels, intervals",
     "bayes_ttest.posterior": "d",
     "bayes_ttest.rope_probs": "post, rope",
@@ -54,6 +54,9 @@ LIBRARY_SURFACE = {
     "data.parse_scores": "source",
     "data.paired_differences": "table, a, b, rho=None",
     "data.mean_differences": "diffs",
+    "decisions.TrinomialProbs": "p_left, p_rope, p_right, mc_stderr=None",
+    "decisions.TrinomialSamples": "samples",
+    "decisions.simplex_region_probs": "samples",
     "decisions.Verdict": None,
     "decisions.Decision": "verdict, probs, rule",
     "decisions.LossMatrix": "matrix",
@@ -66,13 +69,11 @@ LIBRARY_SURFACE = {
     "decisions.decision_table": "results, rule=0.95, pvalues=None, alpha=0.05",
     "dp.DpPrior": "s=0.5, z0='rope'",
     "dp.DirichletParams": "a_left, a_rope, a_right",
-    "dp.TrinomialSamples": "samples",
     "dp.sign_test_params": "z, rope, prior",
     "dp.sign_test_samples": "params, count, rng",
     "dp.sign_test_probs": "params, count, rng",
     "dp.signed_rank_batch": "vectors, rope, prior, count, rng",
     "dp.signed_rank_samples": "z, rope, prior, count, rng",
-    "dp.simplex_region_probs": "samples",
     "errors.CvCompareError": None,
     "errors.ParseError": None,
     "errors.ShapeError": None,
@@ -125,6 +126,21 @@ def test_package_exports_exactly_the_modules_public_names():
         name for name, value in vars(cvcompare).items() if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert exported == declared
+
+
+def relative_imports(module):
+    """The cvcompare modules that ``module`` names in its ``from .x import`` lines."""
+    source = (Path(cvcompare.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
+    return {node.module for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is not None}
+
+
+def test_rope_outcomes_live_below_the_method_modules():
+    # decisions owns the rope outcome types and the region rule, so a method
+    # module that needs them imports decisions, never another method's module
+    assert relative_imports("decisions") == set()
+    assert "dp" not in relative_imports("hierarchical") | relative_imports("report")
+    assert "bayes_ttest" not in relative_imports("dp")
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from cvcompare.dp import TrinomialSamples
+from cvcompare.decisions import TrinomialSamples
 from cvcompare.report import (
     EXPORT_POINTS,
     barycentric_csv,
