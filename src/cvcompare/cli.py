@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
             name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter
         )
 
-    def common(p, pairs=True, rho=False, seed=False):
+    def common(p, pairs=True, rho=False, seed=False, bayes=True):
         p.add_argument("--input", required=True, help="score CSV (dataset,classifier,run,fold,score)")
         p.add_argument(
             "--output-dir",
@@ -102,22 +102,25 @@ def build_parser() -> argparse.ArgumentParser:
             group.add_argument("--all-pairs", action="store_true", help="compare every classifier pair")
         else:
             p.add_argument("--pair", nargs=2, metavar=("A", "B"), required=True)
-        p.add_argument("--rope", nargs=2, type=float, default=[Rope.lower, Rope.upper],
-                       metavar=("LO", "HI"), help="region of practical equivalence")
         if rho:
             p.add_argument("--rho", type=float, default=None,
                            help="cross-validation correlation (default: 1/folds)")
-        p.add_argument("--threshold", type=float, default=0.95, help="decision threshold")
-        p.add_argument("--loss-matrix", default=None, help="JSON file with a 4x3 loss matrix")
+        # a p-value has no rope and no decision rule; only the Bayesian tests take them
+        if bayes:
+            p.add_argument("--rope", nargs=2, type=float, default=[Rope.lower, Rope.upper],
+                           metavar=("LO", "HI"), help="region of practical equivalence")
+            group = p.add_mutually_exclusive_group()
+            group.add_argument("--threshold", type=float, default=0.95, help="decision threshold")
+            group.add_argument("--loss-matrix", default=None, help="JSON file with a 4x3 loss matrix")
         if seed:
             p.add_argument("--seed", type=int, required=True, help="Monte-Carlo seed (required)")
 
     p = sub_parser("freq-ttest", "correlated t-test per dataset")
-    common(p, pairs=False, rho=True)
+    common(p, pairs=False, rho=True, bayes=False)
     p.add_argument("--dataset", default=None, help="restrict to one dataset")
 
     p = sub_parser("wilcoxon", "signed-rank test on per-dataset mean differences")
-    common(p)
+    common(p, bayes=False)
 
     p = sub_parser("bayes-ttest", "Bayesian correlated t-test per dataset")
     common(p, pairs=False, rho=True)
@@ -140,14 +143,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_rule(args):
-    """The decision rule and its report record; a bad rule fails before any work."""
+def _rope_and_rule(args):
+    """The rope, the decision rule and its report record, all None for the
+    frequentist tests; a bad rope or rule fails before any work."""
+    if "rope" not in args:
+        return None, None, None
+    rope = Rope(lower=args.rope[0], upper=args.rope[1])
     if args.loss_matrix is not None:
         with open(args.loss_matrix, encoding="utf-8-sig") as fh:
             rule = LossMatrix(np.array(json.load(fh), dtype=float))
     else:
         rule = args.threshold
-    return rule, rule_record(rule)
+    return rope, rule, rule_record(rule)
 
 
 # export file templates of each method, filled with one source per comparison
@@ -239,10 +246,9 @@ def run(args) -> int:
     input_path = Path(args.input)
     if not input_path.is_file():
         raise CvCompareError(f"input file not found: {args.input}")
-    rope = Rope(lower=args.rope[0], upper=args.rope[1])
     if args.pair is not None and args.pair[0] == args.pair[1]:
         raise ValueError(f"--pair needs two different classifiers, got {args.pair[0]!r} twice")
-    rule, rule_json = _load_rule(args)
+    rope, rule, rule_json = _rope_and_rule(args)
     # --rho and the method's sampler or prior settings fail like the rule before any work;
     # only the t-tests and hierarchical have --rho, the others read only the means
     rho = getattr(args, "rho", None)
@@ -269,7 +275,7 @@ def run(args) -> int:
         if args.dataset is not None:
             diffs = [d for d in diffs if d.dataset == args.dataset]
             if not diffs:
-                raise CvCompareError(f"dataset {args.dataset!r} not present in the input")
+                raise CoverageError(f"dataset {args.dataset!r} not present in the input")
         comparisons = [(tuple(args.pair), d) for d in diffs]
         sources = [(d.dataset,) for d in diffs]
     else:
@@ -310,7 +316,7 @@ def run(args) -> int:
     report = {
         "method": args.method,
         "input": {"name": input_path.name, "sha256": digest},  # not the caller's path to it
-        "rope": [rope.lower, rope.upper],
+        "rope": None if rope is None else [rope.lower, rope.upper],
         "rule": rule_json,
         "seed": getattr(args, "seed", None),
         "results": entries,

@@ -191,21 +191,21 @@ def _truncated_gamma(gen: np.random.Generator, shape: float, rate, lo: float, hi
 
     A plain Gamma draw that lands inside the window is kept and the others
     are redrawn from the truncated law, which together give exactly the
-    truncated law.  A float ``rate`` gives a float, redrawn by
-    ``_gamma_window_inverse``; an array gives an array, whose misses are
-    redrawn together by ``_gamma_window_inverse_array``, taking their
-    uniforms in element order.  The two give the same bits from the same
-    stream: a miss costs about 5 us on floats against about 30 us for one
-    array call, and a series whose folds all tie makes its tau miss on
-    every sweep, so the vector keeps one call for all its misses.
+    truncated law.  One inversion, ``_gamma_window_inverse``, serves both
+    forms: a float ``rate`` gives a float, and an array gives an array whose
+    misses are redrawn one by one in element order, one uniform each.  A
+    series whose folds all tie makes its tau miss on every sweep.  Measured
+    on 2 cores at 54 datasets and 4x(500+500) sweeps: with every series
+    tied a fit took 1.8-2.1x the CPU time of an all-array inversion, and
+    with one or six tied series 3-16% less.
     """
     if isinstance(rate, np.ndarray):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x = gen.standard_gamma(shape, rate.shape) / rate
         miss = ~((lo < x) & (x < hi))
-        if miss.any():
-            r = rate[miss]
-            x[miss] = _gamma_window_inverse_array(shape, r, lo, hi, gen.random(r.size))
+        if miss.any():  # the usual sweep misses nowhere, and any() costs 2 us less than flatnonzero
+            for i in np.flatnonzero(miss):
+                x[i] = _gamma_window_inverse(shape, rate[i], lo, hi, gen.random())
         return x
     x = gen.standard_gamma(shape)
     # at rate 0 every draw misses, and the window takes the power law
@@ -243,23 +243,6 @@ def _gamma_window_inverse(shape: float, rate: float, lo: float, hi: float, u: fl
             ratio = (lo / hi) ** shape
             x = hi * np.power(ratio + u * (1.0 - ratio), 1.0 / shape)
     return min(max(float(x), lo), hi)
-
-
-def _gamma_window_inverse_array(shape: float, rate: np.ndarray, lo: float, hi: float, u: np.ndarray) -> np.ndarray:
-    """``_gamma_window_inverse`` for arrays of rates and uniforms: every law is
-    computed for every element, and each element keeps its own."""
-    from scipy import special
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        xl, xh = rate * lo, rate * hi
-        upper = xl > shape
-        p_lo = np.where(upper, special.gammaincc(shape, xl), special.gammainc(shape, xl))
-        p_hi = np.where(upper, special.gammaincc(shape, xh), special.gammainc(shape, xh))
-        p = p_lo + u * (p_hi - p_lo)
-        inverse = np.where(upper, special.gammainccinv(shape, p), special.gammaincinv(shape, p)) / rate
-        ratio = (lo / hi) ** shape
-        power = hi * np.power(ratio + u * (1.0 - ratio), 1.0 / shape)
-        expo = lo - np.log1p(u * np.expm1(xl - xh)) / rate
-        return np.clip(np.where(p_lo != p_hi, inverse, np.where(upper, expo, power)), lo, hi)
 
 
 def _truncated_normal(gen: np.random.Generator, mean: float, sd: float, lo: float, hi: float) -> float:

@@ -60,6 +60,8 @@ class TestRopeProbs:
         assert inside.as_tuple() == (0.0, 1.0, 0.0)
         left = rope_probs(LocScaleStudent(dof=9, loc=-0.5, scale2=0.0), rope)
         assert left.as_tuple() == (1.0, 0.0, 0.0)
+        right = rope_probs(LocScaleStudent(dof=9, loc=0.5, scale2=0.0), rope)
+        assert right.as_tuple() == (0.0, 0.0, 1.0)
         boundary = rope_probs(LocScaleStudent(dof=9, loc=0.01, scale2=0.0), rope)
         assert boundary.as_tuple() == (0.0, 1.0, 0.0)  # boundary tie goes to the rope
 

@@ -437,13 +437,13 @@ class TestGoldenOutputs:
 
     CASES = [
         (["freq-ttest", "--pair", "alpha", "beta"], 0, {
-            "report.json": "bd63b84982775830d5c21892ad060b14d132edd89eba01f8857de439f1317aac",
+            "report.json": "311652daa7db8ad32e56fd74070a749ec1b0795cc17cc25c577e130c6b9df5e4",
         }),
         (["freq-ttest", "--pair", "alpha", "beta", "--dataset", "ds1"], 0, {
-            "report.json": "396cb118f9c41cabdd0f7b170b6538bba7e702f3c585e37d8c8d9356ec48565b",
+            "report.json": "4551d707293b10a96100e5f978e63fbbc21e283d2754c54133e28944937ac84f",
         }),
         (["wilcoxon", "--all-pairs"], 0, {
-            "report.json": "b461202f1fa55aecbed5d153c7abe8923b01e4fa88fc52e692a2f1205778ef0e",
+            "report.json": "341a3fe487450f654e27a593d79708164a7736330706e4dc79905ca7b78fbcea",
         }),
         (["bayes-ttest", "--pair", "alpha", "beta"], 0, {
             "density_ds0.csv": "ab88c3f97d5f86f510d7c110256d8d52ac284815918782732b72f65f0b5e6488",
@@ -494,6 +494,8 @@ COMMON = {
     ("-h", "--help"): ("==SUPPRESS==", False, None),
     ("--input",): (None, True, None),
     ("--output-dir",): ("cvcompare-out", False, None),
+}
+ROPE_AND_RULE = {
     ("--rope",): ([-0.01, 0.01], False, None),
     ("--threshold",): (0.95, False, None),
     ("--loss-matrix",): (None, False, None),
@@ -511,11 +513,11 @@ DATASET = {("--dataset",): (None, False, None)}
 PARSER_SURFACE = {
     "freq-ttest": {**COMMON, **RHO, **ONE_PAIR, **DATASET},
     "wilcoxon": {**COMMON, **PAIR_OR_ALL},
-    "bayes-ttest": {**COMMON, **RHO, **ONE_PAIR, **DATASET},
-    "sign": {**COMMON, **PAIR_OR_ALL, **SEED, **SAMPLES, **DP_PRIOR},
-    "signed-rank": {**COMMON, **PAIR_OR_ALL, **SEED, **SAMPLES, **DP_PRIOR},
+    "bayes-ttest": {**COMMON, **ROPE_AND_RULE, **RHO, **ONE_PAIR, **DATASET},
+    "sign": {**COMMON, **ROPE_AND_RULE, **PAIR_OR_ALL, **SEED, **SAMPLES, **DP_PRIOR},
+    "signed-rank": {**COMMON, **ROPE_AND_RULE, **PAIR_OR_ALL, **SEED, **SAMPLES, **DP_PRIOR},
     "hierarchical": {
-        **COMMON, **RHO, **ONE_PAIR, **SEED,
+        **COMMON, **ROPE_AND_RULE, **RHO, **ONE_PAIR, **SEED,
         ("--chains",): (4, False, None),
         ("--warmup",): (1000, False, None),
         ("--draws",): (1000, False, None),
@@ -544,8 +546,12 @@ SUBCOMMANDS = [
 ]
 
 
+# the subcommands whose comparisons end in rope probabilities and a decision
+BAYESIAN = SUBCOMMANDS[2:]
+
+
 class TestRuleAndIoErrors:
-    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", BAYESIAN, ids=lambda argv: argv[0])
     @pytest.mark.parametrize("threshold", ["7", "0.2"])
     def test_bad_threshold_fails_before_any_work(self, score_csv, tmp_path, monkeypatch, capsys,
                                                  argv, threshold):
@@ -603,6 +609,37 @@ class TestRuleAndIoErrors:
         err = capsys.readouterr().err
         assert err == "cvcompare: validation: --pair needs two different classifiers, got 'alpha' twice\n"
 
+    @pytest.mark.parametrize("method", ["freq-ttest", "wilcoxon"])
+    @pytest.mark.parametrize("flag", [["--rope", "-0.01", "0.01"], ["--threshold", "0.9"],
+                                      ["--loss-matrix", "loss.json"]], ids=lambda flag: flag[0])
+    def test_frequentist_tests_take_no_rope_or_rule(self, score_csv, tmp_path, monkeypatch, capsys,
+                                                    method, flag):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the input was parsed before the flags were checked")
+
+        monkeypatch.setattr(cli, "parse_scores", no_work)
+        out = tmp_path / "out"
+        code = run_cli(method, "--input", score_csv, "--pair", "alpha", "beta", *flag, "--output-dir", out)
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"cvcompare: usage: unrecognized arguments: {' '.join(flag)}\n"
+
+    @pytest.mark.parametrize("argv", BAYESIAN, ids=lambda argv: argv[0])
+    def test_threshold_and_loss_matrix_conflict(self, score_csv, tmp_path, monkeypatch, capsys, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the input was parsed before the flags were checked")
+
+        monkeypatch.setattr(cli, "parse_scores", no_work)
+        loss = tmp_path / "loss.json"
+        loss.write_text(json.dumps([[0, 20, 20], [20, 0, 20], [20, 20, 0], [1, 1, 1]]))
+        out = tmp_path / "out"
+        code = run_cli(*argv, "--input", score_csv, "--threshold", "0.9", "--loss-matrix", loss,
+                       "--output-dir", out)
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "cvcompare: usage: argument --loss-matrix: not allowed with argument --threshold\n")
+
     def test_missing_loss_matrix_is_an_io_error(self, score_csv, tmp_path, capsys):
         out = tmp_path / "out"
         code = run_cli("sign", "--input", score_csv, "--pair", "alpha", "beta", "--seed", "1",
@@ -629,7 +666,7 @@ class TestNonFiniteInputs:
         (["sign", "--seed", "1", "--prior-strength", "inf"], "prior strength must be finite, got inf"),
         (["signed-rank", "--seed", "1", "--prior-strength", "inf"],
          "prior strength must be finite, got inf"),
-        (["wilcoxon", "--rope", "0", "inf"], "rope bounds must be finite, got [0.0, inf]"),
+        (["bayes-ttest", "--rope", "0", "inf"], "rope bounds must be finite, got [0.0, inf]"),
         (["sign", "--seed", "1", "--rope", "nan", "0.01"], "rope must contain zero, got [nan, 0.01]"),
     ], ids=["sign-prior-strength", "signed-rank-prior-strength", "rope-inf", "rope-nan"])
     def test_rejected_before_the_input_is_read(self, score_csv, tmp_path, monkeypatch, capsys,
@@ -666,15 +703,17 @@ class TestErrorComponents:
     @pytest.mark.parametrize("argv, line", [
         (["sign", "--input", "{scores}", "--pair", "alpha"],
          "cvcompare: usage: argument --pair: expected 2 arguments"),
-        (["wilcoxon", "--input", "{scores}", "--pair", "alpha", "beta", "--rope", "0.1", "0.2"],
+        (["bayes-ttest", "--input", "{scores}", "--pair", "alpha", "beta", "--rope", "0.1", "0.2"],
          "cvcompare: validation: rope must contain zero, got [0.1, 0.2]"),
         (["wilcoxon", "--input", "{scores}", "--pair", "alpha", "nope"],
          "cvcompare: data: classifiers 'alpha'/'nope' missing for datasets: ds0, ds1, ds2, ds3, ds4, ds5"),
         (["freq-ttest", "--input", "{flat}", "--pair", "alpha", "beta", "--dataset", "ds0"],
          "cvcompare: frequentist: dataset 'ds0': zero variance, t statistic undefined"),
-        (["wilcoxon", "--input", "{scores}", "--pair", "alpha", "beta", "--loss-matrix", "{missing}"],
+        (["bayes-ttest", "--input", "{scores}", "--pair", "alpha", "beta", "--loss-matrix", "{missing}"],
          "cvcompare: io: [Errno 2] No such file or directory: '{missing}'"),
-    ], ids=["usage", "validation", "data", "frequentist", "io"])
+        (["bayes-ttest", "--input", "{scores}", "--pair", "alpha", "beta", "--dataset", "nope"],
+         "cvcompare: data: dataset 'nope' not present in the input"),
+    ], ids=["usage", "validation", "data", "frequentist", "io", "data-dataset"])
     def test_each_component_prefixes_its_error(self, score_csv, tmp_path, capsys, argv, line):
         # alpha - beta is 0.25 in every fold of ds0, exactly
         flat = tmp_path / "flat.csv"

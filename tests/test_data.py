@@ -111,6 +111,8 @@ class TestParseScores:
         text = csv_for(full_grid("d", "a", [[0.5, 0.6]]))
         assert parse_scores(text.encode()).folds == 2
         assert parse_scores(io.StringIO(text)).folds == 2
+        with pytest.raises(TypeError, match="^cannot read scores from <class 'int'>$"):
+            parse_scores(123)
 
     def test_round_trip_bit_exact(self):
         table = make_table(n_datasets=2, runs=3, folds=4, seed=5)
@@ -132,6 +134,9 @@ class TestParseScores:
             # two faults in one row: the check the row meets first
             ({3: ("d", "a", "x", 0, "oops")}, 3, "run/fold must be integers"),
             ({3: ("d", "a", -1, 0, 101.0)}, 3, "non-negative"),
+            # an integer run that int64 cannot hold
+            ({3: ("d", "a", 99999999999999999999, 1, 0.5)}, 3,
+             "run/fold '99999999999999999999'/'1' do not fit in 64 bits"),
         ],
     )
     def test_earliest_bad_line_is_reported(self, bad_rows, line, message):
@@ -699,11 +704,22 @@ class TestTypes:
              "mean-difference vector must be one-dimensional, got shape (2, 2)"),
             (lambda: MeanDiffVector(np.array([]), ()),
              "mean-difference vector must be non-empty"),
+            (lambda: MeanDiffVector(np.zeros(2), ("a",)),
+             "dataset labels and values have different lengths"),
+            (lambda: ScoreTable(entries={}, runs=1, folds=2),
+             "score table has no entries"),
+            (lambda: ScoreTable(entries={("d", "a"): np.zeros((1, 2)), ("", "a"): np.zeros((1, 2))},
+                                runs=1, folds=2),
+             "dataset and classifier ids must be non-empty"),
+            (lambda: ScoreTable(entries={("d", "a"): np.zeros((1, 3))}, runs=1, folds=2),
+             "(d, a) has shape (1, 3), expected (1, 2)"),
         ]
         for build, message in cases:
             with pytest.raises(ValueError) as err:
                 build()
             assert str(err.value) == message
+            # a matrix of the wrong shape is a data error, whose type the CLI reports
+            assert isinstance(err.value, ShapeError) == ("has shape" in message)
 
     def test_nan_differences_rejected(self):
         with pytest.raises(ValueError, match=r"score differences must lie in \[-1, 1\]"):

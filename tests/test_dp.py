@@ -426,6 +426,9 @@ class TestValidation:
             TrinomialSamples(samples=np.array([[0.5, 0.4, 0.2]]))
         with pytest.raises(ValueError):
             TrinomialSamples(samples=np.array([[0.5, 0.6, -0.1]]))
+        for shape in [(0, 3), (2, 2)]:
+            with pytest.raises(ValueError, match=r"^samples must be a non-empty \(count, 3\) matrix$"):
+                TrinomialSamples(samples=np.full(shape, 0.5))
 
     @pytest.mark.parametrize("row", [
         [math.nan] * 3, [0.5, math.nan, 0.5], [math.inf, 0.0, 0.0], [0.5, 0.5, math.inf],

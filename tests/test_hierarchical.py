@@ -317,7 +317,10 @@ def miss_branch(shape, rate, lo, hi):
 
 
 class TestTruncatedGammaBits:
-    """The float path draws the same bits from the same stream as the array reference."""
+    """``_truncated_gamma`` draws the same bits from the same stream as
+    ``truncated_gamma_reference``, for float and array rates alike.  The
+    reference is the all-array form of the window inversion, kept here so
+    that the one inversion in ``hierarchical`` is checked against another."""
 
     # (shape, rate, lo, hi, branch a miss takes); with shape 2 on (0.05, 0.15),
     # rate 20 puts about half the plain draws in the window; the last case
