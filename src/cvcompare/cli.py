@@ -174,8 +174,8 @@ def _analyse(args, rope, config, series, hdi_columns):
     the method's ``_EXPORTS`` templates.
 
     ``series`` is one dataset's difference series for the per-dataset tests,
-    the pair's samples for ``signed-rank`` and the pair's list of difference
-    series otherwise; ``config`` is the method's
+    the pair's list of them for ``hierarchical``, its samples for ``signed-rank``
+    and its per-dataset mean differences otherwise; ``config`` is the method's
     ``HierConfig`` or ``DpPrior``.  ``bayes-ttest`` also appends its
     intervals to ``hdi_columns``, the columns of the run's one ``hdi.csv``.
     A Monte-Carlo comparison draws from streams of ``args.seed`` alone, so
@@ -189,7 +189,7 @@ def _analyse(args, rope, config, series, hdi_columns):
         }
         return fields, None, []
     if args.method == "wilcoxon":
-        res = wilcoxon_signed_rank(mean_differences(series))
+        res = wilcoxon_signed_rank(series)
         fields = {
             "t_stat": res.t_stat, "w": res.w, "p_two_sided": res.p_two_sided,
             "tie_adjust": res.tie_adjust, "exact": res.exact,
@@ -222,7 +222,7 @@ def _analyse(args, rope, config, series, hdi_columns):
         return {"diagnostics": diagnostics}, simplex_region_probs(samples), exports
     # the Dirichlet-process tests differ only in the sampler; run draws the signed-rank samples
     if args.method == "sign":
-        params = sign_test_params(mean_differences(series), rope, config)
+        params = sign_test_params(series, rope, config)
         fields = {"dirichlet": [params.a_left, params.a_rope, params.a_right]}
         samples = sign_test_samples(params, args.samples, RngStream(args.seed).spawn(0))
     else:
@@ -286,12 +286,15 @@ def run(args) -> int:
         else:
             sources = [tuple(args.pair)]
         # formed as the loop reaches each pair, so one pair's differences are held at a time
-        comparisons = ((pair, paired_differences(table, *pair, rho=rho)) for pair in sources)
+        if args.method == "hierarchical":
+            comparisons = ((pair, paired_differences(table, *pair, rho=rho)) for pair in sources)
+        else:
+            comparisons = ((pair, mean_differences(table, *pair)) for pair in sources)
     # name every export before any analysis, so a name clash costs no work
     names = [_export_names(template, sources) for template in _EXPORTS[args.method]]
     if args.method == "signed-rank":
         # the pairs share their weight draws, so every pair's means come first
-        zs = [mean_differences(series) for _, series in comparisons]
+        zs = [z for _, z in comparisons]
         comparisons = zip(sources, _signed_rank_draws(zs, rope, config, args.samples, args.seed))
 
     entries = []

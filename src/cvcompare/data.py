@@ -132,22 +132,12 @@ def _check_rho(rho: float) -> None:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
 
 
-def _series_stats(x: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """Validate difference series, one per row of ``x``, and return their
-    means and sample standard deviations (divisor n-1).
-
-    A constant row gets mean ``x[0]`` and sd 0 exactly, with no 1-ulp
-    residue, so the degenerate case stays exact.
-    """
-    if x.shape[1] < 2:
-        raise ValueError("difference series needs at least two observations")
-    if not np.all(np.abs(x) <= 1.0):  # NaN fails this test too
-        raise ValueError("score differences must lie in [-1, 1]")
-    _check_rho(rho)
+def _row_means(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mean of each row of ``x`` and whether the row is constant; a constant
+    row's mean is its value exactly, with no 1-ulp residue, so the degenerate
+    case stays exact."""
     constant = (x == x[:, :1]).all(axis=1)
-    mean = np.where(constant, x[:, 0], x.mean(axis=1))
-    sd = np.where(constant, 0.0, x.std(axis=1, ddof=1))
-    return mean, sd
+    return np.where(constant, x[:, 0], x.mean(axis=1)), constant
 
 
 @dataclass(frozen=True)
@@ -170,27 +160,16 @@ class DiffSeries:
         x = np.asarray(self.x, dtype=float)
         if x.ndim != 1:
             raise ValueError(f"difference series must be one-dimensional, got shape {x.shape}")
-        (mean,), (sd,) = _series_stats(x[np.newaxis], self.rho)
-        self._set(x, float(mean), float(sd))
-
-    def _set(self, x: np.ndarray, mean: float, sd: float) -> None:
+        if x.size < 2:
+            raise ValueError("difference series needs at least two observations")
+        if not np.all(np.abs(x) <= 1.0):  # NaN fails this test too
+            raise ValueError("score differences must lie in [-1, 1]")
+        _check_rho(self.rho)
+        (mean,), (constant,) = _row_means(x[np.newaxis])
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "n", int(x.size))
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "sd", sd)
-
-    @classmethod
-    def _batch(cls, datasets: tuple[str, ...], x: np.ndarray, rho: float) -> list[DiffSeries]:
-        """One series per row of ``x``, validated and summarised in one pass."""
-        means, sds = _series_stats(x, rho)
-        out = []
-        for dataset, row, mean, sd in zip(datasets, x, means.tolist(), sds.tolist()):
-            series = object.__new__(cls)
-            object.__setattr__(series, "dataset", dataset)
-            object.__setattr__(series, "rho", rho)
-            series._set(row, mean, sd)
-            out.append(series)
-        return out
+        object.__setattr__(self, "mean", float(mean))
+        object.__setattr__(self, "sd", 0.0 if constant else float(x.std(ddof=1)))
 
     @property
     def ss(self) -> float:
@@ -499,14 +478,12 @@ def parse_scores(source) -> ScoreTable:
     return ScoreTable(entries=dict(zip(keys, grid)), runs=runs, folds=folds)
 
 
-def paired_differences(
-    table: ScoreTable, a: str, b: str, rho: float | None = None
-) -> list[DiffSeries]:
-    """Per-dataset difference series ``scores(a) - scores(b)``.
+def _differences(table: ScoreTable, a: str, b: str) -> np.ndarray:
+    """``scores(a) - scores(b)``, one run-major row per dataset in table order.
 
     Fold alignment is positional (both classifiers were run on the same
-    splits).  ``rho`` defaults to the n_te / n_tot heuristic, which is
-    1 / folds for k-fold cross-validation.
+    splits).  Raises :class:`CoverageError` naming every dataset that lacks
+    either classifier.
     """
     missing = [
         d for d in table.datasets
@@ -514,19 +491,34 @@ def paired_differences(
     ]
     if missing:
         raise CoverageError(f"classifiers {a!r}/{b!r} missing for datasets: {', '.join(missing)}")
-    if rho is None:
-        rho = 1.0 / table.folds
     first = [table._index[(d, a)] for d in table.datasets]
     second = [table._index[(d, b)] for d in table.datasets]
-    x = table._grid[first] - table._grid[second]
-    return DiffSeries._batch(table.datasets, np.asarray(x, dtype=float).reshape(len(first), -1), rho)
+    return np.asarray(table._grid[first] - table._grid[second], dtype=float).reshape(len(first), -1)
 
 
-def mean_differences(diffs: list[DiffSeries]) -> MeanDiffVector:
-    """Collapse difference series to the per-dataset means, order preserved."""
-    if not diffs:
-        raise ValueError("need at least one difference series")
-    return MeanDiffVector(
-        z=np.array([d.mean for d in diffs]),
-        datasets=tuple(d.dataset for d in diffs),
-    )
+def paired_differences(
+    table: ScoreTable, a: str, b: str, rho: float | None = None
+) -> list[DiffSeries]:
+    """Per-dataset difference series ``scores(a) - scores(b)``, in table order.
+
+    Each series needs at least two scores per (dataset, classifier) cell.
+    ``rho`` defaults to the n_te / n_tot heuristic, which is 1 / folds for
+    k-fold cross-validation; that is 1 for a one-fold table, which must
+    therefore be given a ``rho``.
+    """
+    x = _differences(table, a, b)
+    if rho is None and table.folds == 1 and table.runs > 1:  # one score per cell fails on its length first
+        raise ValueError("rho defaults to 1/folds, which is 1 for a one-fold table, so rho must be given")
+    rho = 1.0 / table.folds if rho is None else rho
+    return [DiffSeries(dataset, row, rho) for dataset, row in zip(table.datasets, x)]
+
+
+def mean_differences(table: ScoreTable, a: str, b: str) -> MeanDiffVector:
+    """Per-dataset mean differences ``scores(a) - scores(b)``, in table order.
+
+    Read straight from the table, so one score per (dataset, classifier)
+    cell is enough; each mean equals the ``mean`` of the dataset's
+    :class:`DiffSeries` from :func:`paired_differences` bit for bit.
+    """
+    z, _ = _row_means(_differences(table, a, b))
+    return MeanDiffVector(z=z, datasets=table.datasets)

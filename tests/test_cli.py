@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -10,9 +11,10 @@ import pytest
 from cvcompare import cli
 from cvcompare.cli import build_parser, main
 from cvcompare.bayes_ttest import hdis, posterior
-from cvcompare.data import Rope, ScoreTable, mean_differences, paired_differences, parse_scores
+from cvcompare.data import MeanDiffVector, Rope, ScoreTable, mean_differences, paired_differences, parse_scores
 from cvcompare.decisions import simplex_region_probs
-from cvcompare.dp import DpPrior, signed_rank_samples
+from cvcompare.dp import DpPrior, sign_test_params, signed_rank_samples
+from cvcompare.frequentist import wilcoxon_signed_rank
 from cvcompare.kernels import RngStream
 from cvcompare.report import EXPORT_POINTS
 
@@ -270,7 +272,7 @@ class TestMonteCarloMethods:
                        "--samples", "30000", "--seed", "5", "--output-dir", out)
         assert code == 0
         (entry,) = json.loads((out / "report.json").read_text())["results"]
-        z = mean_differences(paired_differences(parse_scores(score_csv.read_text()), "alpha", "beta"))
+        z = mean_differences(parse_scores(score_csv.read_text()), "alpha", "beta")
         samples = signed_rank_samples(z, Rope(-0.01, 0.01), DpPrior(), 30_000, RngStream(5).spawn(0))
         assert samples.count == 30_000
         probs = simplex_region_probs(samples)
@@ -726,6 +728,53 @@ class TestErrorComponents:
         assert code == 1
         assert not out.exists()
         assert capsys.readouterr().err == line.format(**paths) + "\n"
+
+
+class TestOneFoldTables:
+    """One score per (dataset, classifier) cell, the usual table of mean
+    accuracies, and ten runs of one fold."""
+
+    @pytest.fixture(params=[1, 10], ids=["one-score", "ten-runs"])
+    def one_fold(self, request, tmp_path):
+        table = make_table(n_datasets=8, runs=request.param, folds=1, seed=6)
+        path = tmp_path / "scores.csv"
+        path.write_text(table.to_csv(), encoding="utf-8")
+        return table, path
+
+    @pytest.mark.parametrize("method", ["wilcoxon", "sign", "signed-rank"])
+    def test_cross_dataset_tests_read_the_mean_differences(self, one_fold, tmp_path, method):
+        table, path = one_fold
+        out = tmp_path / "out"
+        seeded = [] if method == "wilcoxon" else ["--samples", "3000", "--seed", "4"]
+        assert run_cli(method, "--input", path, "--pair", "alpha", "beta", *seeded, "--output-dir", out) == 0
+        (entry,) = json.loads((out / "report.json").read_text())["results"]
+        means = [(table.entries[(d, "alpha")] - table.entries[(d, "beta")]).ravel().mean() for d in table.datasets]
+        z = MeanDiffVector(z=np.array(means), datasets=table.datasets)
+        if method == "wilcoxon":
+            expected = dataclasses.asdict(wilcoxon_signed_rank(z))
+            assert {key: entry[key] for key in expected} == expected
+        elif method == "sign":
+            params = sign_test_params(z, Rope(), DpPrior())
+            assert entry["dirichlet"] == [params.a_left, params.a_rope, params.a_right]
+        else:
+            samples = signed_rank_samples(z, Rope(), DpPrior(), 3000, RngStream(4).spawn(0))
+            probs = simplex_region_probs(samples)
+            assert entry["probs"] == {"a_better": probs.p_right, "rope": probs.p_rope, "b_better": probs.p_left}
+
+    @pytest.mark.parametrize("argv", [SUBCOMMANDS[0], SUBCOMMANDS[2], SUBCOMMANDS[5]], ids=lambda argv: argv[0])
+    def test_series_tests_need_two_scores_per_cell(self, one_fold, tmp_path, capsys, argv):
+        table, path = one_fold
+        out = tmp_path / "out"
+        code = run_cli(*argv, "--input", path, "--output-dir", out)
+        assert code == 1
+        assert not out.exists()
+        if table.runs == 1:
+            message = "difference series needs at least two observations"
+        else:
+            message = "rho defaults to 1/folds, which is 1 for a one-fold table, so rho must be given"
+        assert capsys.readouterr().err == f"cvcompare: validation: {message}\n"
+        if table.runs > 1:
+            assert run_cli(*argv, "--input", path, "--rho", "0.1", "--output-dir", out) in (0, 2)
 
 
 class TestByteOrderMark:

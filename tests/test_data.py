@@ -606,7 +606,12 @@ class TestPairedDifferences:
         entries[("ds1", "flat")] = entries[("ds1", "alpha")].copy()
         table = ScoreTable(entries=entries, runs=runs, folds=folds)
         for a, b in [("alpha", "beta"), ("alpha", "flat"), ("flat", "alpha"), ("beta", "beta")]:
-            for d in paired_differences(table, a, b):
+            diffs = paired_differences(table, a, b)
+            # the means read straight from the table are the series' means, bit for bit
+            z = mean_differences(table, a, b)
+            assert z.z.tobytes() == np.array([d.mean for d in diffs]).tobytes()
+            assert z.datasets == tuple(d.dataset for d in diffs)
+            for d in diffs:
                 again = DiffSeries(d.dataset, d.x, d.rho)
                 assert d.mean == again.mean and d.sd == again.sd and d.n == again.n
                 # the per-series loop the vectorised form replaces
@@ -622,25 +627,25 @@ class TestMeanDifferences:
     def test_order_preserved(self):
         table = make_table(n_datasets=4, seed=3)
         diffs = paired_differences(table, "alpha", "beta")
-        z = mean_differences(diffs)
+        z = mean_differences(table, "alpha", "beta")
         assert z.datasets == tuple(d.dataset for d in diffs)
         assert np.array_equal(z.z, [d.mean for d in diffs])
 
     def test_permutation_equivariance(self):
         table = make_table(n_datasets=5, seed=11)
-        diffs = paired_differences(table, "alpha", "beta")
         perm = [3, 0, 4, 1, 2]
-        z = mean_differences(diffs)
-        z_perm = mean_differences([diffs[i] for i in perm])
+        # the same cells, with the datasets listed in permuted order
+        keys = [(f"ds{i}", c) for i in perm for c in ("alpha", "beta")]
+        permuted = ScoreTable(entries={k: table.entries[k] for k in keys}, runs=table.runs, folds=table.folds)
+        z = mean_differences(table, "alpha", "beta")
+        z_perm = mean_differences(permuted, "alpha", "beta")
         assert np.array_equal(z_perm.z, z.z[perm])
         assert z_perm.datasets == tuple(z.datasets[i] for i in perm)
 
     def test_single_and_zero_series(self):
-        s = DiffSeries(dataset="only", x=np.array([0.0, 0.0, 0.0]), rho=0.1)
-        z = mean_differences([s])
-        assert z.q == 1 and z.z[0] == 0.0
-        with pytest.raises(ValueError):
-            mean_differences([])
+        table = ScoreTable(entries={("only", c): np.full((1, 3), 0.5) for c in ("a", "b")}, runs=1, folds=3)
+        z = mean_differences(table, "a", "b")
+        assert z.q == 1 and z.z[0] == 0.0 and z.datasets == ("only",)
 
 
 class TestTypes:

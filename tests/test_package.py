@@ -53,7 +53,7 @@ LIBRARY_SURFACE = {
     "data.MeanDiffVector": "z, datasets",
     "data.parse_scores": "source",
     "data.paired_differences": "table, a, b, rho=None",
-    "data.mean_differences": "diffs",
+    "data.mean_differences": "table, a, b",
     "decisions.TrinomialProbs": "p_left, p_rope, p_right, mc_stderr=None",
     "decisions.TrinomialSamples": "samples",
     "decisions.simplex_region_probs": "samples",
