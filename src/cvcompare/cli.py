@@ -151,7 +151,14 @@ def _rope_and_rule(args):
     rope = Rope(lower=args.rope[0], upper=args.rope[1])
     if args.loss_matrix is not None:
         with open(args.loss_matrix, encoding="utf-8-sig") as fh:
-            rule = LossMatrix(np.array(json.load(fh), dtype=float))
+            rows = json.load(fh, parse_int=float)  # an integer too large for a float reads as inf
+        # true, false and null are not numbers: they read as bool and None, never as float
+        numbers = isinstance(rows, list) and all(
+            isinstance(row, list) and all(type(v) is float for v in row) for row in rows
+        )
+        if not numbers or len(set(map(len, rows))) != 1:
+            raise ValueError("loss matrix must be a JSON array of equally long arrays of numbers")
+        rule = LossMatrix(np.array(rows))
     else:
         rule = args.threshold
     return rope, rule, rule_record(rule)

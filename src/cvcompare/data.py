@@ -15,7 +15,9 @@ import csv
 import io
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -217,94 +219,70 @@ def _tokenize(text: str):
     """Split ``text`` into records and fields, about ``_CHUNK`` characters of
     records at a time.
 
-    Records end at LF or CRLF outside quoted fields.  Returns the header's
-    fields (None for an empty text) and an iterator of chunks, one per
-    stretch of records after the header.  A chunk holds the fields of its
-    non-blank records, five per record, and the line numbers of those
-    records, up to the first record with another field count; it then also
-    holds ``(line, field count)`` of that record, else None, and is the
-    last chunk.  Line numbers count records from 1 for the header, blank
-    ones included.  Text without a quote is split with ``str.split``, which
-    gives the fields ``csv.reader`` would.
+    Records end at LF or CRLF outside quoted fields.  Returns an iterator of
+    chunks, one per stretch of records after the header: the fields of the
+    chunk's non-blank records, five per record.  It yields None instead
+    when the header is not ``CSV_HEADER`` or a record of the chunk has
+    another field count, and raises ``csv.Error`` on a record that
+    ``csv.reader`` cannot read.  Text without a quote is split with
+    ``str.split``, which gives the fields ``csv.reader`` would.
     """
-    quoted = '"' in text
-    if quoted:
-        stream = io.StringIO(text, newline="\n")
-        reader = csv.reader(stream)
-
-        def read(size):
-            # the records up to the one holding the size-th character from here (a line break may
-            # lie inside a quoted field, so the reader finds where records end)
-            end = stream.tell() + size
-            records = []
-            try:
-                for record in reader:
-                    records.append(record)
-                    if stream.tell() > end:
-                        break
-            except csv.Error as exc:
-                raise ParseError(f"malformed record: {exc}", line=reader.line_num) from None
-            return records
-
-        header = next(iter(read(0)), None)
-        batches = (
-            (data, np.fromiter(map(len, data), dtype=np.intp, count=len(data)))
-            for data in iter(lambda: read(_CHUNK), [])
-        )
-
-        def flatten(rows):
-            return list(itertools.chain.from_iterable(rows))
-    else:
+    if '"' in text:
+        return _quoted_chunks(text)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
         if "\r" in text:
-            text = text.replace("\r\n", "\n")
-            if "\r" in text:
-                line = text.count("\n", 0, text.index("\r")) + 1
-                raise ParseError("carriage return outside a quoted field", line=line)
-        end = text.find("\n")
-        end = len(text) if end < 0 else end
-        header = text[:end].split(",") if text else None
-        batches = _plain_batches(text, end + 1)
-
-        def flatten(rows):
-            return ",".join(rows).split(",")
-
-    def chunks():
-        line = 2
-        for data, widths in batches:
-            nonblank = widths > 0
-            wrong = np.flatnonzero(nonblank & (widths != 5))
-            stop = int(wrong[0]) if wrong.size else len(data)
-            lines = np.flatnonzero(nonblank[:stop]) + line
-            fields = flatten(itertools.compress(data[:stop], nonblank[:stop].tolist())) if lines.size else []
-            if wrong.size:
-                if quoted:
-                    # csv.reader still reads the rest, so a malformed record there is reported first
-                    for _ in batches:
-                        pass
-                yield fields, lines, (line + stop, int(widths[stop]))
-                return
-            yield fields, lines, None
-            line += len(data)
-
-    return header, chunks()
+            line = text.count("\n", 0, text.index("\r")) + 1
+            raise ParseError("carriage return outside a quoted field", line=line)
+    return _plain_chunks(text)
 
 
-def _plain_batches(text: str, start: int):
-    """The records of quote-free ``text`` from ``start`` on, in chunks that
-    end with the record holding each chunk's ``_CHUNK``-th character, with
-    each record's field count (0 for an empty line, which ``csv.reader``
-    reads as no fields)."""
+def _quoted_chunks(text: str):
+    """``_tokenize``'s chunks of text that holds a quote: ``csv.reader`` finds
+    where records end, as a line break may lie inside a quoted field, and a
+    chunk holds the records that end in one ``_CHUNK``-character stretch."""
+    stream = io.StringIO(text, newline="\n")
+    reader = csv.reader(stream)
+    if _header_fault(next(reader)):
+        yield None
+        return
+    for _, records in itertools.groupby(reader, lambda _: stream.tell() // _CHUNK):
+        rows = list(filter(None, records))
+        yield list(itertools.chain.from_iterable(rows)) if set(map(len, rows)) <= {5} else None
+
+
+def _plain_chunks(text: str):
+    """``_tokenize``'s chunks of quote-free text with LF line ends."""
+    header = text.partition("\n")[0]
+    if _header_fault(header.split(",")):
+        yield None
+        return
+    for lines in _plain_lines(text, len(header) + 1):
+        rows = list(filter(None, lines))
+        if rows:
+            widths = set(map(str.count, rows, itertools.repeat(",")))
+            yield ",".join(rows).split(",") if widths <= {4} else None
+
+
+def _plain_lines(text: str, start: int):
+    """The lines of ``text`` with LF line ends from ``start`` on, without
+    their line feeds, in chunks that end with the line holding each chunk's
+    ``_CHUNK``-th character."""
     while start < len(text):
         stop = text.find("\n", start + _CHUNK)
         stop = len(text) if stop < 0 else stop + 1
-        data = text[start:stop].split("\n")
-        if data[-1] == "":
-            data.pop()  # the line break ending the chunk's last record
-        widths = np.fromiter(map(str.count, data, itertools.repeat(",")), dtype=np.intp, count=len(data)) + 1
-        if "" in data:
-            widths[np.fromiter(map(len, data), dtype=np.intp, count=len(data)) == 0] = 0
-        yield data, widths
+        lines = text[start:stop].split("\n")
+        if lines[-1] == "":
+            lines.pop()  # the line break ending the chunk's last line
+        yield lines
         start = stop
+
+
+def _header_fault(header: list[str]) -> str | None:
+    """What is wrong with the header's fields, or None."""
+    if tuple(h.strip().lower() for h in header) != CSV_HEADER:
+        return f"expected header {','.join(CSV_HEADER)}, got {','.join(header)}"
+    return None
 
 
 def _codes(position: dict, values: list) -> np.ndarray:
@@ -323,71 +301,135 @@ def _ids(position: dict, codes: np.ndarray) -> tuple[list[str], np.ndarray]:
     return list(ids), merged[codes]
 
 
-def _convert(values: list[str], dtype) -> np.ndarray:
-    """``values`` converted by Python's int() or float() rules, up to the
-    first value that does not convert (or overflows int64)."""
-    try:
-        return np.array(values, dtype=dtype)
-    except (ValueError, OverflowError):
-        pass
-    for i, value in enumerate(values):
-        try:
-            np.array(value, dtype=dtype)
-        except (ValueError, OverflowError):
-            return np.array(values[:i], dtype=dtype)
-    raise AssertionError("unreachable: the whole column converted one value at a time")
-
-
-def _columns(chunks) -> tuple[tuple[dict, dict], list[np.ndarray], list, tuple[int, int] | None]:
+def _columns(chunks) -> tuple[tuple[dict, dict], list[np.ndarray]] | None:
     """The records of ``_tokenize``'s ``chunks`` as columns, each chunk's
     fields converted to arrays and then freed.
 
     Returns the dataset and classifier texts, each mapped to its position
-    in order of first appearance; the columns, joined over the chunks: each
-    row's dataset and classifier position, run, fold, score and line
-    number; the texts of the first values that do not convert; and the
-    record with a wrong field count, or None.  Run and fold, as a pair, and
-    score convert up to their first value that does not (``_convert``'s
-    rule), whose text is kept (else None); the column then takes nothing
-    from later chunks.
+    in order of first appearance, and the columns, joined over the chunks:
+    each row's dataset and classifier position, run, fold and score.
+    Returns None at the first chunk that is None, holds a record
+    ``csv.reader`` cannot read or a value that numpy's string casts do not
+    convert.
     """
     texts = ({}, {})
-    # dataset and classifier positions, run, fold, score, line numbers: one array per chunk
-    parts = tuple([np.empty(0, dtype)] for dtype in (np.intp, np.intp, np.int64, np.int64, float, np.intp))
-    faults = [None, None]
-    bad = None
-    for fields, lines, bad in chunks:
-        for i in (0, 1):
-            parts[i].append(_codes(texts[i], fields[i::5]))
-        if faults[0] is None:
-            run_text, fold_text = fields[2::5], fields[3::5]
-            run, fold = _convert(run_text, np.int64), _convert(fold_text, np.int64)
-            m = min(run.size, fold.size)
-            parts[2].append(run[:m])
-            parts[3].append(fold[:m])
-            if m < len(lines):
-                faults[0] = run_text[m], fold_text[m]
-        if faults[1] is None:
-            score_text = fields[4::5]
-            score = _convert(score_text, float)
-            parts[4].append(score)
-            if score.size < len(lines):
-                faults[1] = score_text[score.size]
-        parts[5].append(lines)
-    return texts, [np.concatenate(part) for part in parts], faults, bad
+    parts = tuple([np.empty(0, dtype)] for dtype in (np.intp, np.intp, np.int64, np.int64, float))
+    try:
+        for fields in chunks:
+            if fields is None:
+                return None
+            for i, dtype in ((2, np.int64), (3, np.int64), (4, float)):
+                parts[i].append(np.array(fields[i::5], dtype=dtype))
+            for i in (0, 1):
+                parts[i].append(_codes(texts[i], fields[i::5]))
+    except (csv.Error, ValueError, OverflowError):
+        return None
+    return texts, [np.concatenate(part) for part in parts]
 
 
-def _first_repeat(ids: np.ndarray, run: np.ndarray, fold: np.ndarray) -> int | None:
-    """Index of the earliest row whose (id, run, fold) an earlier row has."""
-    order = np.lexsort((fold, run, ids))  # stable: equal cells keep row order
-    ids, run, fold = ids[order], run[order], fold[order]
-    repeat = (ids[1:] == ids[:-1]) & (run[1:] == run[:-1]) & (fold[1:] == fold[:-1])
-    return int(order[1:][repeat].min()) if repeat.any() else None
+def _table(text: str) -> ScoreTable | None:
+    """The table of ``text`` after the checks over whole columns, or None
+    when a row fails one of them."""
+    if not text:
+        raise ParseError("no rows")
+    columns = _columns(_tokenize(text))
+    if columns is None:
+        return None
+    texts, (d, c, run, fold, score) = columns
+    del columns
+    if not run.size:
+        raise ParseError("no rows")
+    datasets, d = _ids(texts[0], d)
+    classifiers, c = _ids(texts[1], c)
+    if "" in datasets or "" in classifiers or (run < 0).any() or (fold < 0).any():
+        return None
+    if not ((score >= 0.0) & (score <= 100.0)).all():  # NaN too
+        return None
+    # keys numbered in order of first appearance
+    nc = len(classifiers)
+    pairs, first, inverse = np.unique(d * nc + c, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    ids = np.argsort(order)[inverse]
+    sort = np.lexsort((fold, run, ids))
+    if ((np.diff(ids[sort]) == 0) & (np.diff(run[sort]) == 0) & (np.diff(fold[sort]) == 0)).any():
+        return None  # a repeated cell
+    keys = [(datasets[p // nc], classifiers[p % nc]) for p in pairs[order].tolist()]
+
+    # the first key fixes the grid; without repeats, a key is complete when
+    # it has runs * folds cells and none outside the grid
+    runs, folds = int(run[ids == 0].max()) + 1, int(fold[ids == 0].max()) + 1
+    cells = np.bincount(ids, minlength=len(keys))
+    incomplete = cells != runs * folds
+    incomplete[ids[(run >= runs) | (fold >= folds)]] = True
+    if incomplete.any():
+        k = int(incomplete.argmax())
+        raise ShapeError(
+            f"{keys[k]} has {cells[k]} cells, expected a complete {runs} x {folds} grid"
+        )
+    grid = np.empty((len(keys), runs, folds))
+    grid[ids, run, fold] = score / 100.0 if score.max() > 1.0 else score
+    del d, c, run, fold, score, inverse, ids, sort  # freed before ScoreTable copies the grid
+    return ScoreTable(entries=dict(zip(keys, grid)), runs=runs, folds=folds)
 
 
-def _first(mask: np.ndarray) -> int | None:
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else None
+def _row_fault(record: list[str], seen: set) -> str | None:
+    """What is wrong with one row, in the order the checks apply, or None;
+    ``seen`` holds the cells of the rows before it and gains this one's."""
+    if not record:
+        return None
+    if len(record) != 5:
+        return f"expected 5 columns, got {len(record)}"
+    dataset, classifier, run_text, fold_text, score_text = record
+    # interned, so the cells in ``seen`` share one string per id
+    dataset, classifier = sys.intern(dataset.strip()), sys.intern(classifier.strip())
+    if not dataset or not classifier:
+        return "empty dataset or classifier id"
+    try:
+        run, fold = int(run_text), int(fold_text)
+    except ValueError:
+        return f"run/fold must be integers, got {run_text!r}/{fold_text!r}"
+    if not (-(2**63) <= run < 2**63 and -(2**63) <= fold < 2**63):
+        return f"run/fold {run_text!r}/{fold_text!r} do not fit in 64 bits"
+    if run < 0 or fold < 0:
+        return "run and fold must be non-negative"
+    try:
+        score = float(score_text)
+    except ValueError:
+        return f"non-numeric score {score_text!r}"
+    if not 0.0 <= score <= 100.0:  # NaN too
+        return f"score {score!r} outside [0, 100]"
+    cell = (dataset, classifier, run, fold)
+    if cell in seen:
+        return f"duplicate cell for {(dataset, classifier)} run={run} fold={fold}"
+    seen.add(cell)
+    return None
+
+
+def _raise_first_fault(text: str) -> NoReturn:
+    """Read ``text`` again, one record at a time, and raise
+    :class:`ParseError` for the first record that fails a check; a check
+    over whole columns has failed.
+
+    A record that ``csv.reader`` cannot read is reported first, wherever it
+    lies.  Run, fold and score convert by Python's int() and float() and
+    int64's range, the rules of numpy's string casts.
+    """
+    if '"' in text:
+        records = csv.reader(io.StringIO(text, newline="\n"))
+    else:  # split as _tokenize splits; it has rejected a carriage return outside a CRLF
+        lines = itertools.chain.from_iterable(_plain_lines(text.replace("\r\n", "\n"), 0))
+        records = (line.split(",") if line else [] for line in lines)
+    seen = set()
+    try:
+        for line, record in enumerate(records, start=1):
+            fault = _header_fault(record) if line == 1 else _row_fault(record, seen)
+            if fault:
+                for _ in records:  # a record csv.reader cannot read is reported first
+                    pass
+                raise ParseError(fault, line=line)
+    except csv.Error as exc:
+        raise ParseError(f"malformed record: {exc}", line=records.line_num) from None
+    raise AssertionError("unreachable: a check over whole columns failed, but no row fails one")
 
 
 def parse_scores(source) -> ScoreTable:
@@ -396,86 +438,23 @@ def parse_scores(source) -> ScoreTable:
     ``source`` may be a str, bytes, or a file-like object (UTF-8, records
     ending at LF or CRLF).  Raises :class:`ParseError` with the line number
     of the earliest malformed row and :class:`ShapeError` for ragged
-    matrices.  Each check runs once over a whole column.
+    matrices.
 
-    The text is split and converted about ``_CHUNK`` characters of records
-    at a time, so besides the input text its peak memory holds one chunk's
-    field strings and the column arrays (six 8-byte values per row), not a
-    string per field of the whole file; the finished table then holds its
-    scores twice while :class:`ScoreTable` copies them.
+    Each check first runs over whole columns and answers only whether some
+    row fails it.  The text is split and converted about ``_CHUNK``
+    characters of records at a time, so besides the input text its peak
+    memory holds one chunk's field strings and the column arrays (five
+    8-byte values per row), not a string per field of the whole file; the
+    finished table then holds its scores twice while :class:`ScoreTable`
+    copies them.  Only when a check fails is the text read again, one
+    record at a time, applying the checks in the order they apply to one
+    row, to name the first row that fails and its line.
     """
-    header, chunks = _tokenize(_read_text(source))
-    texts, columns, faults, bad = _columns(chunks)
-    if header is None:
-        raise ParseError("no rows")
-    if tuple(h.strip().lower() for h in header) != CSV_HEADER:
-        raise ParseError(f"expected header {','.join(CSV_HEADER)}, got {','.join(header)}", line=1)
-    d, c, run, fold, score, lines = columns
-    del columns
-    n = len(lines)
-    if not n and bad is None:
-        raise ParseError("no rows")
-
-    # (row, line, message) of the first failure of each check, in the order
-    # the checks apply to one row; a check runs on the rows whose values it
-    # needs converted, and the earliest row wins
-    failures = []
-    if bad is not None:
-        failures.append((n, bad[0], f"expected 5 columns, got {bad[1]}"))
-    datasets, d = _ids(texts[0], d)
-    classifiers, c = _ids(texts[1], c)
-    empty = [_first(codes == ids.index("")) for ids, codes in ((datasets, d), (classifiers, c)) if "" in ids]
-    if empty:
-        failures.append((min(empty), lines[min(empty)], "empty dataset or classifier id"))
-    m = run.size
-    if faults[0] is not None:
-        run_text, fold_text = faults[0]
-        values = f"{run_text!r}/{fold_text!r}"
-        try:
-            int(run_text), int(fold_text)
-        except ValueError:
-            failures.append((m, lines[m], f"run/fold must be integers, got {values}"))
-        else:
-            failures.append((m, lines[m], f"run/fold {values} do not fit in 64 bits"))
-    i = _first((run < 0) | (fold < 0))
-    if i is not None:
-        failures.append((i, lines[i], "run and fold must be non-negative"))
-    if faults[1] is not None:
-        failures.append((score.size, lines[score.size], f"non-numeric score {faults[1]!r}"))
-    i = _first(~np.isfinite(score) | (score < 0.0) | (score > 100.0))
-    if i is not None:
-        failures.append((i, lines[i], f"score {float(score[i])!r} outside [0, 100]"))
-
-    # keys numbered in order of first appearance
-    nc = len(classifiers)
-    pairs, first, inverse = np.unique(d * nc + c, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    ids = np.argsort(order)[inverse]
-    keys = [(datasets[p // nc], classifiers[p % nc]) for p in pairs[order].tolist()]
-    i = _first_repeat(ids[:m], run, fold)
-    if i is not None:
-        failures.append(
-            (i, lines[i], f"duplicate cell for {keys[ids[i]]} run={run[i]} fold={fold[i]}")
-        )
-    if failures:
-        _, line, message = min(failures, key=lambda f: f[0])
-        raise ParseError(message, line=int(line))
-
-    # the first key fixes the grid; without duplicates, a key is complete
-    # when it has runs * folds cells and none outside the grid
-    runs, folds = int(run[ids == 0].max()) + 1, int(fold[ids == 0].max()) + 1
-    cells = np.bincount(ids, minlength=len(keys))
-    incomplete = cells != runs * folds
-    incomplete[ids[(run >= runs) | (fold >= folds)]] = True
-    k = _first(incomplete)
-    if k is not None:
-        raise ShapeError(
-            f"{keys[k]} has {cells[k]} cells, expected a complete {runs} x {folds} grid"
-        )
-    grid = np.empty((len(keys), runs, folds))
-    grid[ids, run, fold] = score / 100.0 if score.max() > 1.0 else score
-    del d, c, run, fold, score, lines, inverse, ids  # freed before ScoreTable copies the grid
-    return ScoreTable(entries=dict(zip(keys, grid)), runs=runs, folds=folds)
+    text = _read_text(source)
+    table = _table(text)
+    if table is None:
+        _raise_first_fault(text)
+    return table
 
 
 def _differences(table: ScoreTable, a: str, b: str) -> np.ndarray:

@@ -700,6 +700,43 @@ class TestNonFiniteInputs:
         assert not out.exists()
         assert capsys.readouterr().err == "cvcompare: validation: losses must be finite\n"
 
+    @pytest.mark.parametrize("text", [
+        '{"a": 1}',
+        '[[0, 20, 20], [20, 0, 20], [20, 20, 0], [1, 1, {"a": 1}]]',
+        "[[0, 20, 20], [20, 0, 20], [20, 20, 0], [true, false, true]]",
+        "[[0, 20, 20], [20, 0, 20], [20, 20, 0], [1, null, 1]]",
+        "[[0, 20, 20], [20, 0, 20], [20, 20, 0], 1]",
+        '[[0, 20, 20], [20, 0, 20], [20, 20, 0], [1, "1", 1]]',
+        "[[0, 20, 20], [20, 0, 20], [20, 20, 0], [1, 1]]",
+        "[]",
+        "7",
+    ], ids=["object", "object-entry", "bools", "null", "bare-number-row", "string-entry", "ragged",
+            "empty", "number"])
+    def test_loss_matrix_must_be_rows_of_numbers(self, score_csv, tmp_path, monkeypatch, capsys, text):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the input was parsed before the loss matrix was checked")
+
+        monkeypatch.setattr(cli, "parse_scores", no_work)
+        loss = tmp_path / "loss.json"
+        loss.write_text(text)
+        out = tmp_path / "out"
+        code = run_cli("bayes-ttest", "--input", score_csv, "--pair", "alpha", "beta",
+                       "--loss-matrix", loss, "--output-dir", out)
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "cvcompare: validation: loss matrix must be a JSON array of equally long arrays of numbers\n")
+
+    def test_loss_matrix_integer_beyond_a_float_is_not_finite(self, score_csv, tmp_path, capsys):
+        loss = tmp_path / "loss.json"
+        loss.write_text(f"[[0, 20, 20], [20, 0, 20], [20, 20, 0], [1, 1{'0' * 400}, 1]]")
+        out = tmp_path / "out"
+        code = run_cli("sign", "--input", score_csv, "--pair", "alpha", "beta", "--seed", "1",
+                       "--loss-matrix", loss, "--output-dir", out)
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "cvcompare: validation: losses must be finite\n"
+
 
 class TestErrorComponents:
     @pytest.mark.parametrize("argv, line", [

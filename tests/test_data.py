@@ -407,6 +407,24 @@ def test_parse_memory_grows_with_the_columns_not_the_fields():
     assert peak < 9 * len(text)
 
 
+def test_parse_memory_on_the_error_path():
+    # the record loop that names the bad row reads the text one record at a time
+    # and keeps only the cells it has seen, so it stays within the same bound
+    classifiers = tuple(f"clf{j}" for j in range(10))
+    text = make_table(n_datasets=100, classifiers=classifiers, runs=10, folds=10, seed=1).to_csv()
+    text = text[:text.rstrip("\n").rindex(",") + 1] + "oops\n"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with pytest.raises(ParseError, match="^line 100001: non-numeric score 'oops'$"):
+            parse_scores(text)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * len(text)
+
+
 class TestAgainstRowLoop:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=400, deadline=None)
@@ -469,6 +487,19 @@ class TestChunkBoundary:
         for record, fields, value in edits:
             rows[b + record][fields] = value
         text = csv_for(rows)
+        assert outcome(parse_scores, text) == outcome(reference_parse, text)
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv-reader"])
+    def test_valid_table_is_never_read_record_by_record(self, long_rows, monkeypatch, quoted):
+        def record_loop(text):
+            raise AssertionError("a valid table was read again record by record")
+
+        monkeypatch.setattr(data, "_raise_first_fault", record_loop)
+        rows, b = [list(row) for row in long_rows[0]], long_rows[1]
+        if quoted:
+            rows[b][0] = f'"{rows[b][0]}"'
+        text = csv_for(rows)
+        assert text.count('"') == (2 if quoted else 0)
         assert outcome(parse_scores, text) == outcome(reference_parse, text)
 
     @pytest.mark.parametrize("fault", [False, True], ids=["table", "fault"])
