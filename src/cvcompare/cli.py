@@ -33,12 +33,19 @@ from .data import (
     parse_scores,
 )
 from .decisions import _OUTCOMES, LossMatrix, decide, rule_record, simplex_region_probs
-from .dp import DEFAULT_SAMPLE_COUNT, DpPrior, sign_test_params, sign_test_samples, signed_rank_batch
+from .dp import (
+    DEFAULT_SAMPLE_COUNT,
+    DpPrior,
+    sign_test_params,
+    sign_test_probs,
+    sign_test_samples,
+    signed_rank_batch,
+)
 from .errors import CoverageError, CvCompareError
 from .frequentist import correlated_ttest, wilcoxon_signed_rank
 from .hierarchical import HierConfig, fit, next_dataset_probs
 from .kernels import RngStream
-from .report import barycentric_csv, barycentric_points, density_data, dump_json
+from .report import EXPORT_POINTS, _barycentric_export, density_data, dump_json
 
 # signed-rank draws held at once, as (count, 3) float arrays: 18 pairs at the default
 # 150,000 draws, where the 190 pairs of 20 classifiers would take 684 MB
@@ -130,7 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
                        ("signed-rank", "Dirichlet-process signed-rank test")):
         p = sub_parser(name, help)
         common(p, seed=True)
-        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT, help="Monte-Carlo draw count")
+        # the sign test's probabilities are exact; it draws only the plotted points
+        if name == "signed-rank":
+            p.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT, help="Monte-Carlo draw count")
         p.add_argument("--prior-strength", type=float, default=DpPrior.s, help="pseudo-observation weight")
         p.add_argument("--prior-place", choices=["left", "rope", "right"], default=DpPrior.z0,
                        help="pseudo-observation placement")
@@ -225,16 +234,16 @@ def _analyse(args, rope, config, series, hdi_columns):
             "min_ess": min(d.ess for d in draws.diagnostics.values()),
             "mu0_rhat": draws.diagnostics["mu0"].rhat, "mu0_ess": draws.diagnostics["mu0"].ess,
         }
-        exports = [draws.to_csv(), barycentric_csv(barycentric_points(samples))]
+        exports = [draws.to_csv(), _barycentric_export(samples)]
         return {"diagnostics": diagnostics}, simplex_region_probs(samples), exports
-    # the Dirichlet-process tests differ only in the sampler; run draws the signed-rank samples
     if args.method == "sign":
+        # exact probabilities; the posterior draws feed only the plot
         params = sign_test_params(series, rope, config)
         fields = {"dirichlet": [params.a_left, params.a_rope, params.a_right]}
-        samples = sign_test_samples(params, args.samples, RngStream(args.seed).spawn(0))
-    else:
-        fields, samples = {}, series
-    return fields, simplex_region_probs(samples), [barycentric_csv(barycentric_points(samples))]
+        samples = sign_test_samples(params, EXPORT_POINTS, RngStream(args.seed).spawn(0))
+        return fields, sign_test_probs(params), [_barycentric_export(samples)]
+    # signed-rank: run has drawn the pair's samples
+    return {}, simplex_region_probs(series), [_barycentric_export(series)]
 
 
 def _signed_rank_draws(zs, rope, prior, count, seed):
@@ -257,7 +266,8 @@ def run(args) -> int:
         raise ValueError(f"--pair needs two different classifiers, got {args.pair[0]!r} twice")
     rope, rule, rule_json = _rope_and_rule(args)
     # --rho and the method's sampler or prior settings fail like the rule before any work;
-    # only the t-tests and hierarchical have --rho, the others read only the means
+    # only the t-tests and hierarchical have --rho, the others read only the means, and only
+    # signed-rank has --samples
     rho = getattr(args, "rho", None)
     if rho is not None:
         _check_rho(rho)
@@ -266,8 +276,8 @@ def run(args) -> int:
         config = HierConfig(seed=args.seed, chains=args.chains, warmup=args.warmup, draws=args.draws)
     elif args.method in ("sign", "signed-rank"):
         config = DpPrior(s=args.prior_strength, z0=args.prior_place)
-        if args.samples < 1:
-            raise ValueError("count must be at least 1")
+    if getattr(args, "samples", 1) < 1:
+        raise ValueError("count must be at least 1")
     raw = input_path.read_bytes()  # no newline translation
     # parse_scores drops a leading byte-order mark, so the input's digest does too
     digest = hashlib.sha256(raw.removeprefix(codecs.BOM_UTF8)).hexdigest()

@@ -4,9 +4,10 @@ The DP posterior over the distribution of per-dataset mean differences is
 a mixture of point masses at the observations plus one prior
 pseudo-observation whose weight vector is Dirichlet(s, 1, ..., 1).  The
 sign test has a closed-form Dirichlet posterior over the three rope
-outcomes; the signed-rank test pushes the sampled weights through the
-pairwise-sum statistic and is evaluated by Monte Carlo.  Both samplers
-return ``decisions.TrinomialSamples``.
+outcomes, and ``sign_test_probs`` integrates it exactly; its draws
+(``sign_test_samples``) serve only plots.  The signed-rank test pushes the
+sampled weights through the pairwise-sum statistic and is evaluated by
+Monte Carlo.  Both samplers return ``decisions.TrinomialSamples``.
 
 Conventions (differences are x = A - B for the pair "A vs B"):
 
@@ -19,6 +20,18 @@ Conventions (differences are x = A - B for the pair "A vs B"):
   placements at -inf / +inf force their pairs left / right;
 * the pseudo-observation placement is a categorical flag, never a
   floating-point infinity entering arithmetic.
+
+A Dirichlet(a_left, a_rope, a_right) vector is the normalised vector of
+independent Gamma(a_k, 1) variables G_k, so an outcome wins the argmax
+exactly when its G_k is the largest: P(rope wins) is the integral of
+f_rope(g) F_left(g) F_right(g) dg over g > 0, with f and F the Gamma
+densities and CDFs.  A zero parameter is a point mass at 0, whose CDF is
+1 for g >= 0, which keeps the tie rule of ``simplex_region_probs``.  The
+integral runs on Gauss-Legendre panels, in s = log g below g = 1 and in
+v = sqrt(g) above, where every Gamma density is close to a normal one
+with standard deviation 1/2 whatever its shape.  The CDFs are integrated
+from the densities on the same panels, so the sign test needs no special
+function beyond ``math.lgamma``.
 
 The signed-rank masses are evaluated without a pair matrix.  With the
 observations sorted ascending, the partners j of each i with
@@ -39,6 +52,7 @@ depend only on the stream, the prior and the differences it is given.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
@@ -46,7 +60,7 @@ from typing import Literal, NamedTuple
 import numpy as np
 
 from .data import MeanDiffVector, Rope
-from .decisions import TrinomialProbs, TrinomialSamples, simplex_region_probs
+from .decisions import TrinomialProbs, TrinomialSamples
 from .kernels import RngStream
 
 __all__ = [
@@ -134,9 +148,110 @@ def sign_test_samples(params: DirichletParams, count: int, rng: RngStream) -> Tr
     return TrinomialSamples(samples=w)
 
 
-def sign_test_probs(params: DirichletParams, count: int, rng: RngStream) -> TrinomialProbs:
-    """Simplex-region probabilities of the sign test (Monte Carlo)."""
-    return simplex_region_probs(sign_test_samples(params, count, rng))
+# The exact sign-test integral.  Every panel has _NODES Gauss-Legendre nodes.  Below
+# g0 = exp(_LOG_G0) each Gamma density is a pure power of g to double precision, so that
+# part of the integral is closed-form.  A CDF below exp(_LOG_NEGLIGIBLE) counts as zero, a
+# panel in s may change a present variable's log-density by at most _RATE_WIDTH, and the
+# panels in v reach _V_MARGIN (twelve standard deviations) either side of sqrt(a).
+_NODES = 20
+_LOG_G0 = -40.0
+_LOG_NEGLIGIBLE = math.log(1e-17)
+_RATE_WIDTH = 8.0
+_V_MARGIN = 6.0
+
+
+@functools.cache
+def _panel_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], and the matrix that maps
+    a polynomial's values at the nodes to its integral from -1 to each node."""
+    from numpy.polynomial import legendre  # a few ms to import, and only the sign test needs it
+
+    x, w = legendre.leggauss(_NODES)
+    to_coefficients = np.linalg.inv(legendre.legvander(x, _NODES - 1))
+    return x, w, legendre.legvander(x, _NODES) @ legendre.legint(to_coefficients, lbnd=-1)
+
+
+def _gamma_argmax_probs(alpha: tuple[float, float, float]) -> tuple[float, float, float]:
+    """P(G_k is the largest) for independent G_k ~ Gamma(alpha_k, 1), ties
+    to the rope (k = 1), then to the left (k = 0); a zero shape is a point
+    mass at 0.
+
+    The panels cover g0 <= g <= 1 in s = log g, from where the first CDF
+    leaves zero, each at most ``_RATE_WIDTH / rate`` wide, where rate sums
+    the shapes present (their log-densities change at most that fast); and
+    unit steps in v = sqrt(g) within ``_V_MARGIN`` of each sqrt(a).  Each
+    CDF is F(g0) plus the integral of its density from g0, taken on the
+    panels.  Below g0 every density is proportional to g^(a - 1), so the
+    chance that k wins with every variable below g0 is a_k / A times the
+    product of the F(g0), A being the sum of the shapes.
+    """
+    x, w, cumulative = _panel_rule()
+    shapes = [a for a in alpha if a > 0.0]
+    # below its start a CDF is under e^(a s) / Gamma(a + 1), which is negligible there
+    starts = [(_LOG_NEGLIGIBLE + math.lgamma(a + 1.0)) / a for a in shapes]
+    edges = [0.0]
+    floor = max(min(starts), _LOG_G0)
+    while edges[-1] > floor:
+        right = edges[-1]
+        rate = sum(a for a, start in zip(shapes, starts) if start < right)
+        edges.append(max(right - min(max(1.0, -right), _RATE_WIDTH / rate), floor))
+    edges = np.array(edges[::-1])
+    half = np.diff(edges)[:, None] / 2.0
+    s = edges[:-1, None] + half * (x + 1.0)
+    steps = np.unique(np.concatenate([
+        np.arange(math.floor(max(1.0, root - _V_MARGIN)), root + _V_MARGIN) for root in map(math.sqrt, shapes)
+    ]))
+    v = (steps + 0.5)[:, None] + 0.5 * x
+    n_left = len(s)
+    log_g = np.concatenate([s, 2.0 * np.log(v)])
+    g = np.concatenate([np.exp(s), v * v])
+    # d(log g) per unit of the panel's own variable, times the panel's half-width
+    scale = np.concatenate([np.broadcast_to(half, s.shape), 1.0 / v])
+
+    cdfs, wins = [], []
+    for a in alpha:
+        if a == 0.0:
+            cdfs.append(1.0)
+            wins.append(None)
+            continue
+        log_density = a * (log_g - math.log(a)) - (g - a)  # log(g^a e^-g) up to a constant
+        if a > 1.0:  # near g = a, through y = g/a - 1, so its rounding does not grow with a
+            y = (g[n_left:] - a) / a
+            log_density[n_left:] = -a * (y - np.log1p(y))
+        density = scale * np.exp(log_density)
+        mass = density * w
+        panels = mass.sum(axis=1)
+        total = float(mass.sum())
+        below = math.exp(a * _LOG_G0 - math.lgamma(a + 1.0))  # F(g0)
+        earlier = (np.cumsum(panels) - panels)[:, None]
+        cdfs.append(below + (1.0 - below) * (earlier + density @ cumulative.T) / total)
+        wins.append((mass, total, below))
+    all_below = math.exp(_LOG_G0 * sum(shapes) - sum(math.lgamma(a + 1.0) for a in shapes))
+
+    def win(k: int, i: int, j: int) -> float:
+        if wins[k] is None:
+            return 0.0
+        mass, total, below = wins[k]
+        above_g0 = float((mass * cdfs[i] * cdfs[j]).sum()) / total
+        return (1.0 - below) * above_g0 + alpha[k] / sum(shapes) * all_below
+
+    p_rope, p_left = win(1, 0, 2), win(0, 1, 2)
+    return p_left, p_rope, max(1.0 - p_rope - p_left, 0.0)
+
+
+def sign_test_probs(
+    params: DirichletParams, count: int | None = None, rng: RngStream | None = None
+) -> TrinomialProbs:
+    """Exact simplex-region probabilities of the sign test.
+
+    The probability that each Dirichlet coordinate is the largest, ties to
+    the rope and then to the left as in ``simplex_region_probs``; P(right)
+    is the complement, clipped at 0.  The absolute error is below 1e-12.
+    Nothing is sampled, so ``mc_stderr`` is None and ``count`` and ``rng``
+    are not read: they keep the samplers' signature.
+    """
+    p_left, p_rope, p_right = _gamma_argmax_probs((params.a_left, params.a_rope, params.a_right))
+    return TrinomialProbs(p_left=p_left, p_rope=p_rope, p_right=p_right)
 
 
 class _Side(NamedTuple):
@@ -187,10 +302,12 @@ def _side_mass(side: _Side, w0: np.ndarray, w: np.ndarray, running: np.ndarray) 
     ``w0`` holds the pseudo-observation's weight of each draw and ``w``
     the (datasets, draws) data weights.  The mass sum_ij w_i w_j over the
     side's pairs is read off a running sum of the weights in sort order,
-    built in ``running``, a (datasets + 1, draws) buffer.
+    built in ``running``, a (datasets + 1, draws) buffer, up to the longest
+    prefix the side reads.
     """
     running[0] = 0.0
-    for j, d in enumerate(side.order):
+    # k falls along the order, so k[0] is the longest data prefix
+    for j, d in enumerate(side.order[:max(side.k[0], side.n_pseudo)]):
         np.add(running[j], w[d], out=running[j + 1])
     mass = 2.0 * w0 * running[side.n_pseudo]
     if side.self_pair:

@@ -36,6 +36,14 @@ TRIANGLE_VERTICES = np.array([
 ])
 
 
+def _export_rows(rows: np.ndarray) -> np.ndarray:
+    """At most ``EXPORT_POINTS`` of ``rows``: beyond that, the evenly spaced
+    rows ``arange(EXPORT_POINTS) * n // EXPORT_POINTS``, so no random draw
+    is spent and the seed of a run fixes the export."""
+    n = len(rows)
+    return rows[np.arange(EXPORT_POINTS) * n // EXPORT_POINTS] if n > EXPORT_POINTS else rows
+
+
 def barycentric_points(samples: TrinomialSamples) -> np.ndarray:
     """Map theta triples to 2-d points inside the plotting triangle.
 
@@ -48,16 +56,15 @@ def barycentric_points(samples: TrinomialSamples) -> np.ndarray:
 def barycentric_csv(points: np.ndarray) -> str:
     """CSV (``x,y`` header) of at most ``EXPORT_POINTS`` plotting points.
 
-    Longer inputs are thinned to the rows ``arange(EXPORT_POINTS) * n //
-    EXPORT_POINTS``: evenly spaced, so no random draw is spent and the
-    seed of a run fixes the file.  Each coordinate is written as the
-    shortest ``repr`` that reads back to the same float.
+    Longer inputs are thinned by ``_export_rows``.  Each coordinate is
+    written as the shortest ``repr`` that reads back to the same float.
     """
-    points = np.asarray(points, dtype=float)
-    n = len(points)
-    if n > EXPORT_POINTS:
-        points = points[np.arange(EXPORT_POINTS) * n // EXPORT_POINTS]
-    return _csv_text(["x", "y"], points.T.tolist())
+    return _csv_text(["x", "y"], _export_rows(np.asarray(points, dtype=float)).T.tolist())
+
+
+def _barycentric_export(samples: TrinomialSamples) -> str:
+    """``barycentric_csv`` of ``samples``, mapping only the rows it keeps."""
+    return barycentric_csv(barycentric_points(TrinomialSamples(_export_rows(samples.samples))))
 
 
 @dataclass(frozen=True)

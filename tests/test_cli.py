@@ -13,10 +13,10 @@ from cvcompare.cli import build_parser, main
 from cvcompare.bayes_ttest import hdis, posterior
 from cvcompare.data import MeanDiffVector, Rope, ScoreTable, mean_differences, paired_differences, parse_scores
 from cvcompare.decisions import simplex_region_probs
-from cvcompare.dp import DpPrior, sign_test_params, signed_rank_samples
+from cvcompare.dp import DpPrior, sign_test_params, sign_test_probs, sign_test_samples, signed_rank_samples
 from cvcompare.frequentist import wilcoxon_signed_rank
 from cvcompare.kernels import RngStream
-from cvcompare.report import EXPORT_POINTS
+from cvcompare.report import EXPORT_POINTS, barycentric_csv, barycentric_points
 
 from conftest import make_table
 
@@ -106,7 +106,7 @@ class TestValidation:
         assert "cvcompare: data:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, sources, name", [
-        (["sign", "--all-pairs", "--samples", "1000", "--seed", "1"],
+        (["sign", "--all-pairs", "--seed", "1"],
          ("knn 1 vs svm", "knn_1 vs svm"), "barycentric_knn_1_vs_svm.csv"),
         (["signed-rank", "--all-pairs", "--samples", "1000", "--seed", "1"],
          ("knn 1 vs svm", "knn_1 vs svm"), "barycentric_knn_1_vs_svm.csv"),
@@ -282,13 +282,30 @@ class TestMonteCarloMethods:
         bary = (out / "barycentric_alpha_vs_beta.csv").read_text().split("\n")
         assert bary[0] == "x,y" and len(bary) - 1 == EXPORT_POINTS + 1
 
+    def test_sign_reports_exact_probs_and_plots_its_draws(self, score_csv, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("sign", "--input", score_csv, "--pair", "alpha", "beta", "--seed", "6",
+                       "--output-dir", out) == 0
+        (entry,) = json.loads((out / "report.json").read_text())["results"]
+        params = sign_test_params(mean_differences(parse_scores(score_csv.read_text()), "alpha", "beta"),
+                                  Rope(), DpPrior())
+        probs = sign_test_probs(params)
+        assert entry["probs"] == {"a_better": probs.p_right, "rope": probs.p_rope, "b_better": probs.p_left}
+        assert entry["mc_stderr"] is None and entry["seed"] == 6
+        # the seed's stream draws exactly the plotted points
+        samples = sign_test_samples(params, EXPORT_POINTS, RngStream(6).spawn(0))
+        text = (out / "barycentric_alpha_vs_beta.csv").read_text()
+        assert text == barycentric_csv(barycentric_points(samples))
+        assert text.count("\n") == EXPORT_POINTS + 1
+
     @pytest.mark.parametrize("method", ["sign", "signed-rank"])
     def test_pair_run_equals_its_all_pairs_entry(self, score_csv, tmp_path, method):
         # every pair draws on one stream of the seed, so its draws do not depend on its index
         runs = {}
+        samples = ["--samples", "20000"] if method == "signed-rank" else []
         for name, selection in (("pair", ["--pair", "beta", "gamma"]), ("all", ["--all-pairs"])):
             out = tmp_path / name
-            assert run_cli(method, "--input", score_csv, *selection, "--samples", "20000",
+            assert run_cli(method, "--input", score_csv, *selection, *samples,
                            "--seed", "9", "--output-dir", out) == 0
             entries = json.loads((out / "report.json").read_text())["results"]
             (entry,) = [e for e in entries if e["pair"] == ["beta", "gamma"]]
@@ -304,7 +321,7 @@ class TestMonteCarloMethods:
         assert run_cli(*argv, "--output-dir", tmp_path / "grouped") == 0
         assert file_hashes(tmp_path / "grouped") == file_hashes(tmp_path / "whole")
 
-    @pytest.mark.parametrize("method", ["sign", "signed-rank"])
+    @pytest.mark.parametrize("method", ["signed-rank"])  # the sign test draws only the plotted points
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_must_be_positive(self, score_csv, tmp_path, capsys, method, samples):
         out = tmp_path / "out"
@@ -341,7 +358,7 @@ class TestMonteCarloMethods:
         for seed, name in ((1, "s1"), (2, "s2")):
             out = tmp_path / name
             assert run_cli("sign", "--input", score_csv, "--pair", "alpha", "beta",
-                           "--samples", "4000", "--seed", seed, "--output-dir", out) == 0
+                           "--seed", seed, "--output-dir", out) == 0
             blobs.append((out / "report.json").read_text())
         assert blobs[0] != blobs[1]
 
@@ -350,7 +367,7 @@ class TestMonteCarloMethods:
         matrix.write_text(json.dumps([[0, 20, 20], [20, 0, 20], [20, 20, 0], [1, 1, 1]]))
         out = tmp_path / "out"
         code = run_cli("sign", "--input", score_csv, "--pair", "alpha", "beta",
-                       "--samples", "2000", "--seed", "3", "--loss-matrix", matrix,
+                       "--seed", "3", "--loss-matrix", matrix,
                        "--output-dir", out)
         assert code == 0
         report = json.loads((out / "report.json").read_text())
@@ -457,16 +474,15 @@ class TestGoldenOutputs:
             "hdi.csv": "c830090305809804fdfb9dca45c49b8ab6971ea6b2ba9e44e85ac023723e2165",
             "report.json": "118b4be9f8ea6a11a86efd377019d853d8ff13822c58ba127b939439d9b6c31a",
         }),
-        (["sign", "--all-pairs", "--samples", "2000", "--seed", "3"], 0, {
-            "barycentric_alpha_vs_beta.csv": "59ade73ef9f3de0b5268c4dd774e27830e7c1e2e5c3be37fc4b492fe5683cb49",
-            "barycentric_alpha_vs_gamma.csv": "3553d8449b45c2664493d5b40e33ef432b12ea1bef0d21b9b5dbb92797ee3558",
-            "barycentric_beta_vs_gamma.csv": "3cf0e87d7de5f0bd5f9b07bc8a83da376b20f1838fd3170a9f7c295b9d1348b8",
-            "report.json": "8cbfea595b8966e317cfc5b9f23cc00bb42936f1d2af56703fea0872fd76bdfd",
+        (["sign", "--all-pairs", "--seed", "3"], 0, {
+            "barycentric_alpha_vs_beta.csv": "33e718946553b62f2c23b25606e51dbae2728cad7f562759e4fbb0de095781f6",
+            "barycentric_alpha_vs_gamma.csv": "c4f1c345681bc8ec00ad4e74bccf1493d49fe7be862d8f1fe73be53df893f718",
+            "barycentric_beta_vs_gamma.csv": "666b2fb796e147df423a8653e16cc8441c0aee9ed11ff3348073e94e99d72f0f",
+            "report.json": "68f0d65f8607955f5397a4387831c02ed524305734bb96152ad0bc086e1ee628",
         }),
-        (["sign", "--pair", "beta", "gamma", "--samples", "2000", "--seed", "4",
-          "--loss-matrix", "loss.json"], 0, {
-            "barycentric_beta_vs_gamma.csv": "04ed52be0d4ebcc27f99f9302b555f3a58fd4ee247e1788dc4831f8859c68584",
-            "report.json": "31b826dfe87bb6226e6216b8246101829081a4281636298d63b79eb72e6ac683",
+        (["sign", "--pair", "beta", "gamma", "--seed", "4", "--loss-matrix", "loss.json"], 0, {
+            "barycentric_beta_vs_gamma.csv": "39d3e185143d659dd9950ed77eb02f1bbaf4ed2d6fae31c767c003bdfeb2ebe9",
+            "report.json": "150a96d70716268f5b6fb96ccf1316d880293e3ed0e47631457074af509dec37",
         }),
         (["signed-rank", "--all-pairs", "--samples", "2000", "--seed", "3"], 0, {
             "barycentric_alpha_vs_beta.csv": "61b0524935bf5ef2cf0d6b07c09b2d27621a0a2f7f52b30ae473695902a8d31f",
@@ -516,7 +532,7 @@ PARSER_SURFACE = {
     "freq-ttest": {**COMMON, **RHO, **ONE_PAIR, **DATASET},
     "wilcoxon": {**COMMON, **PAIR_OR_ALL},
     "bayes-ttest": {**COMMON, **ROPE_AND_RULE, **RHO, **ONE_PAIR, **DATASET},
-    "sign": {**COMMON, **ROPE_AND_RULE, **PAIR_OR_ALL, **SEED, **SAMPLES, **DP_PRIOR},
+    "sign": {**COMMON, **ROPE_AND_RULE, **PAIR_OR_ALL, **SEED, **DP_PRIOR},
     "signed-rank": {**COMMON, **ROPE_AND_RULE, **PAIR_OR_ALL, **SEED, **SAMPLES, **DP_PRIOR},
     "hierarchical": {
         **COMMON, **ROPE_AND_RULE, **RHO, **ONE_PAIR, **SEED,
@@ -541,7 +557,7 @@ SUBCOMMANDS = [
     ["freq-ttest", "--pair", "alpha", "beta"],
     ["wilcoxon", "--all-pairs"],
     ["bayes-ttest", "--pair", "alpha", "beta"],
-    ["sign", "--all-pairs", "--samples", "1000", "--seed", "1"],
+    ["sign", "--all-pairs", "--seed", "1"],
     ["signed-rank", "--all-pairs", "--samples", "1000", "--seed", "1"],
     ["hierarchical", "--pair", "alpha", "beta", "--chains", "2", "--warmup", "5",
      "--draws", "5", "--seed", "1"],
@@ -574,13 +590,12 @@ class TestRuleAndIoErrors:
         (["hierarchical", "--warmup", "-1"], "warmup must be non-negative"),
         (["sign", "--prior-strength", "0"], "prior strength must be positive, got 0.0"),
         (["signed-rank", "--prior-strength", "0"], "prior strength must be positive, got 0.0"),
-        (["sign", "--samples", "0"], "count must be at least 1"),
         (["signed-rank", "--samples", "0"], "count must be at least 1"),
         (["hierarchical", "--rho", "1"], "rho must lie in [0, 1), got 1.0"),
         (["freq-ttest", "--rho", "1.5"], "rho must lie in [0, 1), got 1.5"),
         (["bayes-ttest", "--rho", "-0.1"], "rho must lie in [0, 1), got -0.1"),
     ], ids=["chains", "draws", "warmup", "sign-prior-strength", "signed-rank-prior-strength",
-            "sign-samples", "signed-rank-samples", "hierarchical-rho", "freq-ttest-rho", "bayes-ttest-rho"])
+            "signed-rank-samples", "hierarchical-rho", "freq-ttest-rho", "bayes-ttest-rho"])
     def test_bad_method_flag_fails_before_any_work(self, score_csv, tmp_path, monkeypatch, capsys,
                                                    argv, message):
         def no_work(*args, **kwargs):
@@ -782,7 +797,7 @@ class TestOneFoldTables:
     def test_cross_dataset_tests_read_the_mean_differences(self, one_fold, tmp_path, method):
         table, path = one_fold
         out = tmp_path / "out"
-        seeded = [] if method == "wilcoxon" else ["--samples", "3000", "--seed", "4"]
+        seeded = {"wilcoxon": [], "sign": ["--seed", "4"], "signed-rank": ["--samples", "3000", "--seed", "4"]}[method]
         assert run_cli(method, "--input", path, "--pair", "alpha", "beta", *seeded, "--output-dir", out) == 0
         (entry,) = json.loads((out / "report.json").read_text())["results"]
         means = [(table.entries[(d, "alpha")] - table.entries[(d, "beta")]).ravel().mean() for d in table.datasets]
@@ -793,6 +808,8 @@ class TestOneFoldTables:
         elif method == "sign":
             params = sign_test_params(z, Rope(), DpPrior())
             assert entry["dirichlet"] == [params.a_left, params.a_rope, params.a_right]
+            probs = sign_test_probs(params)
+            assert entry["probs"] == {"a_better": probs.p_right, "rope": probs.p_rope, "b_better": probs.p_left}
         else:
             samples = signed_rank_samples(z, Rope(), DpPrior(), 3000, RngStream(4).spawn(0))
             probs = simplex_region_probs(samples)
@@ -828,7 +845,7 @@ class TestByteOrderMark:
                 (run_dir / file).write_bytes(b"\xef\xbb\xbf" + data if file in bom else data)
             # report.json records the input's name, so both runs use the same one
             monkeypatch.chdir(run_dir)
-            assert run_cli("sign", "--input", "scores.csv", "--pair", "alpha", "beta", "--samples", "2000",
+            assert run_cli("sign", "--input", "scores.csv", "--pair", "alpha", "beta",
                            "--seed", "3", "--loss-matrix", "loss.json", "--output-dir", "out") == 0
             reports.append((run_dir / "out" / "report.json").read_bytes())
         assert reports[0] == reports[1]

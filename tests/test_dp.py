@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from cvcompare.data import MeanDiffVector, Rope
 from cvcompare.decisions import TrinomialSamples, simplex_region_probs
@@ -121,25 +122,6 @@ class TestSignTestSampling:
         assert np.all(samples.samples[:, 2] == 0.0)
         assert np.all(samples.samples[:, 1] == 1.0)
 
-    def test_brute_force_oracle_same_stream(self):
-        params = DirichletParams(7.5, 3.0, 2.0)
-        count, base = 72_000, RngStream(11)
-        probs = sign_test_probs(params, count, base)
-        # regenerate the identical draws from the same stream and count regions naively
-        g = base.generator().standard_gamma(np.array([7.5, 3.0, 2.0]), size=(count, 3))
-        w = g / g.sum(axis=1, keepdims=True)
-        n_left = n_rope = n_right = 0
-        for row in w:
-            if row[1] >= row[0] and row[1] >= row[2]:
-                n_rope += 1
-            elif row[0] >= row[2]:
-                n_left += 1
-            else:
-                n_right += 1
-        assert probs.p_left == n_left / count
-        assert probs.p_rope == n_rope / count
-        assert probs.p_right == n_right / count
-
     def test_dirichlet_marginal_means(self):
         params = DirichletParams(24.0, 27.5, 3.0)
         samples = sign_test_samples(params, 120_000, RngStream(6))
@@ -154,6 +136,88 @@ class TestSignTestSampling:
         a = sign_test_samples(params, 120_000, RngStream(9))
         b = sign_test_samples(params, 120_000, RngStream(9))
         assert np.array_equal(a.samples, b.samples)
+
+
+def quad_win_prob(a_win, a_1, a_2):
+    """P(Gamma(a_win) exceeds independent Gamma(a_1) and Gamma(a_2)), a zero shape being 0, by quad.
+
+    Integrates over s = log g in sixty pieces across the density's mass and divides by the
+    density's own integral, so that no lgamma of a large shape enters the ratio.
+    """
+    if a_win == 0:
+        return 0.0
+
+    def density(s):
+        return math.exp(a_win * (s - math.log(a_win)) - (math.exp(s) - a_win))
+
+    def integrand(s):
+        g = math.exp(s)
+        return density(s) * math.prod(1.0 if a == 0 else float(special.gammainc(a, g)) for a in (a_1, a_2))
+
+    mode = math.log(a_win)
+    reach = 12 / math.sqrt(a_win)
+    edges = np.linspace(mode - max(reach, 40 / a_win), mode + max(reach, 5.0), 61)
+
+    def quad(f):
+        return sum(integrate.quad(f, lo, hi, epsabs=1e-16, epsrel=1e-13, limit=200)[0]
+                   for lo, hi in zip(edges[:-1], edges[1:]))
+
+    return quad(integrand) / quad(density)
+
+
+# criterion 6's twenty triples, shape 0.5 (density unbounded at 0) and shapes in the thousands
+EXACT_CASES = [tuple(row) for row in np.random.default_rng(7).uniform(0.5, 60.0, size=(20, 3)).tolist()] + [
+    (0.5, 0.5, 0.5), (0.5, 3.0, 0.5), (0.5, 0.5, 7.0), (24.0, 27.5, 3.0),
+    (1000.0, 1020.0, 990.0), (3000.0, 2950.0, 3100.0), (5000.0, 4900.0, 10.0), (2000.0, 0.5, 2100.0),
+]
+
+
+class TestSignTestExact:
+    @pytest.mark.parametrize("alpha", EXACT_CASES)
+    def test_matches_the_quad_oracle(self, alpha):
+        probs = sign_test_probs(DirichletParams(*alpha))
+        a_left, a_rope, a_right = alpha
+        expected = (quad_win_prob(a_left, a_rope, a_right), quad_win_prob(a_rope, a_left, a_right),
+                    quad_win_prob(a_right, a_left, a_rope))
+        assert max(abs(p - e) for p, e in zip(probs.as_tuple(), expected)) <= 1e-12
+        assert probs.mc_stderr is None
+
+    @pytest.mark.parametrize("alpha", [
+        (2.0, 0.0, 0.0), (0.0, 1.5, 0.0), (0.0, 0.0, 0.3),
+        (7.5, 3.0, 0.0), (0.0, 0.5, 40.0), (3.0, 0.0, 2.0), (0.01, 0.02, 0.0), (0.5, 0.0, 0.5),
+    ])
+    def test_zero_parameters_are_point_masses_at_zero(self, alpha):
+        # ties go to the rope, then left: a zero outcome can win only against zeros
+        probs = sign_test_probs(DirichletParams(*alpha)).as_tuple()
+        positive = [k for k in range(3) if alpha[k] > 0]
+        expected = [0.0, 0.0, 0.0]
+        if len(positive) == 1:
+            expected[positive[0]] = 1.0
+        else:
+            # two Gammas: the first wins when its Beta share reaches 1/2, with probability I_1/2(a_j, a_i)
+            i, j = positive
+            expected[i] = float(special.betainc(alpha[j], alpha[i], 0.5))
+            expected[j] = 1.0 - expected[i]
+        assert max(abs(p - e) for p, e in zip(probs, expected)) <= 1e-12
+        assert all(p == 0.0 for k, p in enumerate(probs) if alpha[k] == 0)
+
+    @pytest.mark.parametrize("a", [0.01, 0.5, 1.0, 30.0, 4000.0])
+    def test_equal_parameters_split_evenly(self, a):
+        for p in sign_test_probs(DirichletParams(a, a, a)).as_tuple():
+            assert abs(p - 1 / 3) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", EXACT_CASES[:5] + [(0.5, 3.0, 7.0), (3100.0, 3000.0, 2950.0),
+                                                         (0.01, 2.0, 0.3)])
+    def test_swapping_left_and_right_swaps_their_probabilities(self, alpha):
+        probs = sign_test_probs(DirichletParams(*alpha))
+        swapped = sign_test_probs(DirichletParams(*alpha[::-1]))
+        assert abs(probs.p_left - swapped.p_right) <= 1e-12
+        assert abs(probs.p_rope - swapped.p_rope) <= 1e-12
+        assert abs(probs.p_right - swapped.p_left) <= 1e-12
+
+    def test_draw_arguments_are_not_read(self):
+        params = DirichletParams(7.5, 3.0, 2.0)
+        assert sign_test_probs(params, 72_000, RngStream(11)) == sign_test_probs(params)
 
 
 class TestDirichletDraws:

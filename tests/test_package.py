@@ -71,7 +71,7 @@ LIBRARY_SURFACE = {
     "dp.DirichletParams": "a_left, a_rope, a_right",
     "dp.sign_test_params": "z, rope, prior",
     "dp.sign_test_samples": "params, count, rng",
-    "dp.sign_test_probs": "params, count, rng",
+    "dp.sign_test_probs": "params, count=None, rng=None",
     "dp.signed_rank_batch": "vectors, rope, prior, count, rng",
     "dp.signed_rank_samples": "z, rope, prior, count, rng",
     "errors.CvCompareError": None,
