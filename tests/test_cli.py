@@ -354,13 +354,14 @@ class TestMonteCarloMethods:
         assert json.loads(reports[0])["input"] == {"name": "scores.csv", "sha256": digest}
 
     def test_different_seed_changes_report(self, score_csv, tmp_path):
-        blobs = []
+        # signed-rank: the exact sign report differs between seeds only in its seed fields
+        probs = []
         for seed, name in ((1, "s1"), (2, "s2")):
             out = tmp_path / name
-            assert run_cli("sign", "--input", score_csv, "--pair", "alpha", "beta",
-                           "--seed", seed, "--output-dir", out) == 0
-            blobs.append((out / "report.json").read_text())
-        assert blobs[0] != blobs[1]
+            assert run_cli("signed-rank", "--input", score_csv, "--pair", "alpha", "beta",
+                           "--samples", "4000", "--seed", seed, "--output-dir", out) == 0
+            probs.append(json.loads((out / "report.json").read_text())["results"][0]["probs"])
+        assert probs[0] != probs[1]
 
     def test_loss_matrix_rule(self, score_csv, tmp_path):
         matrix = tmp_path / "loss.json"
