@@ -63,7 +63,8 @@ class ScoreTable:
     [0, 1] after ingestion.  ``datasets`` and ``classifiers`` list the ids
     in order of first appearance in ``entries``.  The table is immutable:
     the matrices are copied into one read-only array at construction, and
-    ``entries`` then holds read-only views of that copy.
+    ``entries`` then holds read-only views of that copy (a table from
+    :func:`parse_scores` holds the array the parse filled, with no copy).
     """
 
     entries: dict[tuple[str, str], np.ndarray]
@@ -95,6 +96,21 @@ class ScoreTable:
             if not dataset or not classifier:
                 raise ValueError("dataset and classifier ids must be non-empty")
             raise ShapeError(f"({dataset}, {classifier}) has shape {scores.shape}, expected {shape}")
+        self._hold(keys, grid)
+
+    @classmethod
+    def _of_grid(cls, keys: list[tuple[str, str]], grid: np.ndarray, runs: int, folds: int) -> "ScoreTable":
+        """The table whose scores are ``grid`` itself, entry i at row i, without
+        the constructor's checks and copy: for :func:`parse_scores`, which has
+        checked the ids and scores and hands over a grid that nothing else holds."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "runs", runs)
+        object.__setattr__(table, "folds", folds)
+        table._hold(keys, grid)
+        return table
+
+    def _hold(self, keys: list[tuple[str, str]], grid: np.ndarray) -> None:
+        """Make ``grid`` the table's read-only scores, entry i at row i."""
         grid.flags.writeable = False
         object.__setattr__(self, "entries", dict(zip(keys, grid)))
         object.__setattr__(self, "datasets", tuple(dict.fromkeys(d for d, _ in keys)))
@@ -368,8 +384,7 @@ def _table(text: str) -> ScoreTable | None:
         )
     grid = np.empty((len(keys), runs, folds))
     grid[ids, run, fold] = score / 100.0 if score.max() > 1.0 else score
-    del d, c, run, fold, score, inverse, ids, sort  # freed before ScoreTable copies the grid
-    return ScoreTable(entries=dict(zip(keys, grid)), runs=runs, folds=folds)
+    return ScoreTable._of_grid(keys, grid, runs, folds)
 
 
 def _row_fault(record: list[str], seen: set) -> str | None:
@@ -445,10 +460,10 @@ def parse_scores(source) -> ScoreTable:
     characters of records at a time, so besides the input text its peak
     memory holds one chunk's field strings and the column arrays (five
     8-byte values per row), not a string per field of the whole file; the
-    finished table then holds its scores twice while :class:`ScoreTable`
-    copies them.  Only when a check fails is the text read again, one
-    record at a time, applying the checks in the order they apply to one
-    row, to name the first row that fails and its line.
+    table keeps the score grid the parse fills, with no second copy.  Only
+    when a check fails is the text read again, one record at a time,
+    applying the checks in the order they apply to one row, to name the
+    first row that fails and its line.
     """
     text = _read_text(source)
     table = _table(text)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -186,6 +186,15 @@ class _State(NamedTuple):
     lam: np.ndarray
 
 
+@cache
+def _special():
+    """``scipy.special``, imported at the first truncated draw: the truncated draws
+    are the package's only use of scipy, so no other method loads it."""
+    from scipy import special
+
+    return special
+
+
 def _truncated_gamma(gen: np.random.Generator, shape: float, rate, lo: float, hi: float):
     """Gamma(shape, rate) restricted to (lo, hi), for a float ``rate`` or a 1-d array of rates.
 
@@ -227,7 +236,7 @@ def _gamma_window_inverse(shape: float, rate: float, lo: float, hi: float, u: fl
     differently from libm's in the last bit, so ``math`` would change the
     draws that the golden outputs pin.
     """
-    from scipy import special
+    special = _special()
     xl, xh = rate * lo, rate * hi
     if xl > shape:
         p_lo, p_hi = special.gammaincc(shape, xl), special.gammaincc(shape, xh)
@@ -247,7 +256,7 @@ def _gamma_window_inverse(shape: float, rate: float, lo: float, hi: float, u: fl
 
 def _truncated_normal(gen: np.random.Generator, mean: float, sd: float, lo: float, hi: float) -> float:
     """N(mean, sd^2) restricted to (lo, hi), drawn by inverting its CDF in log space."""
-    from scipy import special
+    special = _special()
     a, b = (lo - mean) / sd, (hi - mean) / sd
     flip = a + b > 0.0
     if flip:  # invert the lower tail, where log_ndtr keeps its precision

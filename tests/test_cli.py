@@ -457,10 +457,10 @@ class TestGoldenOutputs:
 
     CASES = [
         (["freq-ttest", "--pair", "alpha", "beta"], 0, {
-            "report.json": "311652daa7db8ad32e56fd74070a749ec1b0795cc17cc25c577e130c6b9df5e4",
+            "report.json": "6ac3a9507a53cfc113145b393e27c6e23bcbdf0eb8e7fd35a982919574fdd655",
         }),
         (["freq-ttest", "--pair", "alpha", "beta", "--dataset", "ds1"], 0, {
-            "report.json": "4551d707293b10a96100e5f978e63fbbc21e283d2754c54133e28944937ac84f",
+            "report.json": "e024ca80fc6b3e58480a3af006380c067b19f94bee44c0a3fc323541c2bec5d5",
         }),
         (["wilcoxon", "--all-pairs"], 0, {
             "report.json": "341a3fe487450f654e27a593d79708164a7736330706e4dc79905ca7b78fbcea",
@@ -472,8 +472,8 @@ class TestGoldenOutputs:
             "density_ds3.csv": "ce5fbca4a83330a38b4c3e0f1e1f746d8a0b444b9d3fa67b63f991332f48ace2",
             "density_ds4.csv": "cebed182b76ab410dc96ac610074efaf5f50753782dc4056536d75e3cfca6b95",
             "density_ds5.csv": "0b10a8f6bb59615f890e20828cd30f73c44fcd9edb6fa0462f6f5181aa43cfa3",
-            "hdi.csv": "c830090305809804fdfb9dca45c49b8ab6971ea6b2ba9e44e85ac023723e2165",
-            "report.json": "118b4be9f8ea6a11a86efd377019d853d8ff13822c58ba127b939439d9b6c31a",
+            "hdi.csv": "dd8225d58f617a40719e6424bb03db84bb1433313555b65cd1ab33f52de409cc",
+            "report.json": "fcfe45002292e0f2e1ed6b2f9142b53001b39e6faaca931ccc492bf5a6b4680d",
         }),
         (["sign", "--all-pairs", "--seed", "3"], 0, {
             "barycentric_alpha_vs_beta.csv": "33e718946553b62f2c23b25606e51dbae2728cad7f562759e4fbb0de095781f6",
@@ -493,7 +493,7 @@ class TestGoldenOutputs:
         }),
         (["hierarchical", "--pair", "alpha", "gamma", "--chains", "2", "--warmup", "50",
           "--draws", "50", "--seed", "11"], 2, {
-            "barycentric_alpha_vs_gamma.csv": "8d037458bc0ce6375b239d316b49af08d8a0d5af82581734f3a3aa40605fefaa",
+            "barycentric_alpha_vs_gamma.csv": "aeb67bd3456f907c220d0947ee5f9426776327d236b44979c069d7fba554be5b",
             "draws_alpha_vs_gamma.csv": "216ccae791e13332824901fbd3a763edfc1cf2400013e7369c4cdafe30d00e20",
             "report.json": "3e76199a4c56374ea24d020ab48e31dda24d81af865bf7fa3dad183db214adca",
         }),

@@ -768,3 +768,15 @@ class TestTypes:
         scores[0, 1] = np.nan
         with pytest.raises(ValueError, match="outside"):
             ScoreTable(entries={("d", "a"): scores}, runs=1, folds=3)
+
+    def test_table_copies_the_callers_arrays(self):
+        # parse_scores hands its own grid over; a caller's arrays are copied
+        scores = np.full((2, 3), 0.5)
+        grid = np.full((2, 2, 3), 0.25)
+        table = ScoreTable(entries={("d", "a"): scores, ("d", "b"): grid[0], ("e", "a"): grid[1]}, runs=2, folds=3)
+        scores[0, 0] = 0.9
+        grid[:] = 0.75
+        assert np.array_equal(table.entries[("d", "a")], np.full((2, 3), 0.5))
+        assert np.array_equal(table.entries[("d", "b")], np.full((2, 3), 0.25))
+        assert np.array_equal(table.entries[("e", "a")], np.full((2, 3), 0.25))
+        assert not table.entries[("d", "a")].flags.writeable

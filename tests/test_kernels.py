@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -199,3 +200,85 @@ class TestSharedStudentBody:
                                  (student_sf(x, d), student_sf_mirror(x, d))):
                     assert new == old
                     assert math.copysign(1.0, new) == math.copysign(1.0, old)
+
+
+ACCURACY_DOFS = [0.05, 0.5, 1, 2.5, 9, 99, 1e3, 1e4, 1e6]
+ACCURACY_TS = [0.0, 1e-300, 1e-9, 1e-3, 0.3, 3.52, 30.0, 1e4, 1e150, math.inf]
+HDI_TAILS = [(1.0 - level) / 2.0 for level in (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)]
+FAR_TAILS = [1e-300, 1e-200, 1e-100, 1e-30, 1e-10, 1e-3, 0.1, 0.3, 0.45, 0.49, 0.4999,
+             0.5 - 1e-9, math.nextafter(0.5, 0.0)]
+
+
+def relative_bound(dof):
+    return 1e-13 if dof <= 1e3 else 1e-12
+
+
+def mp_tail(t, dof):
+    """P(T > |t|) at 40 digits.  Where that is above 1e-3 and t^2 < dof, it is
+    1/2 - I_y(1/2, dof/2)/2 with y = t^2/(dof + t^2), which keeps every digit
+    when x = 1 - y is too near 1 for 40 digits to tell it from 1."""
+    t, dof = abs(mp.mpf(t)), mp.mpf(dof)
+    try:
+        tail = mp.betainc(dof / 2, mp.mpf("0.5"), 0, dof / (dof + t * t), regularized=True) / 2
+    except ValueError:  # mpmath cannot tell the value from zero: it is far below 1e-300
+        return mp.mpf(0)
+    if tail > mp.mpf("1e-3") and t * t < dof:
+        tail = (1 - mp.betainc(mp.mpf("0.5"), dof / 2, 0, t * t / (dof + t * t), regularized=True)) / 2
+    return tail
+
+
+def mp_density(t, dof):
+    t, dof = mp.mpf(t), mp.mpf(dof)
+    return (mp.gamma((dof + 1) / 2) / (mp.sqrt(dof * mp.pi) * mp.gamma(dof / 2))
+            * (1 + t * t / dof) ** (-(dof + 1) / 2))
+
+
+class TestAccuracy:
+    @pytest.mark.parametrize("dof", ACCURACY_DOFS)
+    def test_tail_is_exact_at_zero_and_infinity(self, dof):
+        for t in (0.0, -0.0):
+            assert student_tail(t, dof) == 0.5
+        for t in (math.inf, -math.inf):
+            assert student_tail(t, dof) == 0.0
+        assert np.array_equal(student_tail(np.array([0.0, math.inf, -math.inf]), dof), [0.5, 0.0, 0.0])
+
+    @pytest.mark.parametrize("dof", ACCURACY_DOFS)
+    def test_tail_against_the_oracle(self, dof):
+        for t in ACCURACY_TS[1:-1]:
+            exact = mp_tail(t, dof)
+            if exact <= mp.mpf("1e-300"):
+                continue
+            for got in (student_tail(t, dof), student_tail(-t, dof)):
+                assert abs(mp.mpf(got) - exact) / exact <= relative_bound(dof), (t, dof, got)
+
+    def test_array_and_scalar_paths_agree(self):
+        t, dof = np.meshgrid(ACCURACY_TS, ACCURACY_DOFS)
+        t = t * np.where(np.arange(t.size).reshape(t.shape) % 2, -1.0, 1.0)
+        array = student_tail(t, dof)
+        assert array.shape == t.shape
+        for got, ti, nu in zip(array.ravel(), t.ravel(), dof.ravel()):
+            scalar = student_tail(float(ti), float(nu))
+            assert abs(got - scalar) <= 1e-15 * scalar, (ti, nu)
+
+    @pytest.mark.parametrize("dof", [0.05, 1, 9, 99, 1e6])
+    def test_tiny_t_is_not_rounded_to_the_centre(self, dof):
+        # dof / (dof + t * t) is 1 in floating point here, but the tail is not 1/2
+        t = 1e-9
+        assert dof / (dof + t * t) == 1.0
+        centre = 0.5 - student_tail(t, dof)
+        exact = 0.5 - mp_tail(t, dof)
+        assert centre > 0.0
+        assert abs(mp.mpf(centre) - exact) / exact < 1e-6
+
+    @pytest.mark.parametrize("dof", ACCURACY_DOFS)
+    def test_quantile_against_the_oracle(self, dof):
+        d = LocScaleStudent(dof=dof, loc=0.0, scale2=1.0)
+        assert student_quantile(0.5, d) == 0.0
+        for q in HDI_TAILS + FAR_TAILS:
+            got = -student_quantile(q, d)
+            if mp_tail(sys.float_info.max, dof) > q:
+                assert got == math.inf, (q, dof)
+                continue
+            # one Newton step at 40 digits from the computed quantile doubles its correct digits
+            exact = got + (mp_tail(got, dof) - q) / mp_density(got, dof)
+            assert abs(got - exact) / exact <= relative_bound(dof), (q, dof, got)

@@ -169,16 +169,19 @@ codes = [cli.main(argv + io) for argv in (
     ["sign", "--all-pairs", "--seed", "1"],
     ["signed-rank", "--all-pairs", "--samples", "2000", "--seed", "1"],
     ["wilcoxon", "--all-pairs"],
+    ["freq-ttest", "--pair", "alpha", "beta"],
+    ["bayes-ttest", "--pair", "alpha", "beta"],
 )]
 before = scipy_modules()
-codes.append(cli.main(["bayes-ttest", "--pair", "alpha", "beta"] + io))
+codes.append(cli.main(["hierarchical", "--pair", "alpha", "beta", "--chains", "2", "--warmup", "20",
+                       "--draws", "20", "--seed", "1"] + io))
 print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
 """
 
 
 def test_scipy_loads_only_for_the_methods_that_call_it(tmp_path):
-    # sign, signed-rank and wilcoxon need only numpy; importing scipy.special
-    # would more than double their start-up time
+    # only the hierarchical sampler's truncated draws use scipy; importing
+    # scipy.special would more than double the other methods' start-up time
     table = make_table(n_datasets=6, classifiers=("alpha", "beta", "gamma"), seed=5)
     (tmp_path / "scores.csv").write_text(table.to_csv(), encoding="utf-8")
     src = str(Path(cvcompare.__file__).resolve().parents[1])
@@ -189,6 +192,7 @@ def test_scipy_loads_only_for_the_methods_that_call_it(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 0, 0]
+    assert result["codes"][:5] == [0, 0, 0, 0, 0]
+    assert result["codes"][5] in (0, 2)  # 2: the short fit is flagged unconverged
     assert result["before"] == []
     assert "scipy.special" in result["after"]
