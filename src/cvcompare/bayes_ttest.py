@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .data import DiffSeries, Rope
+from .data import PairDifferences, Rope
 from .decisions import TrinomialProbs
 from .kernels import LocScaleStudent, student_cdf, student_quantile, student_sf
 
@@ -37,14 +37,15 @@ class HdiSet:
     intervals: tuple[tuple[float, float], ...]
 
 
-def posterior(d: DiffSeries) -> LocScaleStudent:
-    """Posterior of the mean difference for one dataset's paired differences.
+def posterior(d: PairDifferences) -> LocScaleStudent:
+    """Posterior of the mean difference for the one dataset of ``d``.
 
     Zero-variance data yields the degenerate point mass at the observed
     mean (``scale2 == 0``), flagged through ``LocScaleStudent.degenerate``.
     """
-    scale2 = (1.0 / d.n + d.rho / (1.0 - d.rho)) * d.sd * d.sd
-    return LocScaleStudent(dof=d.n - 1, loc=d.mean, scale2=scale2)
+    _, mean, sd, rho = d.series()
+    scale2 = (1.0 / d.n + rho / (1.0 - rho)) * sd * sd
+    return LocScaleStudent(dof=d.n - 1, loc=mean, scale2=scale2)
 
 
 def rope_probs(post: LocScaleStudent, rope: Rope) -> TrinomialProbs:

@@ -28,7 +28,6 @@ from .data import (
     _check_rho,
     _csv_field,
     _csv_text,
-    mean_differences,
     paired_differences,
     parse_scores,
 )
@@ -184,49 +183,50 @@ _EXPORTS = {
 }
 
 
-def _analyse(args, rope, config, series, hdi_columns):
+def _analyse(args, rope, config, diffs, samples, hdi_columns):
     """One comparison: the method's own report fields, its rope probabilities
     (None for the frequentist tests) and its export texts, in the order of
     the method's ``_EXPORTS`` templates.
 
-    ``series`` is one dataset's difference series for the per-dataset tests,
-    the pair's list of them for ``hierarchical``, its samples for ``signed-rank``
-    and its per-dataset mean differences otherwise; ``config`` is the method's
+    ``diffs`` is the comparison's :class:`PairDifferences`: one dataset's
+    for the per-dataset tests, every dataset's otherwise.  ``samples`` are
+    the pair's ``signed-rank`` draws, which ``run`` draws for every pair at
+    once, and None for the other methods; ``config`` is the method's
     ``HierConfig`` or ``DpPrior``.  ``bayes-ttest`` also appends its
     intervals to ``hdi_columns``, the columns of the run's one ``hdi.csv``.
     A Monte-Carlo comparison draws from streams of ``args.seed`` alone, so
     its result depends only on the seed, the method's settings and its data.
     """
     if args.method == "freq-ttest":
-        res = correlated_ttest(series)
+        res = correlated_ttest(diffs)
         fields = {
-            "dataset": series.dataset, "t": res.t, "p_two_sided": res.p_two_sided,
+            "dataset": diffs.datasets[0], "t": res.t, "p_two_sided": res.p_two_sided,
             "p_one_sided_greater": res.p_one_sided_greater, "dof": res.dof,
         }
         return fields, None, []
     if args.method == "wilcoxon":
-        res = wilcoxon_signed_rank(series)
+        res = wilcoxon_signed_rank(diffs)
         fields = {
             "t_stat": res.t_stat, "w": res.w, "p_two_sided": res.p_two_sided,
             "tie_adjust": res.tie_adjust, "exact": res.exact,
         }
         return fields, None, []
     if args.method == "bayes-ttest":
-        post = posterior(series)
+        post = posterior(diffs)
         if not post.degenerate:
             intervals = hdis(post)
             lo, hi = zip(*intervals.intervals)
-            ids = [_csv_field(series.dataset)] * len(lo)
+            ids = [_csv_field(diffs.datasets[0])] * len(lo)
             for column, values in zip(hdi_columns, (ids, intervals.levels, lo, hi)):
                 column += values
         fields = {
-            "dataset": series.dataset,
+            "dataset": diffs.datasets[0],
             "posterior": {"dof": post.dof, "loc": post.loc, "scale2": post.scale2},
             "p_direction_a_better": direction_prob(post),
         }
-        return fields, rope_probs(post, rope), [density_data(series.x, bins=30).to_csv()]
+        return fields, rope_probs(post, rope), [density_data(diffs.x, bins=30).to_csv()]
     if args.method == "hierarchical":
-        draws = fit(series, config)
+        draws = fit(diffs, config)
         samples = next_dataset_probs(draws, rope)
         diagnostics = {
             "converged": draws.converged,
@@ -238,12 +238,11 @@ def _analyse(args, rope, config, series, hdi_columns):
         return {"diagnostics": diagnostics}, simplex_region_probs(samples), exports
     if args.method == "sign":
         # exact probabilities; the posterior draws feed only the plot
-        params = sign_test_params(series, rope, config)
+        params = sign_test_params(diffs, rope, config)
         fields = {"dirichlet": [params.a_left, params.a_rope, params.a_right]}
         samples = sign_test_samples(params, EXPORT_POINTS, RngStream(args.seed).spawn(0))
         return fields, sign_test_probs(params), [_barycentric_export(samples)]
-    # signed-rank: run has drawn the pair's samples
-    return {}, simplex_region_probs(series), [_barycentric_export(series)]
+    return {}, simplex_region_probs(samples), [_barycentric_export(samples)]
 
 
 def _signed_rank_draws(zs, rope, prior, count, seed):
@@ -288,13 +287,12 @@ def run(args) -> int:
 
     # the comparisons: one per dataset for the t-tests, else one per classifier pair
     if args.method in ("freq-ttest", "bayes-ttest"):
-        diffs = paired_differences(table, *args.pair, rho=rho)
-        if args.dataset is not None:
-            diffs = [d for d in diffs if d.dataset == args.dataset]
-            if not diffs:
-                raise CoverageError(f"dataset {args.dataset!r} not present in the input")
-        comparisons = [(tuple(args.pair), d) for d in diffs]
-        sources = [(d.dataset,) for d in diffs]
+        pair = paired_differences(table, *args.pair, rho=rho)
+        rows = [i for i, d in enumerate(pair.datasets) if args.dataset in (None, d)]
+        if not rows:
+            raise CoverageError(f"dataset {args.dataset!r} not present in the input")
+        sources = [(pair.datasets[i],) for i in rows]
+        comparisons = ((tuple(args.pair), pair.row(i)) for i in rows)
     else:
         if getattr(args, "all_pairs", False):
             if len(table.classifiers) < 2:
@@ -303,22 +301,20 @@ def run(args) -> int:
         else:
             sources = [tuple(args.pair)]
         # formed as the loop reaches each pair, so one pair's differences are held at a time
-        if args.method == "hierarchical":
-            comparisons = ((pair, paired_differences(table, *pair, rho=rho)) for pair in sources)
-        else:
-            comparisons = ((pair, mean_differences(table, *pair)) for pair in sources)
+        comparisons = ((pair, paired_differences(table, *pair, rho=rho)) for pair in sources)
     # name every export before any analysis, so a name clash costs no work
     names = [_export_names(template, sources) for template in _EXPORTS[args.method]]
+    drawn = itertools.repeat(None)
     if args.method == "signed-rank":
-        # the pairs share their weight draws, so every pair's means come first
-        zs = [z for _, z in comparisons]
-        comparisons = zip(sources, _signed_rank_draws(zs, rope, config, args.samples, args.seed))
+        # the pairs share their weight draws, so every pair's differences come first
+        comparisons = list(comparisons)
+        drawn = _signed_rank_draws([d for _, d in comparisons], rope, config, args.samples, args.seed)
 
     entries = []
     files = {}
     hdi_columns = [[], [], [], []]
-    for index, ((a, b), series) in enumerate(comparisons):
-        fields, probs, exports = _analyse(args, rope, config, series, hdi_columns)
+    for index, (((a, b), diffs), samples) in enumerate(zip(comparisons, drawn)):
+        fields, probs, exports = _analyse(args, rope, config, diffs, samples, hdi_columns)
         entry = {"pair": [a, b], "method": args.method, **fields}
         if probs is not None:
             entry.update({

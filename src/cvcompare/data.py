@@ -7,6 +7,11 @@ result, run and fold as 0-based integers.  Scores may be fractions in
 whole file is treated as percentages and divided by 100.  The scale rule
 is applied per file, never per row.  Records end at LF or CRLF; a quoted
 field keeps any commas and line breaks it holds.
+
+Every method reads a classifier pair as one :class:`PairDifferences`, built
+from the table's score grid by :func:`paired_differences`: the cross-dataset
+tests read its means, the t-tests one dataset's row, and the hierarchical
+model every row's mean and spread.
 """
 
 from __future__ import annotations
@@ -27,11 +32,9 @@ __all__ = [
     "CSV_HEADER",
     "Rope",
     "ScoreTable",
-    "DiffSeries",
-    "MeanDiffVector",
+    "PairDifferences",
     "parse_scores",
     "paired_differences",
-    "mean_differences",
 ]
 
 CSV_HEADER = ("dataset", "classifier", "run", "fold", "score")
@@ -159,65 +162,79 @@ def _row_means(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class DiffSeries:
-    """Paired score differences (first minus second classifier) for one dataset.
+class PairDifferences:
+    """One classifier pair's score differences (first minus second), one row
+    per dataset.
 
-    Carries the cross-validation correlation ``rho`` and the sufficient
-    statistics (mean, sample standard deviation with divisor n-1) derived
-    from ``x``.
+    ``x`` is a read-only copy of the (q, n) matrix: row i holds dataset i's
+    n differences, one per (run, fold) cell.  ``means`` and ``sds`` are each
+    row's mean and sample standard deviation (divisor n - 1), computed once;
+    a constant row's mean is its value exactly and its sd is 0, and a row of
+    one difference, which carries a mean alone, counts as constant.  ``rho``
+    is the cross-validation correlation, None when it is unknown.  The
+    methods that read ``sds``, ``ss`` or ``rho`` call :meth:`within` first,
+    so a matrix of means alone still serves those that read ``means``.
     """
 
-    dataset: str
+    datasets: tuple[str, ...]
     x: np.ndarray
-    rho: float
-    n: int = field(init=False)
-    mean: float = field(init=False)
-    sd: float = field(init=False)
+    rho: float | None = None
+    means: np.ndarray = field(init=False, repr=False)
+    sds: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1:
-            raise ValueError(f"difference series must be one-dimensional, got shape {x.shape}")
-        if x.size < 2:
-            raise ValueError("difference series needs at least two observations")
+        x = np.array(self.x, dtype=float)
+        if x.ndim != 2:
+            raise ValueError(f"difference matrix must be two-dimensional, got shape {x.shape}")
+        if x.size == 0:
+            raise ValueError(f"difference matrix must be non-empty, got shape {x.shape}")
+        if len(self.datasets) != len(x):
+            raise ValueError("dataset labels and rows have different lengths")
         if not np.all(np.abs(x) <= 1.0):  # NaN fails this test too
             raise ValueError("score differences must lie in [-1, 1]")
-        _check_rho(self.rho)
-        (mean,), (constant,) = _row_means(x[np.newaxis])
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "n", int(x.size))
-        object.__setattr__(self, "mean", float(mean))
-        object.__setattr__(self, "sd", 0.0 if constant else float(x.std(ddof=1)))
-
-    @property
-    def ss(self) -> float:
-        """Centred sum of squares, sd^2 * (n - 1)."""
-        return self.sd * self.sd * (self.n - 1)
-
-
-@dataclass(frozen=True)
-class MeanDiffVector:
-    """Per-dataset mean differences for a classifier pair."""
-
-    z: np.ndarray
-    datasets: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        z = np.asarray(self.z, dtype=float)
-        object.__setattr__(self, "z", z)
+        if self.rho is not None:
+            _check_rho(self.rho)
+        means, constant = _row_means(x)
+        # x.std(ddof=1) warns on a one-column matrix, whose rows are all constant
+        sds = np.zeros(len(x)) if x.shape[1] == 1 else np.where(constant, 0.0, x.std(axis=1, ddof=1))
         object.__setattr__(self, "datasets", tuple(self.datasets))
-        if z.ndim != 1:
-            raise ValueError(f"mean-difference vector must be one-dimensional, got shape {z.shape}")
-        if z.size == 0:
-            raise ValueError("mean-difference vector must be non-empty")
-        if len(self.datasets) != z.size:
-            raise ValueError("dataset labels and values have different lengths")
-        if not np.all(np.abs(z) <= 1.0):  # NaN fails this test too
-            raise ValueError("mean differences must lie in [-1, 1]")
+        for name, value in (("x", x), ("means", means), ("sds", sds)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def q(self) -> int:
-        return int(self.z.size)
+        return len(self.x)
+
+    @property
+    def n(self) -> int:
+        return self.x.shape[1]
+
+    @property
+    def ss(self) -> np.ndarray:
+        """Centred sums of squares, sds^2 * (n - 1)."""
+        return self.sds * self.sds * (self.n - 1)
+
+    def row(self, i: int) -> "PairDifferences":
+        """Dataset i's differences alone, for the per-dataset tests."""
+        return PairDifferences((self.datasets[i],), self.x[i][np.newaxis], self.rho)
+
+    def within(self) -> float:
+        """``rho``, once the spread within each dataset can be read: ``sds``
+        need two differences per row, and ``rho`` must be known."""
+        if self.n < 2:
+            raise ValueError("difference series needs at least two observations")
+        if self.rho is None:
+            raise ValueError("rho defaults to 1/folds, which is 1 for a one-fold table, so rho must be given")
+        return self.rho
+
+    def series(self) -> tuple[str, float, float, float]:
+        """The dataset, mean, sd and rho of a one-dataset ``PairDifferences``,
+        for the per-dataset tests, after :meth:`within`'s checks."""
+        if self.q != 1:
+            raise ValueError(f"a per-dataset test reads one dataset, got {self.q}")
+        rho = self.within()
+        return self.datasets[0], float(self.means[0]), float(self.sds[0]), rho
 
 
 def _read_text(source) -> str:
@@ -472,12 +489,18 @@ def parse_scores(source) -> ScoreTable:
     return table
 
 
-def _differences(table: ScoreTable, a: str, b: str) -> np.ndarray:
-    """``scores(a) - scores(b)``, one run-major row per dataset in table order.
+def paired_differences(
+    table: ScoreTable, a: str, b: str, rho: float | None = None
+) -> PairDifferences:
+    """Every dataset's differences ``scores(a) - scores(b)``, in table order,
+    one run-major row per dataset.
 
     Fold alignment is positional (both classifiers were run on the same
     splits).  Raises :class:`CoverageError` naming every dataset that lacks
-    either classifier.
+    either classifier.  ``rho`` defaults to the n_te / n_tot heuristic,
+    which is 1 / folds for k-fold cross-validation.  That is 1 for a
+    one-fold table, so there ``rho`` stays unset, and the methods that
+    read it ask for one; those that read the means alone do not.
     """
     missing = [
         d for d in table.datasets
@@ -487,32 +510,7 @@ def _differences(table: ScoreTable, a: str, b: str) -> np.ndarray:
         raise CoverageError(f"classifiers {a!r}/{b!r} missing for datasets: {', '.join(missing)}")
     first = [table._index[(d, a)] for d in table.datasets]
     second = [table._index[(d, b)] for d in table.datasets]
-    return np.asarray(table._grid[first] - table._grid[second], dtype=float).reshape(len(first), -1)
-
-
-def paired_differences(
-    table: ScoreTable, a: str, b: str, rho: float | None = None
-) -> list[DiffSeries]:
-    """Per-dataset difference series ``scores(a) - scores(b)``, in table order.
-
-    Each series needs at least two scores per (dataset, classifier) cell.
-    ``rho`` defaults to the n_te / n_tot heuristic, which is 1 / folds for
-    k-fold cross-validation; that is 1 for a one-fold table, which must
-    therefore be given a ``rho``.
-    """
-    x = _differences(table, a, b)
-    if rho is None and table.folds == 1 and table.runs > 1:  # one score per cell fails on its length first
-        raise ValueError("rho defaults to 1/folds, which is 1 for a one-fold table, so rho must be given")
-    rho = 1.0 / table.folds if rho is None else rho
-    return [DiffSeries(dataset, row, rho) for dataset, row in zip(table.datasets, x)]
-
-
-def mean_differences(table: ScoreTable, a: str, b: str) -> MeanDiffVector:
-    """Per-dataset mean differences ``scores(a) - scores(b)``, in table order.
-
-    Read straight from the table, so one score per (dataset, classifier)
-    cell is enough; each mean equals the ``mean`` of the dataset's
-    :class:`DiffSeries` from :func:`paired_differences` bit for bit.
-    """
-    z, _ = _row_means(_differences(table, a, b))
-    return MeanDiffVector(z=z, datasets=table.datasets)
+    x = (table._grid[first] - table._grid[second]).reshape(len(first), -1)
+    if rho is None and table.folds > 1:
+        rho = 1.0 / table.folds
+    return PairDifferences(table.datasets, x, rho)

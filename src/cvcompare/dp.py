@@ -59,7 +59,7 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .data import MeanDiffVector, Rope
+from .data import PairDifferences, Rope
 from .decisions import TrinomialProbs, TrinomialSamples
 from .kernels import RngStream
 
@@ -118,15 +118,15 @@ class DirichletParams:
         return np.array([self.a_left, self.a_rope, self.a_right])
 
 
-def sign_test_params(z: MeanDiffVector, rope: Rope, prior: DpPrior) -> DirichletParams:
+def sign_test_params(z: PairDifferences, rope: Rope, prior: DpPrior) -> DirichletParams:
     """Closed-form Dirichlet parameters of the DP sign test.
 
     Counts the observations below, inside (closed interval), and above the
     rope, then adds the prior strength to the component holding the
     pseudo-observation.
     """
-    n_left = int(np.sum(z.z < rope.lower))
-    n_right = int(np.sum(z.z > rope.upper))
+    n_left = int(np.sum(z.means < rope.lower))
+    n_right = int(np.sum(z.means > rope.upper))
     n_rope = z.q - n_left - n_right
     a = [float(n_left), float(n_rope), float(n_right)]
     a[("left", "rope", "right").index(prior.z0)] += prior.s
@@ -322,13 +322,13 @@ def _side_mass(side: _Side, w0: np.ndarray, w: np.ndarray, running: np.ndarray) 
 
 
 def signed_rank_batch(
-    vectors: list[MeanDiffVector],
+    vectors: list[PairDifferences],
     rope: Rope,
     prior: DpPrior,
     count: int,
     rng: RngStream,
 ) -> list[TrinomialSamples]:
-    """Monte-Carlo draws of the signed-rank theta triple for each of ``vectors``.
+    """Monte-Carlo draws of the signed-rank theta triple for the ``means`` of each of ``vectors``.
 
     For each Dirichlet weight vector (w_0, ..., w_q) ~ Dir(s, 1, ..., 1)
     the thetas are the weight mass of ordered observation pairs whose sums
@@ -350,7 +350,7 @@ def signed_rank_batch(
     if len(lengths) != 1:
         raise ValueError("need at least one vector, all of one length")
     (q,) = lengths
-    sides = [_pair_sides(z.z, rope, prior.z0) for z in vectors]
+    sides = [_pair_sides(z.means, rope, prior.z0) for z in vectors]
     gen = rng.generator()
     outs = [np.empty((count, 3)) for _ in vectors]
     # every block reuses these buffers: fresh pages per block cost more than its arithmetic
@@ -372,7 +372,7 @@ def signed_rank_batch(
 
 
 def signed_rank_samples(
-    z: MeanDiffVector, rope: Rope, prior: DpPrior, count: int, rng: RngStream
+    z: PairDifferences, rope: Rope, prior: DpPrior, count: int, rng: RngStream
 ) -> TrinomialSamples:
     """Monte-Carlo draws of the signed-rank theta triple: ``signed_rank_batch`` of ``z`` alone."""
     return signed_rank_batch([z], rope, prior, count, rng)[0]

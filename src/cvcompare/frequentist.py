@@ -2,8 +2,9 @@
 
 The correlated t-test inflates the variance of the classic one-sample
 t-test by rho / (1 - rho) to account for the overlap of cross-validation
-training sets; rho = 0 recovers the textbook test.  The signed-rank test
-operates on the per-dataset mean differences.
+training sets; rho = 0 recovers the textbook test.  It reads one dataset's
+differences.  The signed-rank test reads the per-dataset mean differences
+(``PairDifferences.means``) of every dataset.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DiffSeries, MeanDiffVector
+from .data import PairDifferences
 from .errors import DegenerateDataError
 from .kernels import LocScaleStudent, student_sf
 
@@ -43,18 +44,19 @@ class WilcoxonResult:
     exact: bool
 
 
-def correlated_ttest(d: DiffSeries, mu0: float = 0.0) -> TTestResult:
-    """Correlated t-test of H0: mu = mu0 for one dataset's differences.
+def correlated_ttest(d: PairDifferences, mu0: float = 0.0) -> TTestResult:
+    """Correlated t-test of H0: mu = mu0 for the one dataset of ``d``.
 
     The statistic is (mean - mu0) / sqrt(sd^2 (1/n + rho/(1-rho))) with
     n - 1 degrees of freedom.
     """
-    if d.sd == 0.0:
+    dataset, mean, sd, rho = d.series()
+    if sd == 0.0:
         raise DegenerateDataError(
-            f"dataset {d.dataset!r}: zero variance, t statistic undefined"
+            f"dataset {dataset!r}: zero variance, t statistic undefined"
         )
-    se = d.sd * np.sqrt(1.0 / d.n + d.rho / (1.0 - d.rho))
-    t = (d.mean - mu0) / se
+    se = sd * np.sqrt(1.0 / d.n + rho / (1.0 - rho))
+    t = (mean - mu0) / se
     dist = LocScaleStudent(dof=d.n - 1, loc=0.0, scale2=1.0)
     return TTestResult(
         t=float(t),
@@ -98,7 +100,7 @@ def _exact_two_sided_p(ranks: np.ndarray, t_stat: float) -> float:
     return float(prob[np.abs(sums - centre) >= observed - 1e-12].sum())
 
 
-def wilcoxon_signed_rank(z: MeanDiffVector, exact: bool | None = None) -> WilcoxonResult:
+def wilcoxon_signed_rank(z: PairDifferences, exact: bool | None = None) -> WilcoxonResult:
     """Wilcoxon signed-rank test on per-dataset mean differences.
 
     Zero differences are discarded before ranking (the classic treatment;
@@ -108,7 +110,7 @@ def wilcoxon_signed_rank(z: MeanDiffVector, exact: bool | None = None) -> Wilcox
     ``exact=False`` forces the approximation; ``exact=True`` gives the
     exact p-value for any q.
     """
-    values = z.z[z.z != 0.0]
+    values = z.means[z.means != 0.0]
     q = values.size
     if q == 0:
         # all-zero input: no evidence either way

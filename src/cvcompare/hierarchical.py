@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import DiffSeries, Rope, _csv_text
+from .data import PairDifferences, Rope, _csv_text
 from .decisions import TrinomialSamples
 from .kernels import RngStream, _student_below_array
 
@@ -152,19 +152,15 @@ def _columns(params) -> list[tuple[str, np.ndarray]]:
 class _Problem:
     """Sufficient statistics and prior bounds shared by the sampler."""
 
-    def __init__(self, data: list[DiffSeries]):
-        ns = {d.n for d in data}
-        if len(ns) != 1:
-            raise ValueError(f"all series must share n, got {sorted(ns)}")
-        rhos = {d.rho for d in data}
-        if len(rhos) != 1:
-            raise ValueError(f"all series must share rho, got {sorted(rhos)}")
-        self.means = np.array([d.mean for d in data])
-        self.ss = np.array([d.ss for d in data])
-        self.n = data[0].n
-        self.rho = rhos.pop()
-        self.q = len(data)
-        self.sds = np.array([d.sd for d in data])
+    def __init__(self, data: PairDifferences):
+        self.rho = data.within()
+        if data.q < 2:
+            raise ValueError("the hierarchical model needs at least two datasets")
+        self.means = data.means
+        self.ss = data.ss
+        self.n = data.n
+        self.q = data.q
+        self.sds = data.sds
         self.s_mean = float(np.std(self.means, ddof=1))
         # the floors keep the uniform supports proper for constant data, and
         # put half of each bound above the scale floor for the initial state
@@ -436,15 +432,13 @@ def effective_sample_size(x: np.ndarray) -> float:
     return float(k * m / tau)
 
 
-def fit(data: list[DiffSeries], cfg: HierConfig) -> HierDraws:
+def fit(data: PairDifferences, cfg: HierConfig) -> HierDraws:
     """Sample the hierarchical posterior with ``cfg.chains`` independent chains.
 
     Returns the draws together with split R-hat and effective sample size
     for every parameter; a result whose R-hat exceeds 1.05 anywhere is
     flagged through ``HierDraws.converged`` but still returned.
     """
-    if len(data) < 2:
-        raise ValueError("the hierarchical model needs at least two datasets")
     problem = _Problem(data)
     base = RngStream(cfg.seed)
     results = [_run_chain(problem, cfg, base.spawn(c)) for c in range(cfg.chains)]
@@ -472,25 +466,25 @@ def next_dataset_probs(draws: HierDraws, rope: Rope) -> TrinomialSamples:
     return TrinomialSamples(samples=samples)
 
 
-def shrinkage_report(draws: HierDraws, data: list[DiffSeries]) -> ShrinkageReport:
+def shrinkage_report(draws: HierDraws, data: PairDifferences) -> ShrinkageReport:
     """Compare raw per-dataset means against their pooled posterior estimates."""
-    if len(data) != draws.mu.shape[2]:
+    if data.q != draws.mu.shape[2]:
         raise ValueError("draws and data disagree on the number of datasets")
-    med = float(np.median([d.mean for d in data]))
+    med = float(np.median(data.means))
     rows = []
     pooled_dev = 0.0
     sample_dev = 0.0
-    for i, series in enumerate(data):
+    for i, (dataset, mean) in enumerate(zip(data.datasets, data.means.tolist())):
         post = draws.mu[:, :, i].reshape(-1)
         post_mean = float(post.mean())
         rows.append(
             ShrinkageRow(
-                dataset=series.dataset,
-                sample_mean=series.mean,
+                dataset=dataset,
+                sample_mean=mean,
                 posterior_mean=post_mean,
                 posterior_sd=float(post.std(ddof=1)),
             )
         )
         pooled_dev += abs(post_mean - med)
-        sample_dev += abs(series.mean - med)
+        sample_dev += abs(mean - med)
     return ShrinkageReport(rows=tuple(rows), pooled_abs_dev=pooled_dev, sample_abs_dev=sample_dev)

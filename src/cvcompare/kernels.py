@@ -422,6 +422,10 @@ def _t_quantile(q: float, dof: float) -> float:
             t = math.sqrt(t) * math.sqrt(last)
             continue
         last = t
+        # a tail below _MIN_NORMAL moves in units of math.ulp(0.0); where one unit is more
+        # than the step test below resolves, the steps would only oscillate about the target
+        if target < _MIN_NORMAL and abs(value - target) <= math.ulp(0.0):
+            break
         miss = math.log(value / target)
         if t == _MAX_FLOAT and miss > 0.0:
             return math.inf

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cvcompare.data import DiffSeries, MeanDiffVector, ScoreTable
+from cvcompare.data import PairDifferences, ScoreTable
 
 # Mean accuracy differences (percent, first classifier minus second) for the
 # naive Bayes vs AODE comparison over 54 UCI datasets, 10 runs of 10-fold
@@ -29,19 +29,19 @@ NBC_AODE_MEAN_DIFFS_PERCENT = {
 
 
 def series_from_stats(mean, sd, n, rho, dataset="synthetic"):
-    """Build a DiffSeries with (numerically) exact mean and sample sd."""
+    """One dataset's differences with (numerically) exact mean and sample sd."""
     u = np.resize([1.0, -1.0], n).astype(float)
     u -= u.mean()
     norm = u.std(ddof=1)
     x = mean + (sd / norm) * u if norm > 0 else np.full(n, float(mean))
-    return DiffSeries(dataset=dataset, x=x, rho=rho)
+    return PairDifferences(datasets=(dataset,), x=x[np.newaxis], rho=rho)
 
 
 @pytest.fixture(scope="session")
 def benchmark_z():
     names = tuple(NBC_AODE_MEAN_DIFFS_PERCENT)
     values = np.array([NBC_AODE_MEAN_DIFFS_PERCENT[n] for n in names]) / 100.0
-    return MeanDiffVector(z=values, datasets=names)
+    return PairDifferences(datasets=names, x=values[:, np.newaxis])
 
 
 def make_table(n_datasets=3, classifiers=("alpha", "beta"), runs=2, folds=5, seed=0):

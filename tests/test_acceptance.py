@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cvcompare.bayes_ttest import posterior, rope_probs
-from cvcompare.data import DiffSeries, MeanDiffVector, Rope
+from cvcompare.data import PairDifferences, Rope
 from cvcompare.decisions import (
     LossMatrix,
     TrinomialProbs,
@@ -36,7 +36,7 @@ def _pass(criterion, message):
 
 def mdv(values, scale=1.0):
     values = np.asarray(values, dtype=float) * scale
-    return MeanDiffVector(z=values, datasets=tuple(f"d{i}" for i in range(len(values))))
+    return PairDifferences(datasets=tuple(f"d{i}" for i in range(len(values))), x=values[:, np.newaxis])
 
 
 def test_criterion_1_correlated_ttest_pinpoint():
@@ -150,8 +150,8 @@ def _model_data(q, n, mu0, sigma0, nu, rho, seed, sd_range=(0.02, 0.06)):
         sd_i = rng.uniform(*sd_range)
         shared = rng.standard_normal()
         x = mu_i + sd_i * (math.sqrt(rho) * shared + math.sqrt(1 - rho) * rng.standard_normal(n))
-        out.append(DiffSeries(dataset=f"d{i}", x=np.clip(x, -1.0, 1.0), rho=rho))
-    return out
+        out.append(np.clip(x, -1.0, 1.0))
+    return PairDifferences(datasets=tuple(f"d{i}" for i in range(q)), x=np.array(out), rho=rho)
 
 
 def test_criterion_7a_hierarchical_coverage():
@@ -180,8 +180,8 @@ def test_criterion_7b_hierarchical_shift_equivariance():
                 math.sqrt(0.1) * rng.standard_normal()
                 + math.sqrt(0.9) * rng.standard_normal(30)
             )
-            out.append(DiffSeries(dataset=f"d{i}", x=x + shift, rho=0.1))
-        return out
+            out.append(x + shift)
+        return PairDifferences(datasets=tuple(f"d{i}" for i in range(10)), x=np.array(out), rho=0.1)
 
     c = 0.005
     cfg = HierConfig(seed=77, chains=2, warmup=400, draws=400)
@@ -216,8 +216,9 @@ def test_criterion_7d_hierarchical_rope_sanity():
             + math.sqrt(0.9) * rng.standard_normal(40)
         )
         x = x - x.mean() + target  # pin every |sample mean| below 0.002
-        data.append(DiffSeries(dataset=f"t{i}", x=x, rho=0.1))
-    assert max(abs(d.mean) for d in data) < 0.002
+        data.append(x)
+    data = PairDifferences(datasets=tuple(f"t{i}" for i in range(12)), x=np.array(data), rho=0.1)
+    assert np.abs(data.means).max() < 0.002
     draws = fit(data, HierConfig(seed=5, chains=2, warmup=400, draws=400))
     samples = next_dataset_probs(draws, ROPE)
     probs = simplex_region_probs(samples)

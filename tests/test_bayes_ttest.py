@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvcompare.bayes_ttest import direction_prob, hdis, posterior, rope_probs
-from cvcompare.data import DiffSeries, Rope
+from cvcompare.data import PairDifferences, Rope
 from cvcompare.decisions import TrinomialProbs
 from cvcompare.frequentist import correlated_ttest
 from cvcompare.kernels import LocScaleStudent, student_cdf
@@ -26,7 +26,7 @@ class TestPosterior:
         assert post.scale2 == pytest.approx(3.03491001111e-5, abs=1e-12)
 
     def test_constant_data_degenerates_to_point_mass(self):
-        d = DiffSeries(dataset="const", x=np.full(20, 0.03), rho=0.1)
+        d = PairDifferences(datasets=("const",), x=np.full((1, 20), 0.03), rho=0.1)
         post = posterior(d)
         assert post.degenerate
         assert post.loc == 0.03
@@ -34,7 +34,7 @@ class TestPosterior:
     def test_rho_zero_is_classic_posterior(self):
         d = series_from_stats(mean=0.01, sd=0.04, n=25, rho=0.0)
         post = posterior(d)
-        assert post.scale2 == pytest.approx(d.sd**2 / d.n, rel=1e-12)
+        assert post.scale2 == pytest.approx(d.sds[0] ** 2 / d.n, rel=1e-12)
 
 
 class TestRopeProbs:
@@ -67,7 +67,7 @@ class TestRopeProbs:
 
     def test_swap_is_exact_for_symmetric_rope(self):
         d = series_from_stats(mean=-0.021, sd=0.014, n=80, rho=0.1)
-        neg = DiffSeries(dataset="swap", x=-d.x, rho=d.rho)
+        neg = PairDifferences(datasets=("swap",), x=-d.x, rho=d.rho)
         rope = Rope(-0.01, 0.01)
         p = rope_probs(posterior(d), rope)
         q = rope_probs(posterior(neg), rope)

@@ -11,7 +11,7 @@ import pytest
 from cvcompare import cli
 from cvcompare.cli import build_parser, main
 from cvcompare.bayes_ttest import hdis, posterior
-from cvcompare.data import MeanDiffVector, Rope, ScoreTable, mean_differences, paired_differences, parse_scores
+from cvcompare.data import PairDifferences, Rope, ScoreTable, paired_differences, parse_scores
 from cvcompare.decisions import simplex_region_probs
 from cvcompare.dp import DpPrior, sign_test_params, sign_test_probs, sign_test_samples, signed_rank_samples
 from cvcompare.frequentist import wilcoxon_signed_rank
@@ -149,6 +149,24 @@ class TestFreqAndBayes:
         assert entry["dof"] == 2 * 5 - 1
         assert 0.0 <= entry["p_two_sided"] <= 1.0
 
+    def test_dataset_is_selected_before_any_test(self, tmp_path, capsys):
+        # alpha - beta is 0.25 in every fold of ds0 and varies on ds1
+        entries = {("ds0", "alpha"): np.array([[0.75, 0.625]]), ("ds0", "beta"): np.array([[0.5, 0.375]]),
+                   ("ds1", "alpha"): np.array([[0.75, 0.5]]), ("ds1", "beta"): np.array([[0.5, 0.5]])}
+        path = tmp_path / "scores.csv"
+        path.write_text(ScoreTable(entries=entries, runs=1, folds=2).to_csv())
+        for method in ("freq-ttest", "bayes-ttest"):
+            out = tmp_path / method
+            assert run_cli(method, "--input", path, "--pair", "alpha", "beta", "--dataset", "ds1",
+                           "--output-dir", out) == 0
+            report = json.loads((out / "report.json").read_text())
+            assert [entry["dataset"] for entry in report["results"]] == ["ds1"]
+        capsys.readouterr()
+        out = tmp_path / "whole"
+        assert run_cli("freq-ttest", "--input", path, "--pair", "alpha", "beta", "--output-dir", out) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "cvcompare: frequentist: dataset 'ds0': zero variance, t statistic undefined\n"
+
     def test_bayes_ttest_exports(self, score_csv, tmp_path):
         out = tmp_path / "out"
         code = run_cli("bayes-ttest", "--input", score_csv, "--pair", "alpha", "beta",
@@ -220,10 +238,11 @@ class TestFreqAndBayes:
         expected = io.StringIO()
         rows = csv.writer(expected, lineterminator="\n")
         rows.writerow(["dataset", "level", "lo", "hi"])
-        for series in paired_differences(parse_scores(path.read_bytes()), "alpha", "beta"):
-            intervals = hdis(posterior(series))
+        diffs = paired_differences(parse_scores(path.read_bytes()), "alpha", "beta")
+        for i, dataset in enumerate(diffs.datasets):
+            intervals = hdis(posterior(diffs.row(i)))
             for level, (lo, hi) in zip(intervals.levels, intervals.intervals):
-                rows.writerow([series.dataset, repr(level), repr(lo), repr(hi)])
+                rows.writerow([dataset, repr(level), repr(lo), repr(hi)])
         assert (out / "hdi.csv").read_bytes().decode("utf-8") == expected.getvalue()
 
     def test_lone_carriage_return_in_id_is_quoted(self, tmp_path):
@@ -272,7 +291,7 @@ class TestMonteCarloMethods:
                        "--samples", "30000", "--seed", "5", "--output-dir", out)
         assert code == 0
         (entry,) = json.loads((out / "report.json").read_text())["results"]
-        z = mean_differences(parse_scores(score_csv.read_text()), "alpha", "beta")
+        z = paired_differences(parse_scores(score_csv.read_text()), "alpha", "beta")
         samples = signed_rank_samples(z, Rope(-0.01, 0.01), DpPrior(), 30_000, RngStream(5).spawn(0))
         assert samples.count == 30_000
         probs = simplex_region_probs(samples)
@@ -287,7 +306,7 @@ class TestMonteCarloMethods:
         assert run_cli("sign", "--input", score_csv, "--pair", "alpha", "beta", "--seed", "6",
                        "--output-dir", out) == 0
         (entry,) = json.loads((out / "report.json").read_text())["results"]
-        params = sign_test_params(mean_differences(parse_scores(score_csv.read_text()), "alpha", "beta"),
+        params = sign_test_params(paired_differences(parse_scores(score_csv.read_text()), "alpha", "beta"),
                                   Rope(), DpPrior())
         probs = sign_test_probs(params)
         assert entry["probs"] == {"a_better": probs.p_right, "rope": probs.p_rope, "b_better": probs.p_left}
@@ -430,7 +449,7 @@ class TestBenchmarkFidelity:
 
         d = conftest.series_from_stats(mean=-0.0194, sd=0.01583, n=100, rho=0.1)
         lines = ["dataset,classifier,run,fold,score"]
-        for idx, x in enumerate(d.x):
+        for idx, x in enumerate(d.x[0]):
             run, fold = divmod(idx, 10)
             lines.append(f"anneal,nbc,{run},{fold},{float(0.5 + x)!r}")
             lines.append(f"anneal,aode,{run},{fold},0.5")
@@ -802,7 +821,7 @@ class TestOneFoldTables:
         assert run_cli(method, "--input", path, "--pair", "alpha", "beta", *seeded, "--output-dir", out) == 0
         (entry,) = json.loads((out / "report.json").read_text())["results"]
         means = [(table.entries[(d, "alpha")] - table.entries[(d, "beta")]).ravel().mean() for d in table.datasets]
-        z = MeanDiffVector(z=np.array(means), datasets=table.datasets)
+        z = PairDifferences(datasets=table.datasets, x=np.array(means)[:, np.newaxis])
         if method == "wilcoxon":
             expected = dataclasses.asdict(wilcoxon_signed_rank(z))
             assert {key: entry[key] for key in expected} == expected

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,13 +14,11 @@ from hypothesis import strategies as st
 from cvcompare import data
 from cvcompare.data import (
     CSV_HEADER,
-    DiffSeries,
-    MeanDiffVector,
+    PairDifferences,
     Rope,
     ScoreTable,
     _csv_field,
     _csv_text,
-    mean_differences,
     paired_differences,
     parse_scores,
 )
@@ -571,10 +570,9 @@ class TestToCsv:
 
 class TestPairedDifferences:
     def test_identity_pair_is_zero(self):
-        table = make_table()
-        for d in paired_differences(table, "alpha", "alpha"):
-            assert np.all(d.x == 0.0)
-            assert d.mean == 0.0 and d.sd == 0.0
+        d = paired_differences(make_table(), "alpha", "alpha")
+        assert np.all(d.x == 0.0)
+        assert np.all(d.means == 0.0) and np.all(d.sds == 0.0)
 
     def test_constant_shift(self):
         base = np.random.default_rng(1).uniform(0.3, 0.7, size=(2, 5))
@@ -582,23 +580,22 @@ class TestPairedDifferences:
         from cvcompare.data import ScoreTable
 
         table = ScoreTable(entries=table_entries, runs=2, folds=5)
-        (d,) = paired_differences(table, "a", "b")
-        assert d.mean == pytest.approx(0.02, abs=1e-15)
-        assert d.sd == pytest.approx(0.0, abs=1e-15)
+        d = paired_differences(table, "a", "b")
+        assert d.means[0] == pytest.approx(0.02, abs=1e-15)
+        assert d.sds[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_antisymmetry(self):
         table = make_table(seed=7)
         ab = paired_differences(table, "alpha", "beta")
         ba = paired_differences(table, "beta", "alpha")
-        for d1, d2 in zip(ab, ba):
-            assert np.array_equal(d1.x, -d2.x)
+        assert np.array_equal(ab.x, -ba.x)
 
     def test_rho_default_and_override(self):
         table = make_table(folds=5)
-        (d, *_) = paired_differences(table, "alpha", "beta")
-        assert d.rho == pytest.approx(1.0 / 5.0)
-        (d, *_) = paired_differences(table, "alpha", "beta", rho=0.0)
-        assert d.rho == 0.0
+        assert paired_differences(table, "alpha", "beta").rho == pytest.approx(1.0 / 5.0)
+        assert paired_differences(table, "alpha", "beta", rho=0.0).rho == 0.0
+        # 1/folds would be 1 for one fold, so rho stays unset there
+        assert paired_differences(make_table(runs=10, folds=1), "alpha", "beta").rho is None
 
     def test_run_major_flattening(self):
         from cvcompare.data import ScoreTable
@@ -606,8 +603,8 @@ class TestPairedDifferences:
         a = np.array([[0.5, 0.6], [0.7, 0.8]])
         b = np.zeros((2, 2))
         table = ScoreTable(entries={("d", "a"): a, ("d", "b"): b}, runs=2, folds=2)
-        (d,) = paired_differences(table, "a", "b")
-        assert np.array_equal(d.x, [0.5, 0.6, 0.7, 0.8])
+        d = paired_differences(table, "a", "b")
+        assert np.array_equal(d.x, [[0.5, 0.6, 0.7, 0.8]])
 
     def test_coverage_error_lists_datasets(self):
         table = make_table(n_datasets=2)
@@ -628,7 +625,7 @@ class TestPairedDifferences:
             paired_differences(broken, "alpha", "beta")
         assert str(err.value) == "classifiers 'alpha'/'beta' missing for datasets: ds0, ds2"
 
-    @pytest.mark.parametrize("runs, folds", [(1, 2), (2, 5), (10, 10), (3, 100)])
+    @pytest.mark.parametrize("runs, folds", [(1, 1), (1, 2), (2, 5), (10, 10), (3, 100), (10, 100)])
     def test_statistics_match_per_series(self, runs, folds):
         table = make_table(6, classifiers=("alpha", "beta", "flat"), runs=runs, folds=folds, seed=9)
         entries = dict(table.entries)
@@ -637,30 +634,36 @@ class TestPairedDifferences:
         entries[("ds1", "flat")] = entries[("ds1", "alpha")].copy()
         table = ScoreTable(entries=entries, runs=runs, folds=folds)
         for a, b in [("alpha", "beta"), ("alpha", "flat"), ("flat", "alpha"), ("beta", "beta")]:
-            diffs = paired_differences(table, a, b)
-            # the means read straight from the table are the series' means, bit for bit
-            z = mean_differences(table, a, b)
-            assert z.z.tobytes() == np.array([d.mean for d in diffs]).tobytes()
-            assert z.datasets == tuple(d.dataset for d in diffs)
-            for d in diffs:
-                again = DiffSeries(d.dataset, d.x, d.rho)
-                assert d.mean == again.mean and d.sd == again.sd and d.n == again.n
-                # the per-series loop the vectorised form replaces
-                x = (table.entries[(d.dataset, a)] - table.entries[(d.dataset, b)]).ravel()
-                assert np.array_equal(d.x, x)
-                if np.all(x == x[0]):
-                    assert d.mean == x[0] and d.sd == 0.0
+            d = paired_differences(table, a, b)
+            assert d.datasets == table.datasets and d.x.shape == (6, runs * folds)
+            # the per-series loop the vectorised statistics replace, bit for bit
+            for i, dataset in enumerate(d.datasets):
+                x = (table.entries[(dataset, a)] - table.entries[(dataset, b)]).ravel()
+                assert np.array_equal(d.x[i], x)
+                if np.all(x == x[0]):  # a constant series, one difference among them
+                    mean, sd = x[0], 0.0
                 else:
-                    assert d.mean == x.mean() and d.sd == x.std(ddof=1)
+                    mean, sd = x.mean(), x.std(ddof=1)
+                assert d.means[i] == mean and d.sds[i] == sd and d.ss[i] == sd * sd * (x.size - 1)
+
+    def test_means_alone_make_a_one_column_matrix(self):
+        means = np.array([0.01, -0.02, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = PairDifferences(datasets=("a", "b", "c"), x=means[:, np.newaxis])
+        assert d.means.tobytes() == means.tobytes() and d.sds.tolist() == [0.0] * 3 and d.rho is None
+        # the spread within a dataset is read only through the checks
+        with pytest.raises(ValueError, match="needs at least two observations"):
+            d.within()
 
 
 class TestMeanDifferences:
     def test_order_preserved(self):
         table = make_table(n_datasets=4, seed=3)
-        diffs = paired_differences(table, "alpha", "beta")
-        z = mean_differences(table, "alpha", "beta")
-        assert z.datasets == tuple(d.dataset for d in diffs)
-        assert np.array_equal(z.z, [d.mean for d in diffs])
+        d = paired_differences(table, "alpha", "beta")
+        assert d.datasets == table.datasets
+        expected = [(table.entries[(ds, "alpha")] - table.entries[(ds, "beta")]).ravel().mean() for ds in d.datasets]
+        assert np.array_equal(d.means, expected)
 
     def test_permutation_equivariance(self):
         table = make_table(n_datasets=5, seed=11)
@@ -668,15 +671,15 @@ class TestMeanDifferences:
         # the same cells, with the datasets listed in permuted order
         keys = [(f"ds{i}", c) for i in perm for c in ("alpha", "beta")]
         permuted = ScoreTable(entries={k: table.entries[k] for k in keys}, runs=table.runs, folds=table.folds)
-        z = mean_differences(table, "alpha", "beta")
-        z_perm = mean_differences(permuted, "alpha", "beta")
-        assert np.array_equal(z_perm.z, z.z[perm])
+        z = paired_differences(table, "alpha", "beta")
+        z_perm = paired_differences(permuted, "alpha", "beta")
+        assert np.array_equal(z_perm.means, z.means[perm])
         assert z_perm.datasets == tuple(z.datasets[i] for i in perm)
 
     def test_single_and_zero_series(self):
         table = ScoreTable(entries={("only", c): np.full((1, 3), 0.5) for c in ("a", "b")}, runs=1, folds=3)
-        z = mean_differences(table, "a", "b")
-        assert z.q == 1 and z.z[0] == 0.0 and z.datasets == ("only",)
+        z = paired_differences(table, "a", "b")
+        assert z.q == 1 and z.means[0] == 0.0 and z.datasets == ("only",)
 
 
 class TestTypes:
@@ -707,41 +710,41 @@ class TestTypes:
         with pytest.raises(ValueError, match="read-only"):
             table.entries[("d", "b")][0, 1] = 0.1
         assert table.entries[("d", "a")].tolist() == [[0.5, 0.5]]
-        (d,) = paired_differences(table, "a", "b")
-        assert d.x.tolist() == [0.5, 0.5]
+        d = paired_differences(table, "a", "b")
+        assert d.x.tolist() == [[0.5, 0.5]]
         rows = table.to_csv().split("\n")[1:-1]
         assert rows == ["d,a,0,0,0.5", "d,a,0,1,0.5", "d,b,0,0,0.0", "d,b,0,1,0.0"]
 
-    def test_diffseries_stats_consistency(self):
-        x = np.random.default_rng(0).uniform(-0.2, 0.2, size=50)
-        d = DiffSeries(dataset="d", x=x, rho=0.1)
-        assert d.mean == pytest.approx(x.mean(), abs=1e-15)
-        assert d.sd == pytest.approx(x.std(ddof=1), abs=1e-15)
-        assert d.n == 50
-        assert d.ss == pytest.approx(((x - x.mean()) ** 2).sum(), rel=1e-12)
+    def test_pair_differences_validation(self):
+        with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\), got 1.0"):
+            PairDifferences(datasets=("d",), x=np.array([[0.1, 0.2]]), rho=1.0)
+        # the checks of the methods that read the spread within a dataset
+        with pytest.raises(ValueError, match="needs at least two observations"):
+            PairDifferences(datasets=("d",), x=np.array([[0.1]]), rho=0.1).within()
+        with pytest.raises(ValueError, match="so rho must be given"):
+            PairDifferences(datasets=("d",), x=np.array([[0.1, 0.2]])).within()
+        with pytest.raises(ValueError, match="a per-dataset test reads one dataset, got 2"):
+            PairDifferences(datasets=("d", "e"), x=np.zeros((2, 3)), rho=0.1).series()
 
-    def test_diffseries_validation(self):
-        with pytest.raises(ValueError):
-            DiffSeries(dataset="d", x=np.array([0.1]), rho=0.1)
-        with pytest.raises(ValueError):
-            DiffSeries(dataset="d", x=np.array([0.1, 1.5]), rho=0.1)
-        with pytest.raises(ValueError):
-            DiffSeries(dataset="d", x=np.array([0.1, 0.2]), rho=1.0)
+    def test_rows_are_read_only_copies(self):
+        x = np.array([[0.1, 0.2, 0.4], [0.0, -0.5, 0.5]])
+        d = PairDifferences(datasets=("d", "e"), x=x, rho=0.2)
+        x[0, 0] = 0.9  # the caller's array is not the differences'
+        for held in (d.x, d.means, d.sds):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 0.0
+        row = d.row(1)
+        assert row.datasets == ("e",) and row.rho == 0.2 and row.x.tolist() == [[0.0, -0.5, 0.5]]
+        assert row.series() == ("e", d.means[1], d.sds[1], 0.2)
 
     def test_shape_errors_name_the_shape(self):
         cases = [
-            (lambda: DiffSeries("d", np.zeros((2, 3)), 0.1),
-             "difference series must be one-dimensional, got shape (2, 3)"),
-            (lambda: DiffSeries("d", np.array(0.1), 0.1),
-             "difference series must be one-dimensional, got shape ()"),
-            (lambda: DiffSeries("d", np.array([0.1]), 0.1),
-             "difference series needs at least two observations"),
-            (lambda: MeanDiffVector(np.zeros((2, 2)), ("a", "b", "c", "d")),
-             "mean-difference vector must be one-dimensional, got shape (2, 2)"),
-            (lambda: MeanDiffVector(np.array([]), ()),
-             "mean-difference vector must be non-empty"),
-            (lambda: MeanDiffVector(np.zeros(2), ("a",)),
-             "dataset labels and values have different lengths"),
+            (lambda: PairDifferences(("a", "b"), np.zeros(2)),
+             "difference matrix must be two-dimensional, got shape (2,)"),
+            (lambda: PairDifferences((), np.zeros((0, 3))),
+             "difference matrix must be non-empty, got shape (0, 3)"),
+            (lambda: PairDifferences(("a",), np.zeros((2, 3))),
+             "dataset labels and rows have different lengths"),
             (lambda: ScoreTable(entries={}, runs=1, folds=2),
              "score table has no entries"),
             (lambda: ScoreTable(entries={("d", "a"): np.zeros((1, 2)), ("", "a"): np.zeros((1, 2))},
@@ -758,10 +761,9 @@ class TestTypes:
             assert isinstance(err.value, ShapeError) == ("has shape" in message)
 
     def test_nan_differences_rejected(self):
-        with pytest.raises(ValueError, match=r"score differences must lie in \[-1, 1\]"):
-            DiffSeries(dataset="d", x=np.array([np.nan, 0.02, -0.03]), rho=0.1)
-        with pytest.raises(ValueError, match=r"mean differences must lie in \[-1, 1\]"):
-            MeanDiffVector(z=np.array([np.nan, 0.02, -0.03]), datasets=("a", "b", "c"))
+        for x in ([[np.nan, 0.02, -0.03]], [[0.1, 1.5, 0.0]]):
+            with pytest.raises(ValueError, match=r"score differences must lie in \[-1, 1\]"):
+                PairDifferences(datasets=("d",), x=np.array(x), rho=0.1)
 
     def test_nan_scores_rejected(self):
         scores = np.full((1, 3), 0.8)

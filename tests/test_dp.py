@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from cvcompare.data import MeanDiffVector, Rope
+from cvcompare.data import PairDifferences, Rope
 from cvcompare.decisions import TrinomialSamples, simplex_region_probs
 from cvcompare.dp import (
     _BLOCK,
@@ -24,7 +24,7 @@ from cvcompare.kernels import RngStream
 
 def mdv(values):
     values = np.asarray(values, dtype=float)
-    return MeanDiffVector(z=values, datasets=tuple(f"d{i}" for i in range(len(values))))
+    return PairDifferences(datasets=tuple(f"d{i}" for i in range(len(values))), x=values[:, np.newaxis])
 
 
 ROPE = Rope(-0.01, 0.01)
@@ -80,9 +80,9 @@ class TestSignTestParams:
     def test_benchmark_counts(self, benchmark_z):
         params = sign_test_params(benchmark_z, ROPE, DpPrior(s=0.5, z0="rope"))
         # independent recount of the published means against +-1 percent
-        n_l = sum(1 for v in benchmark_z.z if v < -0.01)
-        n_e = sum(1 for v in benchmark_z.z if -0.01 <= v <= 0.01)
-        n_r = sum(1 for v in benchmark_z.z if v > 0.01)
+        n_l = sum(1 for v in benchmark_z.means if v < -0.01)
+        n_e = sum(1 for v in benchmark_z.means if -0.01 <= v <= 0.01)
+        n_r = sum(1 for v in benchmark_z.means if v > 0.01)
         assert (n_l, n_e, n_r) == (24, 27, 3)
         assert (params.a_left, params.a_rope, params.a_right) == (24.0, 27.5, 3.0)
 
@@ -264,7 +264,7 @@ class TestSignedRankSamples:
         assert np.max(np.abs(samples.samples - expected)) <= 1e-12
 
     def test_negation_swaps_left_right_bitwise(self, benchmark_z):
-        neg = MeanDiffVector(z=-benchmark_z.z, datasets=benchmark_z.datasets)
+        neg = PairDifferences(datasets=benchmark_z.datasets, x=-benchmark_z.x)
         a = signed_rank_samples(benchmark_z, ROPE, DpPrior(), 30_000, RngStream(3))
         b = signed_rank_samples(neg, ROPE, DpPrior(), 30_000, RngStream(3))
         assert np.array_equal(a.samples[:, 0], b.samples[:, 2])
@@ -304,7 +304,7 @@ def batch_vectors(benchmark_z):
         benchmark_z,
         mdv(rng.normal(0.0, 0.02, 54)),
         mdv(rng.choice([-0.02, -0.01, 0.0, 0.01, 0.02], 54)),
-        mdv(benchmark_z.z[::-1]),
+        mdv(benchmark_z.means[::-1]),
     ]
 
 
@@ -332,7 +332,7 @@ class TestSignedRankBatch:
             assert np.array_equal(a.samples, b.samples)
 
     def test_negation_swaps_left_right_bitwise(self, benchmark_z):
-        neg = MeanDiffVector(z=-benchmark_z.z, datasets=benchmark_z.datasets)
+        neg = PairDifferences(datasets=benchmark_z.datasets, x=-benchmark_z.x)
         a, b = signed_rank_batch([benchmark_z, neg], ROPE, DpPrior(), self.COUNT, RngStream(53))
         assert np.array_equal(a.samples[:, 0], b.samples[:, 2])
         assert np.array_equal(a.samples[:, 2], b.samples[:, 0])
@@ -440,7 +440,7 @@ class TestPairMasses:
         samples = signed_rank_samples(
             benchmark_z, ROPE, DpPrior(s=s, z0=placement), count, RngStream(17)).samples
         moments = dirichlet_second_moments(np.concatenate([[s], np.ones(benchmark_z.q)]))
-        masks = pair_category_masks_reference(benchmark_z.z, ROPE, placement)
+        masks = pair_category_masks_reference(benchmark_z.means, ROPE, placement)
         for column, mask in zip((0, 2), masks):
             se = samples[:, column].std(ddof=1) / math.sqrt(count)
             assert abs(samples[:, column].mean() - np.sum(mask * moments)) < 4 * se

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from cvcompare.data import DiffSeries, MeanDiffVector, mean_differences
+from cvcompare.data import PairDifferences, paired_differences
 from cvcompare.errors import DegenerateDataError
 from cvcompare.frequentist import (
     _exact_two_sided_p,
@@ -26,14 +26,14 @@ class TestCorrelatedTTest:
 
     def test_null_mean_gives_zero_statistic(self):
         d = series_from_stats(mean=0.03, sd=0.02, n=40, rho=0.1)
-        res = correlated_ttest(d, mu0=d.mean)
+        res = correlated_ttest(d, mu0=d.means[0])
         assert res.t == pytest.approx(0.0, abs=1e-9)
         assert res.p_two_sided == pytest.approx(1.0, abs=1e-9)
 
     def test_rho_zero_matches_classic_ttest(self):
         rng = np.random.default_rng(8)
         x = rng.normal(0.01, 0.05, size=30)
-        d = DiffSeries(dataset="iid", x=x, rho=0.0)
+        d = PairDifferences(datasets=("iid",), x=x[np.newaxis], rho=0.0)
         res = correlated_ttest(d)
         t_ref, p_ref = stats.ttest_1samp(x, 0.0)
         assert res.t == pytest.approx(t_ref, abs=1e-10)
@@ -41,7 +41,7 @@ class TestCorrelatedTTest:
 
     def test_antisymmetry(self):
         d = series_from_stats(mean=-0.012, sd=0.03, n=60, rho=0.1)
-        neg = DiffSeries(dataset=d.dataset, x=-d.x, rho=d.rho)
+        neg = PairDifferences(datasets=d.datasets, x=-d.x, rho=d.rho)
         a, b = correlated_ttest(d), correlated_ttest(neg)
         assert a.t == pytest.approx(-b.t, abs=1e-12)
         assert a.p_two_sided == pytest.approx(b.p_two_sided, abs=1e-12)
@@ -49,18 +49,23 @@ class TestCorrelatedTTest:
     def test_one_sided_complements(self):
         d = series_from_stats(mean=0.02, sd=0.05, n=50, rho=0.1)
         res = correlated_ttest(d)
-        neg = correlated_ttest(DiffSeries(dataset="n", x=-d.x, rho=d.rho))
+        neg = correlated_ttest(PairDifferences(datasets=("n",), x=-d.x, rho=d.rho))
         assert res.p_one_sided_greater + neg.p_one_sided_greater == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate(self):
-        d = DiffSeries(dataset="flat", x=np.full(10, 0.02), rho=0.1)
+        d = PairDifferences(datasets=("flat",), x=np.full((1, 10), 0.02), rho=0.1)
         with pytest.raises(DegenerateDataError):
             correlated_ttest(d)
 
 
+def means(values):
+    """Per-dataset mean differences alone: a one-column difference matrix."""
+    values = np.asarray(values, dtype=float)
+    return PairDifferences(datasets=tuple(map(str, range(len(values)))), x=values[:, np.newaxis])
+
+
 def mdv(values):
-    values = np.asarray(values, dtype=float) / 100.0
-    return MeanDiffVector(z=values, datasets=tuple(f"d{i}" for i in range(len(values))))
+    return means(np.asarray(values, dtype=float) / 100.0)
 
 
 class TestWilcoxon:
@@ -97,13 +102,11 @@ class TestWilcoxon:
     def test_monotone_odd_transform_invariance(self):
         rng = np.random.default_rng(4)
         z = rng.uniform(-0.9, 0.9, size=25)
-        base = wilcoxon_signed_rank(MeanDiffVector(z=z / 100, datasets=tuple(map(str, range(25)))))
-        cubed = wilcoxon_signed_rank(
-            MeanDiffVector(z=(z / 100) ** 3 * 50, datasets=tuple(map(str, range(25))))
-        )
+        base = wilcoxon_signed_rank(means(z / 100))
+        cubed = wilcoxon_signed_rank(means((z / 100) ** 3 * 50))
         assert base.t_stat == cubed.t_stat
         # exchanging the classifiers negates z and keeps the two-sided p-value
-        swapped = wilcoxon_signed_rank(MeanDiffVector(z=-z / 100, datasets=tuple(map(str, range(25)))))
+        swapped = wilcoxon_signed_rank(means(-z / 100))
         assert swapped.p_two_sided == base.p_two_sided
 
     def test_exact_matches_scipy_for_clean_data(self):
@@ -131,7 +134,7 @@ class TestWilcoxon:
     @given(st.lists(st.floats(-0.9, 0.9), min_size=2, max_size=20))
     @settings(max_examples=60, deadline=None)
     def test_statistic_bounds(self, values):
-        z = MeanDiffVector(z=np.array(values), datasets=tuple(map(str, range(len(values)))))
+        z = means(values)
         res = wilcoxon_signed_rank(z)
         q = np.count_nonzero(np.asarray(values))
         assert 0.0 <= res.t_stat <= q * (q + 1) / 2
@@ -139,7 +142,7 @@ class TestWilcoxon:
 
 
 def pair_pvalue(table, a, b):
-    return wilcoxon_signed_rank(mean_differences(table, a, b)).p_two_sided
+    return wilcoxon_signed_rank(paired_differences(table, a, b)).p_two_sided
 
 
 class TestPairwise:
@@ -234,7 +237,7 @@ class TestExactNull:
     def test_any_q_matches_the_integer_count(self, q, positive):
         rng = np.random.default_rng(q)
         values = np.abs(signed_values(rng, q, ties=True)) * np.where(rng.uniform(size=q) < positive, 1, -1)
-        res = wilcoxon_signed_rank(MeanDiffVector(z=values, datasets=tuple(map(str, range(q)))), exact=True)
+        res = wilcoxon_signed_rank(means(values), exact=True)
         ranks, _ = _rank_abs(values)
         assert res.exact
         assert res.p_two_sided == pytest.approx(exact_p_integer_count(ranks, res.t_stat), rel=1e-12)

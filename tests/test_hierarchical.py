@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cvcompare.data import DiffSeries, Rope
+from cvcompare.data import PairDifferences, Rope
 from cvcompare.decisions import simplex_region_probs
 from cvcompare.hierarchical import (
     _SIGMA_FLOOR,
@@ -38,8 +38,14 @@ def model_data(q, n, mu0=0.02, sigma0=0.01, nu=20.0, seed=0, sd_range=(0.02, 0.0
         sd_i = rng.uniform(*sd_range)
         shared = rng.standard_normal()
         x = mu_i + sd_i * (math.sqrt(RHO) * shared + math.sqrt(1 - RHO) * rng.standard_normal(n))
-        out.append(DiffSeries(dataset=f"d{i}", x=np.clip(x, -1.0, 1.0), rho=RHO))
-    return out
+        out.append(np.clip(x, -1.0, 1.0))
+    return PairDifferences(datasets=tuple(f"d{i}" for i in range(q)), x=np.array(out), rho=RHO)
+
+
+def flat_data(*values, n=20):
+    """Datasets whose every difference is the given value."""
+    datasets = tuple(f"f{i}" for i in range(len(values)))
+    return PairDifferences(datasets=datasets, x=np.repeat(np.array(values)[:, np.newaxis], n, axis=1), rho=RHO)
 
 
 def small_cfg(seed, **kw):
@@ -54,14 +60,13 @@ class TestScaleBounds:
         # sigma0_bar = 1000 std(means) and sigma_bar = 1000 mean(sd), no override
         data = model_data(4, 12, seed=2)
         p = _Problem(data)
-        assert p.sigma0_bar == pytest.approx(1000.0 * np.std([d.mean for d in data], ddof=1), rel=1e-12)
-        assert p.sigma_bar == pytest.approx(1000.0 * np.mean([d.sd for d in data]), rel=1e-12)
+        assert p.sigma0_bar == pytest.approx(1000.0 * np.std(data.means, ddof=1), rel=1e-12)
+        assert p.sigma_bar == pytest.approx(1000.0 * np.mean(data.sds), rel=1e-12)
 
     def test_scale_bounds_have_a_floor(self):
         # equal means have no spread, and constant scores none either: both
         # bounds fall to the 1e-3 floor
-        flat = [DiffSeries(dataset=f"flat{i}", x=np.full(12, 0.01), rho=RHO) for i in range(2)]
-        p = _Problem(flat)
+        p = _Problem(flat_data(0.01, 0.01, n=12))
         assert p.sigma0_bar == 1e-3 and p.sigma_bar == 1e-3
 
 
@@ -87,10 +92,8 @@ class TestFit:
 
     def test_concentrates_on_common_constant(self):
         rng = np.random.default_rng(6)
-        data = [
-            DiffSeries(dataset=f"d{i}", x=0.03 + 0.001 * rng.standard_normal(20), rho=RHO)
-            for i in range(8)
-        ]
+        x = np.array([0.03 + 0.001 * rng.standard_normal(20) for _ in range(8)])
+        data = PairDifferences(datasets=tuple(f"d{i}" for i in range(8)), x=x, rho=RHO)
         draws = fit(data, small_cfg(seed=31))
         mu0 = draws.pooled("mu0")
         assert abs(mu0.mean() - 0.03) < 2 * mu0.std()
@@ -99,7 +102,9 @@ class TestFit:
         # identical scores make the scale density unbounded at zero; the
         # support floor must stop the drift even on long runs
         data = model_data(5, 20, seed=7)
-        data[0] = DiffSeries(dataset="flat", x=np.full(20, 0.01), rho=RHO)
+        x = data.x.copy()
+        x[0] = 0.01
+        data = PairDifferences(datasets=("flat", *data.datasets[1:]), x=x, rho=RHO)
         draws = fit(data, small_cfg(seed=41, warmup=1000, draws=500))
         assert np.all(np.isfinite(draws.mu)) and np.all(np.isfinite(draws.sigma))
         assert draws.sigma.min() >= 1e-10
@@ -123,7 +128,7 @@ class TestFit:
     def test_flat_series_on_their_means(self):
         # the chain starts at mu_i = mean_i, so every precision conditional
         # in the first sweep has rate 0
-        data = [DiffSeries(dataset=f"f{i}", x=np.full(20, 0.01 * (i + 1)), rho=RHO) for i in range(3)]
+        data = flat_data(0.01, 0.02, 0.03)
         draws = fit(data, small_cfg(seed=3, warmup=0, draws=20))
         assert np.all(np.isfinite(draws.mu)) and np.all(np.isfinite(draws.nu))
         assert draws.sigma.min() >= _SIGMA_FLOOR
@@ -143,7 +148,7 @@ class TestFit:
             data = model_data(30, 100, mu0=0.0, sigma0=0.004, sd_range=(0.035, 0.047), seed=1)
             draws = fit(data, HierConfig(seed=1, warmup=100, draws=100))
         else:
-            data = [DiffSeries(dataset=f"f{i}", x=np.full(20, 0.01 * (i + 1)), rho=RHO) for i in range(3)]
+            data = flat_data(0.01, 0.02, 0.03)
             draws = fit(data, small_cfg(seed=3, warmup=0, draws=20))
         assert hashlib.sha256(draws.to_csv().encode()).hexdigest() == digest
 
@@ -151,16 +156,6 @@ class TestFit:
         data = model_data(1, 10, seed=8)
         with pytest.raises(ValueError, match="two datasets"):
             fit(data, small_cfg(seed=1))
-        mixed = model_data(2, 10, seed=8) + [
-            DiffSeries(dataset="odd", x=np.zeros(12), rho=RHO)
-        ]
-        with pytest.raises(ValueError, match="share n"):
-            fit(mixed, small_cfg(seed=1))
-        mixed = model_data(2, 10, seed=8) + [
-            DiffSeries(dataset="odd", x=np.zeros(10), rho=0.2)
-        ]
-        with pytest.raises(ValueError, match="share rho"):
-            fit(mixed, small_cfg(seed=1))
         with pytest.raises(ValueError, match="chains"):
             HierConfig(seed=1, chains=1)
 
@@ -254,7 +249,7 @@ class TestSweep:
         """
         q, n, rho = GEWEKE_Q, GEWEKE_N, GEWEKE_RHO
         gen = np.random.default_rng(2004)
-        p = _Problem([DiffSeries(dataset=f"d{i}", x=np.zeros(n), rho=rho) for i in range(q)])
+        p = _Problem(PairDifferences(datasets=tuple(f"d{i}" for i in range(q)), x=np.zeros((q, n)), rho=rho))
         p.sigma_bar, p.sigma0_bar = GEWEKE_SIGMA_BAR, GEWEKE_SIGMA0_BAR
         starts = prior_draws(gen, 2 * self.CHAINS)
         chain_means = []
@@ -430,8 +425,8 @@ class TestShiftEquivariance:
                 sd_i = rng.uniform(0.02, 0.05)
                 x = mu_i + sd_i * (math.sqrt(RHO) * rng.standard_normal()
                                    + math.sqrt(1 - RHO) * rng.standard_normal(30))
-                out.append(DiffSeries(dataset=f"d{i}", x=x + shift, rho=RHO))
-            return out
+                out.append(x + shift)
+            return PairDifferences(datasets=tuple(f"d{i}" for i in range(10)), x=np.array(out), rho=RHO)
 
         c = 0.005
         cfg = small_cfg(seed=71)
@@ -560,7 +555,7 @@ class TestNextDataset:
 class TestShrinkage:
     def test_single_dataset_row(self):
         draws = constant_draws(mu0=0.0, sigma0=0.01, nu=10.0, q=1)
-        data = [DiffSeries(dataset="d0", x=np.full(10, 0.01), rho=RHO)]
+        data = PairDifferences(datasets=("d0",), x=np.full((1, 10), 0.01), rho=RHO)
         report = shrinkage_report(draws, data)
         assert len(report.rows) == 1
         assert report.rows[0].dataset == "d0"
@@ -578,12 +573,8 @@ class TestShrinkage:
         # identical per-dataset noise, so pooling strength alone separates
         # the tightly clustered means from the one tail dataset
         data = model_data(8, 25, mu0=0.0, sigma0=0.002, seed=14, sd_range=(0.03, 0.0300001))
-        outlier = DiffSeries(
-            dataset="outlier",
-            x=0.15 + 0.03 * np.random.default_rng(15).standard_normal(25),
-            rho=RHO,
-        )
-        data.append(outlier)
+        outlier = 0.15 + 0.03 * np.random.default_rng(15).standard_normal(25)
+        data = PairDifferences(datasets=(*data.datasets, "outlier"), x=np.vstack([data.x, outlier]), rho=RHO)
         draws = fit(data, small_cfg(seed=91, warmup=200, draws=200))
         report = shrinkage_report(draws, data)
         sds = {r.dataset: r.posterior_sd for r in report.rows}
@@ -593,4 +584,4 @@ class TestShrinkage:
     def test_mismatched_inputs(self):
         draws = constant_draws(mu0=0.0, sigma0=0.01, nu=10.0, q=2)
         with pytest.raises(ValueError):
-            shrinkage_report(draws, [])
+            shrinkage_report(draws, PairDifferences(datasets=("d0",), x=np.full((1, 10), 0.01), rho=RHO))

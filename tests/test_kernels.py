@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from cvcompare import kernels
 from cvcompare.kernels import (
     LocScaleStudent,
     RngStream,
@@ -282,3 +283,25 @@ class TestAccuracy:
             # one Newton step at 40 digits from the computed quantile doubles its correct digits
             exact = got + (mp_tail(got, dof) - q) / mp_density(got, dof)
             assert abs(got - exact) / exact <= relative_bound(dof), (q, dof, got)
+
+    def test_subnormal_tail_quantile_stops(self, monkeypatch):
+        # a tail below the smallest normal float has few significant bits: at 1 < dof < 2
+        # one unit of it is more than a step of 1e-10 in log t resolves
+        calls = []
+        tail_parts = kernels._tail_parts
+
+        def counted(t, dof):
+            calls.append(t)
+            return tail_parts(t, dof)
+
+        monkeypatch.setattr(kernels, "_tail_parts", counted)
+        rng = np.random.default_rng(29)
+        cases = [(2.158304078e-314, 1.3914576058853814)]
+        cases += zip((10.0 ** rng.uniform(-323, -307, 400)).tolist(), rng.uniform(1.0, 2.0, 400).tolist())
+        for q, dof in cases:
+            calls.clear()
+            t = -student_quantile(q, LocScaleStudent(dof=dof, loc=0.0, scale2=1.0))
+            assert len(calls) <= 4, (q, dof)
+            if t < math.inf:
+                # one unit of the target, or the tail's own relative error above 1e-311
+                assert abs(student_tail(t, dof) - q) <= max(math.ulp(0.0), 1e-12 * q), (q, dof, t)

@@ -49,11 +49,9 @@ LIBRARY_SURFACE = {
     "data.CSV_HEADER": None,
     "data.Rope": "lower=-0.01, upper=0.01",
     "data.ScoreTable": "entries, runs, folds",
-    "data.DiffSeries": "dataset, x, rho",
-    "data.MeanDiffVector": "z, datasets",
+    "data.PairDifferences": "datasets, x, rho=None",
     "data.parse_scores": "source",
     "data.paired_differences": "table, a, b, rho=None",
-    "data.mean_differences": "table, a, b",
     "decisions.TrinomialProbs": "p_left, p_rope, p_right, mc_stderr=None",
     "decisions.TrinomialSamples": "samples",
     "decisions.simplex_region_probs": "samples",
