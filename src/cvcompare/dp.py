@@ -239,16 +239,13 @@ def _gamma_argmax_probs(alpha: tuple[float, float, float]) -> tuple[float, float
     return p_left, p_rope, max(1.0 - p_rope - p_left, 0.0)
 
 
-def sign_test_probs(
-    params: DirichletParams, count: int | None = None, rng: RngStream | None = None
-) -> TrinomialProbs:
+def sign_test_probs(params: DirichletParams) -> TrinomialProbs:
     """Exact simplex-region probabilities of the sign test.
 
     The probability that each Dirichlet coordinate is the largest, ties to
     the rope and then to the left as in ``simplex_region_probs``; P(right)
     is the complement, clipped at 0.  The absolute error is below 1e-12.
-    Nothing is sampled, so ``mc_stderr`` is None and ``count`` and ``rng``
-    are not read: they keep the samplers' signature.
+    Nothing is sampled, so ``mc_stderr`` is None.
     """
     p_left, p_rope, p_right = _gamma_argmax_probs((params.a_left, params.a_rope, params.a_right))
     return TrinomialProbs(p_left=p_left, p_rope=p_rope, p_right=p_right)

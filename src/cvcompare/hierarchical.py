@@ -39,7 +39,7 @@ import numpy as np
 
 from .data import PairDifferences, Rope, _csv_text
 from .decisions import TrinomialSamples
-from .kernels import RngStream, _student_below_array
+from .kernels import RngStream
 
 __all__ = [
     "HierConfig",
@@ -184,8 +184,9 @@ class _State(NamedTuple):
 
 @cache
 def _special():
-    """``scipy.special``, imported at the first truncated draw: the truncated draws
-    are the package's only use of scipy, so no other method loads it."""
+    """``scipy.special``, imported at its first use: the truncated draws and the
+    next-dataset Student CDF are the package's only uses of scipy, so no other
+    method loads it."""
     from scipy import special
 
     return special
@@ -455,13 +456,15 @@ def next_dataset_probs(draws: HierDraws, rope: Rope) -> TrinomialSamples:
 
     Each pooled posterior draw of (mu0, sigma0, nu) defines a Student
     predictive for the next dataset's mean difference; its theta triple is
-    that distribution's mass below, inside, and above the rope.
+    that distribution's mass below, inside, and above the rope, from scipy's
+    Student CDF ``stdtr``.
     """
     mu0 = draws.pooled("mu0")
     sigma0 = draws.pooled("sigma0")
     nu = draws.pooled("nu")
-    lo = _student_below_array(rope.lower - mu0, nu, sigma0)
-    hi = _student_below_array(rope.upper - mu0, nu, sigma0)
+    stdtr = _special().stdtr
+    lo = stdtr(nu, (rope.lower - mu0) / sigma0)
+    hi = stdtr(nu, (rope.upper - mu0) / sigma0)
     samples = np.column_stack([lo, hi - lo, 1.0 - hi])
     return TrinomialSamples(samples=samples)
 

@@ -15,8 +15,11 @@ dof <= 1e3 and 1e-12 above, down to tails of 1e-300; it is 1/2 exactly at
 t = 0 and 0 at |t| = inf.  A quantile's distance from the centre has that
 error divided by the tail's log-log slope, which tends to dof far out, so
 it meets the same bounds from 1 degree of freedom up and at the levels of
-the highest-density intervals.  A float and an array of floats take the
-same steps, so the two paths agree to 1e-15.
+the highest-density intervals.  These functions take and return floats,
+with one code path; their logarithms come from numpy rather than ``math``,
+whose last bits would change the pinned ``freq-ttest`` and ``bayes-ttest``
+outputs.  The hierarchical model's per-draw predictive tails come from
+``scipy.special.stdtr``, which that module already loads.
 """
 
 from __future__ import annotations
@@ -112,11 +115,12 @@ class RngStream:
 # x < (a + 1) / (a + 5/2) (DiDonato & Morris 1992, ACM TOMS 18:360) the tail
 # is I_x(a, 1/2) / 2 itself, from the first series where x is small and from
 # the continued fraction (modified Lentz) elsewhere; above it, the tail is
-# 1/2 - I_y(1/2, a) / 2, which is at least 0.04 there.  Every series term and
-# every partial fraction is formed by +, -, * and /, so a float and an array
-# element take the same steps.  The logarithms come from numpy in both paths,
-# because a · log x turns one ulp of log x into up to 700 ulps of the tail;
-# exp, pow and sqrt may come from ``math`` for a float, at one ulp's cost.
+# 1/2 - I_y(1/2, a) / 2, which is at least 0.04 there.  The logarithms of x
+# come from numpy's log1p and log: a · log x turns one ulp of log x into up to
+# 700 ulps of the tail, and numpy's SIMD loops can round differently from
+# libm's in the last bit, so ``math.log`` would change the ``freq-ttest`` and
+# ``bayes-ttest`` outputs that the golden files pin.  exp, pow and sqrt come
+# from ``math``, at one ulp's cost.
 
 _EPS = 2.0**-53
 # x below which the first series converges faster than the continued fraction
@@ -141,30 +145,15 @@ def _iterate(step, params, state):
     """Run ``state = step(n, params, state)`` for n = 0, 1, ... until the step's
     error is at most one rounding unit of its scale, and return ``state[0]``.
 
-    ``step`` returns the new state, the error and the scale.  On arrays each
-    entry stops at its own step and is then left alone, so it takes exactly
-    the steps it would take as a float.  A NaN error stops at once.
+    ``step`` returns the new state, the error and the scale.  A NaN error
+    stops at once.
     """
     n = 0.0
-    if not isinstance(state[0], np.ndarray):
-        while True:
-            state, err, scale = step(n, params, state)
-            n += 1.0
-            if not err > _EPS * scale:
-                return state[0]
-    out = np.empty_like(state[0])
-    live = np.arange(out.size)
-    while live.size:
+    while True:
         state, err, scale = step(n, params, state)
         n += 1.0
-        done = ~(err > _EPS * scale)
-        if done.any():
-            out[live[done]] = state[0][done]
-            going = ~done
-            live = live[going]
-            params = tuple(p[going] for p in params)
-            state = tuple(s[going] for s in state)
-    return out
+        if not err > _EPS * scale:
+            return state[0]
 
 
 def _gamma_ratio(a):
@@ -175,24 +164,13 @@ def _gamma_ratio(a):
     smaller ``a`` is first stepped up by ones through
     Γ(z + 1/2) / Γ(z) = Γ(z + 3/2) / Γ(z + 1) · z / (z + 1/2).
     """
-    if isinstance(a, np.ndarray):
-        z, f = a.copy(), np.ones_like(a)
-        low = np.flatnonzero(z < _ASYMPTOTIC_A)
-        while low.size:
-            zl = z[low]
-            f[low] *= zl / (zl + 0.5)
-            z[low] = zl + 1.0
-            low = low[z[low] < _ASYMPTOTIC_A]
-        root = np.sqrt(z)
-    else:
-        z, f = a, 1.0
-        while z < _ASYMPTOTIC_A:
-            f *= z / (z + 0.5)
-            z += 1.0
-        root = math.sqrt(z)
+    z, f = a, 1.0
+    while z < _ASYMPTOTIC_A:
+        f *= z / (z + 0.5)
+        z += 1.0
     r = 1.0 / (z * z)
     g = (((((691 / 180224 * r - 31 / 18432) * r + 17 / 14336) * r - 1 / 640) * r + 1 / 192) * r - 1 / 8) / z
-    return g, f * root
+    return g, f * math.sqrt(z)
 
 
 def _density_term(a, x, y, log_x):
@@ -202,11 +180,6 @@ def _density_term(a, x, y, log_x):
     of x, and exp(a log x) elsewhere, which has the error of a log x.
     """
     g, f = _gamma_ratio(a)
-    if isinstance(x, np.ndarray):
-        power = np.exp(a * log_x)
-        by_pow = (x < _POW_X) & (x >= _MIN_NORMAL)
-        power[by_pow] = np.power(x[by_pow], a[by_pow])
-        return power * np.exp(g) * f * np.sqrt(y / math.pi)
     power = x**a if _MIN_NORMAL <= x < _POW_X else math.exp(a * log_x)
     return power * math.exp(g) * f * math.sqrt(y / math.pi)
 
@@ -232,7 +205,7 @@ def _series_y_step(n, params, state):
 def _fraction_start(a, y):
     """The state (h, c, d) of :func:`_fraction_step` after d_1: h = d = 1 / (1 + d_1)."""
     d = (a + 1.0) / (0.5 + (a + 0.5) * y)
-    return d, np.ones_like(d) if isinstance(d, np.ndarray) else 1.0, d
+    return d, 1.0, d
 
 
 def _fraction_step(n, params, state):
@@ -285,63 +258,14 @@ def _tail_parts(t: float, dof: float) -> tuple[float, float, float, float]:
     return 0.5 - centre, centre, k, y
 
 
-def _tail_array(t: np.ndarray, dof: np.ndarray) -> np.ndarray:
-    """:func:`student_tail` on flat arrays of one length, ``t`` non-negative;
-    the same steps as :func:`_tail_parts` on each finite entry."""
-    out = np.where((t == math.inf) & (dof > 0.0), 0.0, math.nan)
-    live = (t < math.inf) & (dof > 0.0)
-    t, dof = t[live], dof[live]
-    a = 0.5 * dof
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        tt = t * t
-        u = tt / dof
-        s = dof + tt
-        x, y = dof / s, tt / s
-        log_x = -np.log1p(u)
-        huge = ~(u < math.inf)
-        if huge.any():
-            w = dof[huge] / t[huge] / t[huge]
-            x[huge], y[huge] = w / (1.0 + w), 1.0 / (1.0 + w)
-            log_x[huge] = np.log(dof[huge]) - 2.0 * np.log(t[huge]) - np.log1p(w)
-    k = _density_term(a, x, y, log_x)
-    direct = y * (a + 2.5) > 1.5
-    result = np.empty_like(t)
-    by_series = direct & (x <= _SERIES_X)
-    if by_series.any():
-        m = by_series
-        ones = np.ones(m.sum())
-        result[m] = k[m] * _iterate(_series_x_step, (a[m], x[m]), (ones, ones)) / dof[m]
-    by_fraction = direct & (x > _SERIES_X)
-    if by_fraction.any():
-        m = by_fraction
-        result[m] = k[m] * _iterate(_fraction_step, (a[m], x[m], y[m]), _fraction_start(a[m], y[m])) / dof[m]
-    if not direct.all():
-        m = ~direct
-        ones = np.ones(m.sum())
-        result[m] = 0.5 - k[m] * _iterate(_series_y_step, (a[m], y[m]), (ones, ones))
-    out[live] = result
-    return out
-
-
 def student_tail(t, dof):
-    """P(T > |t|) for the standardized Student distribution with ``dof`` degrees
-    of freedom: a float for scalar arguments, else an array of their broadcast
-    shape.  It is exactly 1/2 at t = 0 and 0 at |t| = inf; elsewhere its
-    relative error is below 1e-13 for dof <= 1e3 and 1e-12 above."""
-    if np.ndim(t) == 0 and np.ndim(dof) == 0:
-        t, dof = abs(float(t)), min(float(dof), _MAX_DOF)
-        if not (dof > 0.0 and t < math.inf):
-            return 0.0 if dof > 0.0 and t == math.inf else math.nan
-        return 0.5 if t == 0.0 else _tail_parts(t, dof)[0]
-    t, dof = np.broadcast_arrays(np.abs(np.asarray(t, dtype=float)), np.minimum(dof, _MAX_DOF, dtype=float))
-    return _tail_array(t.ravel(), dof.ravel()).reshape(t.shape)
-
-
-def _student_below_array(dx, dof, scale):
-    """P(T - loc <= dx) for Student variables T of positive ``scale`` (vectorized)."""
-    t = dx / scale
-    tail = student_tail(t, dof)
-    return np.where(t < 0, tail, 1.0 - tail)
+    """P(T > |t|), a float, for the standardized Student distribution with
+    ``dof`` degrees of freedom.  It is exactly 1/2 at t = 0 and 0 at |t| = inf;
+    elsewhere its relative error is below 1e-13 for dof <= 1e3 and 1e-12 above."""
+    t, dof = abs(float(t)), min(float(dof), _MAX_DOF)
+    if not (dof > 0.0 and t < math.inf):
+        return 0.0 if dof > 0.0 and t == math.inf else math.nan
+    return 0.5 if t == 0.0 else _tail_parts(t, dof)[0]
 
 
 def _student_below(dx: float, d: LocScaleStudent) -> float:

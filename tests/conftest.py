@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from mpmath import mp
 
 from cvcompare.data import PairDifferences, ScoreTable
 
@@ -58,3 +59,19 @@ def make_table(n_datasets=3, classifiers=("alpha", "beta"), runs=2, folds=5, see
 
 def table_to_csv(table):
     return table.to_csv()
+
+
+def mp_tail(t, dof):
+    """The Student tail P(T > |t|) at 40 digits.  Where that is above 1e-3 and
+    t^2 < dof, it is 1/2 - I_y(1/2, dof/2)/2 with y = t^2/(dof + t^2), which
+    keeps every digit when x = 1 - y is too near 1 for 40 digits to tell it
+    from 1."""
+    with mp.workdps(40):
+        t, dof = abs(mp.mpf(t)), mp.mpf(dof)
+        try:
+            tail = mp.betainc(dof / 2, mp.mpf("0.5"), 0, dof / (dof + t * t), regularized=True) / 2
+        except ValueError:  # mpmath cannot tell the value from zero: it is far below 1e-300
+            return mp.mpf(0)
+        if tail > mp.mpf("1e-3") and t * t < dof:
+            tail = (1 - mp.betainc(mp.mpf("0.5"), dof / 2, 0, t * t / (dof + t * t), regularized=True)) / 2
+        return tail

@@ -125,7 +125,7 @@ def test_criterion_6_sign_test_against_large_mc_oracle():
     for trial in range(20):
         alpha = rng.uniform(0.5, 60.0, size=3)
         params = DirichletParams(*alpha)
-        probs = sign_test_probs(params, count, RngStream(1000 + trial))
+        probs = sign_test_probs(params)
         draws = np.random.default_rng(5000 + trial).dirichlet(alpha, size=oracle_count)
         rope_win = (draws[:, 1] >= draws[:, 0]) & (draws[:, 1] >= draws[:, 2])
         left_win = ~rope_win & (draws[:, 0] >= draws[:, 2])

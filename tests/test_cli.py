@@ -512,7 +512,7 @@ class TestGoldenOutputs:
         }),
         (["hierarchical", "--pair", "alpha", "gamma", "--chains", "2", "--warmup", "50",
           "--draws", "50", "--seed", "11"], 2, {
-            "barycentric_alpha_vs_gamma.csv": "aeb67bd3456f907c220d0947ee5f9426776327d236b44979c069d7fba554be5b",
+            "barycentric_alpha_vs_gamma.csv": "2f52fc3495238813a28d806ccfe713c7defe8c56309395a393c37faab70285b2",
             "draws_alpha_vs_gamma.csv": "216ccae791e13332824901fbd3a763edfc1cf2400013e7369c4cdafe30d00e20",
             "report.json": "3e76199a4c56374ea24d020ab48e31dda24d81af865bf7fa3dad183db214adca",
         }),

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy import stats
 
 from cvcompare.data import PairDifferences, Rope
@@ -24,7 +25,7 @@ from cvcompare.hierarchical import (
     _truncated_gamma,
     _truncated_normal,
 )
-from cvcompare.kernels import student_tail
+from conftest import mp_tail
 
 RHO = 0.1
 
@@ -522,21 +523,24 @@ class TestNextDataset:
         probs = simplex_region_probs(samples)
         assert probs.as_tuple() == (0.0, 1.0, 0.0)
 
-    def test_matches_the_array_student_cdf(self):
-        def student_cdf_reference(x, dof, loc, scale):
-            # the array CDF next_dataset_probs used before it shared the kernels body
-            t = (x - loc) / scale
-            tail = student_tail(t, dof)
-            return np.where(t < 0, tail, 1.0 - tail)
+    def test_matches_the_student_tail_oracle(self):
+        def below(bound, loc, scale, dof):
+            # P(T <= bound) for one draw's Student predictive, at mpmath's working precision
+            t = (mp.mpf(bound) - mp.mpf(loc)) / mp.mpf(scale)
+            tail = mp_tail(t, dof)
+            return tail if t < 0 else 1 - tail
 
         draws = fit(model_data(5, 20, seed=12), small_cfg(seed=83, warmup=50, draws=60))
         mu0, sigma0, nu = (draws.pooled(name) for name in ("mu0", "sigma0", "nu"))
         m = float(mu0[3])  # a bound at a draw of mu0 gives t = 0 there
         for rope in (Rope(-0.01, 0.01), Rope(0.0, 0.0), Rope(min(m, 0.0), max(m, 0.0))):
-            lo = student_cdf_reference(rope.lower, nu, mu0, sigma0)
-            hi = student_cdf_reference(rope.upper, nu, mu0, sigma0)
-            expected = np.column_stack([lo, hi - lo, 1.0 - hi])
-            assert np.array_equal(next_dataset_probs(draws, rope).samples, expected)
+            samples = next_dataset_probs(draws, rope).samples
+            for row, loc, scale, dof in zip(samples, mu0, sigma0, nu):
+                with mp.workdps(40):
+                    lo, hi = below(rope.lower, loc, scale, dof), below(rope.upper, loc, scale, dof)
+                    exact = (float(lo), float(hi - lo), float(1 - hi))
+                for got, want in zip(row, exact):
+                    assert abs(got - want) <= 1e-15, (rope, loc, scale, dof)
 
     def test_rows_sum_to_one(self):
         data = model_data(6, 20, seed=13)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from conftest import mp_tail
 from cvcompare import kernels
 from cvcompare.kernels import (
     LocScaleStudent,
@@ -214,20 +215,6 @@ def relative_bound(dof):
     return 1e-13 if dof <= 1e3 else 1e-12
 
 
-def mp_tail(t, dof):
-    """P(T > |t|) at 40 digits.  Where that is above 1e-3 and t^2 < dof, it is
-    1/2 - I_y(1/2, dof/2)/2 with y = t^2/(dof + t^2), which keeps every digit
-    when x = 1 - y is too near 1 for 40 digits to tell it from 1."""
-    t, dof = abs(mp.mpf(t)), mp.mpf(dof)
-    try:
-        tail = mp.betainc(dof / 2, mp.mpf("0.5"), 0, dof / (dof + t * t), regularized=True) / 2
-    except ValueError:  # mpmath cannot tell the value from zero: it is far below 1e-300
-        return mp.mpf(0)
-    if tail > mp.mpf("1e-3") and t * t < dof:
-        tail = (1 - mp.betainc(mp.mpf("0.5"), dof / 2, 0, t * t / (dof + t * t), regularized=True)) / 2
-    return tail
-
-
 def mp_density(t, dof):
     t, dof = mp.mpf(t), mp.mpf(dof)
     return (mp.gamma((dof + 1) / 2) / (mp.sqrt(dof * mp.pi) * mp.gamma(dof / 2))
@@ -241,7 +228,6 @@ class TestAccuracy:
             assert student_tail(t, dof) == 0.5
         for t in (math.inf, -math.inf):
             assert student_tail(t, dof) == 0.0
-        assert np.array_equal(student_tail(np.array([0.0, math.inf, -math.inf]), dof), [0.5, 0.0, 0.0])
 
     @pytest.mark.parametrize("dof", ACCURACY_DOFS)
     def test_tail_against_the_oracle(self, dof):
@@ -251,15 +237,6 @@ class TestAccuracy:
                 continue
             for got in (student_tail(t, dof), student_tail(-t, dof)):
                 assert abs(mp.mpf(got) - exact) / exact <= relative_bound(dof), (t, dof, got)
-
-    def test_array_and_scalar_paths_agree(self):
-        t, dof = np.meshgrid(ACCURACY_TS, ACCURACY_DOFS)
-        t = t * np.where(np.arange(t.size).reshape(t.shape) % 2, -1.0, 1.0)
-        array = student_tail(t, dof)
-        assert array.shape == t.shape
-        for got, ti, nu in zip(array.ravel(), t.ravel(), dof.ravel()):
-            scalar = student_tail(float(ti), float(nu))
-            assert abs(got - scalar) <= 1e-15 * scalar, (ti, nu)
 
     @pytest.mark.parametrize("dof", [0.05, 1, 9, 99, 1e6])
     def test_tiny_t_is_not_rounded_to_the_centre(self, dof):

@@ -69,7 +69,7 @@ LIBRARY_SURFACE = {
     "dp.DirichletParams": "a_left, a_rope, a_right",
     "dp.sign_test_params": "z, rope, prior",
     "dp.sign_test_samples": "params, count, rng",
-    "dp.sign_test_probs": "params, count=None, rng=None",
+    "dp.sign_test_probs": "params",
     "dp.signed_rank_batch": "vectors, rope, prior, count, rng",
     "dp.signed_rank_samples": "z, rope, prior, count, rng",
     "errors.CvCompareError": None,
@@ -178,8 +178,9 @@ print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
 
 
 def test_scipy_loads_only_for_the_methods_that_call_it(tmp_path):
-    # only the hierarchical sampler's truncated draws use scipy; importing
-    # scipy.special would more than double the other methods' start-up time
+    # only the hierarchical method uses scipy, for its truncated draws and its
+    # next-dataset Student CDF; importing scipy.special would more than double
+    # the other methods' start-up time
     table = make_table(n_datasets=6, classifiers=("alpha", "beta", "gamma"), seed=5)
     (tmp_path / "scores.csv").write_text(table.to_csv(), encoding="utf-8")
     src = str(Path(cvcompare.__file__).resolve().parents[1])
