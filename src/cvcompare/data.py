@@ -17,7 +17,6 @@ model every row's mean and spread.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
 import sys
@@ -273,15 +272,30 @@ def _tokenize(text: str):
 def _quoted_chunks(text: str):
     """``_tokenize``'s chunks of text that holds a quote: ``csv.reader`` finds
     where records end, as a line break may lie inside a quoted field, and a
-    chunk holds the records that end in one ``_CHUNK``-character stretch."""
-    stream = io.StringIO(text, newline="\n")
-    reader = csv.reader(stream)
+    chunk holds the records whose last line is in one ``_plain_lines`` chunk,
+    their fields flattened as they are read."""
+    chunk = [0]
+    reader = _quoted_reader(text, chunk)
     if _header_fault(next(reader)):
         yield None
         return
-    for _, records in itertools.groupby(reader, lambda _: stream.tell() // _CHUNK):
-        rows = list(filter(None, records))
-        yield list(itertools.chain.from_iterable(rows)) if set(map(len, rows)) <= {5} else None
+    for _, records in itertools.groupby(reader, lambda _: chunk[0]):
+        fields, widths = [], set()
+        for record in filter(None, records):
+            fields += record
+            widths.add(len(record))
+        yield fields if widths <= {5} else None
+
+
+def _quoted_reader(text: str, chunk: list[int]):
+    """A ``csv.reader`` over the lines of ``_plain_lines`` with their line
+    feeds put back, which read as ``text`` itself; ``chunk[0]`` is kept at the
+    index of the chunk that holds the last line read."""
+    def lines():
+        for chunk[0], part in enumerate(_plain_lines(text, 0, "\n")):
+            yield from part
+
+    return csv.reader(lines())
 
 
 def _plain_chunks(text: str):
@@ -297,16 +311,21 @@ def _plain_chunks(text: str):
             yield ",".join(rows).split(",") if widths <= {4} else None
 
 
-def _plain_lines(text: str, start: int):
-    """The lines of ``text`` with LF line ends from ``start`` on, without
-    their line feeds, in chunks that end with the line holding each chunk's
-    ``_CHUNK``-th character."""
+def _plain_lines(text: str, start: int, end: str = ""):
+    """The lines of ``text`` with LF line ends from ``start`` on, in chunks
+    that end with the line holding each chunk's ``_CHUNK``-th character.
+    Each line's line feed is replaced by ``end``; a last line without one
+    gets none."""
     while start < len(text):
         stop = text.find("\n", start + _CHUNK)
         stop = len(text) if stop < 0 else stop + 1
         lines = text[start:stop].split("\n")
-        if lines[-1] == "":
-            lines.pop()  # the line break ending the chunk's last line
+        last = lines.pop()  # "" after the line break ending the chunk's last line
+        if end:
+            for i, line in enumerate(lines):  # in place, so the chunk's lines are held once
+                lines[i] = line + end
+        if last:
+            lines.append(last)
         yield lines
         start = stop
 
@@ -447,7 +466,7 @@ def _raise_first_fault(text: str) -> NoReturn:
     int64's range, the rules of numpy's string casts.
     """
     if '"' in text:
-        records = csv.reader(io.StringIO(text, newline="\n"))
+        records = _quoted_reader(text, [0])
     else:  # split as _tokenize splits; it has rejected a carriage return outside a CRLF
         lines = itertools.chain.from_iterable(_plain_lines(text.replace("\r\n", "\n"), 0))
         records = (line.split(",") if line else [] for line in lines)

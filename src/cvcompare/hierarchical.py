@@ -24,22 +24,22 @@ interweaving, Yu & Meng 2011), so the chain also mixes when the dataset
 means barely spread, where the centred sampler alone sticks in a funnel.
 Nothing is tuned: warmup is plain burn-in.  Runs are deterministic given
 the seed, byte for byte on one numpy build and CPU dispatch target: numpy's
-SIMD ``log1p``, ``expm1`` and ``power`` can differ from libm in the last
-bit (on an AVX-512 host, on 7.3%, 0.7% and 6.5% of 200k uniform inputs).
+SIMD ``log1p`` and ``power`` can differ from libm in the last bit (on an
+AVX-512 host, on 7.3% and 6.5% of 200k uniform inputs).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import PairDifferences, Rope, _csv_text
 from .decisions import TrinomialSamples
-from .kernels import RngStream
+from .kernels import LocScaleStudent, RngStream, student_cdf, student_sf
 
 __all__ = [
     "HierConfig",
@@ -182,86 +182,110 @@ class _State(NamedTuple):
     lam: np.ndarray
 
 
-@cache
-def _special():
-    """``scipy.special``, imported at its first use: the truncated draws and the
-    next-dataset Student CDF are the package's only uses of scipy, so no other
-    method loads it."""
-    from scipy import special
-
-    return special
-
-
 def _truncated_gamma(gen: np.random.Generator, shape: float, rate, lo: float, hi: float):
-    """Gamma(shape, rate) restricted to (lo, hi), for a float ``rate`` or a 1-d array of rates.
-
-    A plain Gamma draw that lands inside the window is kept and the others
-    are redrawn from the truncated law, which together give exactly the
-    truncated law.  One inversion, ``_gamma_window_inverse``, serves both
-    forms: a float ``rate`` gives a float, and an array gives an array whose
-    misses are redrawn one by one in element order, one uniform each.  A
-    series whose folds all tie makes its tau miss on every sweep.  Measured
-    on 2 cores at 54 datasets and 4x(500+500) sweeps: with every series
-    tied a fit took 1.8-2.1x the CPU time of an all-array inversion, and
-    with one or six tied series 3-16% less.
-    """
+    """Gamma(shape, rate) restricted to (lo, hi), for a float ``rate`` or a 1-d array of rates:
+    a plain draw inside the window is kept and each miss is redrawn by ``_gamma_window``, an
+    array's in element order, which together give exactly the truncated law."""
     if isinstance(rate, np.ndarray):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x = gen.standard_gamma(shape, rate.shape) / rate
         miss = ~((lo < x) & (x < hi))
         if miss.any():  # the usual sweep misses nowhere, and any() costs 2 us less than flatnonzero
             for i in np.flatnonzero(miss):
-                x[i] = _gamma_window_inverse(shape, rate[i], lo, hi, gen.random())
+                x[i] = _gamma_window(gen, shape, float(rate[i]), lo, hi)
         return x
     x = gen.standard_gamma(shape)
     # at rate 0 every draw misses, and the window takes the power law
     x = x / rate if rate > 0.0 else math.inf
-    if lo < x < hi:
+    return x if lo < x < hi else _gamma_window(gen, shape, rate, lo, hi)
+
+
+def _power_law(gen: np.random.Generator, power: float, lo: float, hi: float) -> float:
+    """A draw of the density proportional to x^(power - 1) on (lo, hi), for power > 0."""
+    ratio = (lo / hi) ** power
+    return hi * (ratio + gen.random() * (1.0 - ratio)) ** (1.0 / power)
+
+
+def _gamma_window(gen: np.random.Generator, shape: float, rate: float, lo: float, hi: float) -> float:
+    """Gamma(shape, rate) restricted to (lo, hi), lo > 0, by rejection.  With c = shape - 1
+    and y = rate x, every branch accepts a try with at least the probability it states:
+    - rate (hi - lo) <= 1 or rate 0: x^c on the window, accepted with exp(-rate (x - lo))
+      >= 1/e.  A shape below 1 is not log-concave: it takes that law up to top = lo + 1/rate
+      and top^c exp(-rate x) above, accepted with (x / top)^c, on average > 0.59 (Ahrens &
+      Dieter 1974, Computing 12:223), so >= 1/e in all.
+    - a log density that varies by at most 1 on the window: uniform tries, >= 1/e.
+    - a window far below the mode, (shape - y_hi)^2 >= y_hi, or far above it, y_lo >= c +
+      sqrt(c): the tangent to the log density at the near end, in log x (a power law) below
+      and in x (an exponential) above.  The curvature beyond is at most the squared slope there,
+      so s ~ Exp(1) proposal scales out the log density is within s^2/2 of it: >= E[e^(-s^2/2)] = 0.65.
+    - else the window holds one side of the mode's neighbourhood, with mass above 0.11
+      (0.117 = Phi(sqrt 3) - Phi(1) in the normal limit): plain redraws."""
+    c = shape - 1.0
+    top = hi if rate * (hi - lo) <= 1.0 else lo + 1.0 / rate
+    if top == hi or c < 0.0:
+        tail = 0.0 if top == hi else shape * -math.expm1(rate * (top - hi)) / (  # mass above top / below
+            math.e * rate * top * -math.expm1(-shape * math.log1p(1.0 / (rate * lo))))
+        while True:
+            if tail and gen.random() * (1.0 + tail) >= 1.0:
+                x = top - math.log1p(gen.random() * math.expm1(rate * (top - hi))) / rate
+                cost = c * math.log(top / x)
+            else:
+                x = _power_law(gen, shape, lo, top)
+                cost = rate * (x - lo)
+            if gen.standard_exponential() >= cost:
+                return x
+    y_lo, y_hi = rate * lo, rate * hi
+    peak = min(max(c, y_lo), y_hi)
+    narrow = max(y - peak - c * math.log(y / peak) for y in (y_lo, y_hi)) <= 1.0
+    below = y_hi < shape and (shape - y_hi) ** 2 >= y_hi
+    if not (narrow or below or y_lo >= c + math.sqrt(c)):
+        while not lo < (x := gen.standard_gamma(shape) / rate) < hi:
+            pass
         return x
-    return _gamma_window_inverse(shape, rate, lo, hi, gen.random())
-
-
-def _gamma_window_inverse(shape: float, rate: float, lo: float, hi: float, u: float) -> float:
-    """The ``u`` quantile of Gamma(shape, rate) restricted to (lo, hi).
-
-    Inverts the CDF on the tail that holds the window, so no probability
-    rounds to one.  Where the window holds no representable mass it lies far
-    out in a tail, and the density on it is, to leading order, the power law
-    x^(shape-1) below the mode (exact at ``rate`` 0) or exp(-rate x) above
-    it; that law is inverted instead.  Those two laws use numpy's ``power``,
-    ``log1p`` and ``expm1`` even on one float: numpy's SIMD loops round
-    differently from libm's in the last bit, so ``math`` would change the
-    draws that the golden outputs pin.
-    """
-    special = _special()
-    xl, xh = rate * lo, rate * hi
-    if xl > shape:
-        p_lo, p_hi = special.gammaincc(shape, xl), special.gammaincc(shape, xh)
-        if p_lo != p_hi:
-            x = special.gammainccinv(shape, p_lo + u * (p_hi - p_lo)) / rate
+    slope = rate - c / lo
+    while True:
+        if narrow:
+            x = lo + (hi - lo) * gen.random()
+            cost = rate * x - peak - c * math.log(rate * x / peak)
+        elif below:
+            x = _power_law(gen, shape - y_hi, lo, hi)
+            cost = y_hi * ((x - hi) / hi - math.log(x / hi))
         else:
-            x = lo - np.log1p(u * np.expm1(xl - xh)) / rate
-    else:
-        p_lo, p_hi = special.gammainc(shape, xl), special.gammainc(shape, xh)
-        if p_lo != p_hi:
-            x = special.gammaincinv(shape, p_lo + u * (p_hi - p_lo)) / rate
-        else:
-            ratio = (lo / hi) ** shape
-            x = hi * np.power(ratio + u * (1.0 - ratio), 1.0 / shape)
-    return min(max(float(x), lo), hi)
+            x = lo - math.log1p(gen.random() * math.expm1(slope * (lo - hi))) / slope
+            cost = c * ((x - lo) / lo - math.log1p((x - lo) / lo))
+        if gen.standard_exponential() >= cost:
+            return x
 
 
 def _truncated_normal(gen: np.random.Generator, mean: float, sd: float, lo: float, hi: float) -> float:
-    """N(mean, sd^2) restricted to (lo, hi), drawn by inverting its CDF in log space."""
-    special = _special()
-    a, b = (lo - mean) / sd, (hi - mean) / sd
-    flip = a + b > 0.0
-    if flip:  # invert the lower tail, where log_ndtr keeps its precision
-        a, b = -b, -a
-    la, lb = special.log_ndtr(a), special.log_ndtr(b)
-    log_p = lb + math.log1p((1.0 - gen.random()) * math.expm1(la - lb))
-    z = min(max(float(special.ndtri_exp(log_p)), a), b)
-    return mean - sd * z if flip else mean + sd * z
+    """N(mean, sd^2) restricted to (lo, hi).  A plain draw inside the window is kept, and a
+    miss is redrawn as in Robert (1995, Statistics and Computing 5:121) on the standardised
+    window (a, b), reflected so that b >= -a; each try passes with at least the stated bound:
+    - plain redraws if the window holds 0 and is wider than sqrt(2 pi): Phi(sqrt(2 pi)) - 1/2 = 0.49;
+    - uniform tries, accepted with exp(-(z^2 - max(a, 0)^2) / 2), if the window holds 0
+      (0.49 on average) or b^2 - a^2 <= 2 (1/e);
+    - else a + Exp(rate), rate = (a + sqrt(a^2 + 4)) / 2, accepted with exp(-(z - rate)^2 / 2)
+      if z < b: 0.63 by quadrature over a and b, which tends to 1 - 1/e as a grows."""
+    if lo < (x := mean + sd * gen.standard_normal()) < hi:
+        return x
+    a, b, sign = (lo - mean) / sd, (hi - mean) / sd, 1.0
+    if a + b < 0.0:
+        a, b, sign = -b, -a, -1.0
+    if a <= 0.0 and b - a > math.sqrt(2.0 * math.pi):
+        while not a < (z := gen.standard_normal()) < b:
+            pass
+        return mean + sign * sd * z
+    uniform, floor, rate = a <= 0.0 or b * b - a * a <= 2.0, max(a, 0.0) ** 2, 0.5 * (a + math.hypot(a, 2.0))
+    while True:
+        if uniform:
+            z = a + (b - a) * gen.random()
+            cost = 0.5 * (z * z - floor)
+        else:
+            e = gen.standard_exponential()
+            z = a + e / rate
+            cost = 0.5 * ((e - 1.0) / rate) ** 2 if z < b else math.inf
+        if gen.standard_exponential() >= cost:
+            return mean + sign * sd * z
 
 
 def _slice(gen: np.random.Generator, logp, x0: float, width: float) -> float:
@@ -456,16 +480,14 @@ def next_dataset_probs(draws: HierDraws, rope: Rope) -> TrinomialSamples:
 
     Each pooled posterior draw of (mu0, sigma0, nu) defines a Student
     predictive for the next dataset's mean difference; its theta triple is
-    that distribution's mass below, inside, and above the rope, from scipy's
-    Student CDF ``stdtr``.
+    that distribution's mass below, inside, and above the rope: two Student tails
+    and the rest, clipped at 0, as ``bayes_ttest.rope_probs`` computes them.
     """
-    mu0 = draws.pooled("mu0")
-    sigma0 = draws.pooled("sigma0")
-    nu = draws.pooled("nu")
-    stdtr = _special().stdtr
-    lo = stdtr(nu, (rope.lower - mu0) / sigma0)
-    hi = stdtr(nu, (rope.upper - mu0) / sigma0)
-    samples = np.column_stack([lo, hi - lo, 1.0 - hi])
+    params = zip(*(draws.pooled(name).tolist() for name in ("mu0", "sigma0", "nu")))
+    posts = [LocScaleStudent(dof=v, loc=m, scale2=s * s) for m, s, v in params]
+    left = np.array([student_cdf(rope.lower, d) for d in posts])
+    right = np.array([student_sf(rope.upper, d) for d in posts])
+    samples = np.column_stack([left, np.maximum(1.0 - (left + right), 0.0), right])
     return TrinomialSamples(samples=samples)
 
 

@@ -17,9 +17,7 @@ error divided by the tail's log-log slope, which tends to dof far out, so
 it meets the same bounds from 1 degree of freedom up and at the levels of
 the highest-density intervals.  These functions take and return floats,
 with one code path; their logarithms come from numpy rather than ``math``,
-whose last bits would change the pinned ``freq-ttest`` and ``bayes-ttest``
-outputs.  The hierarchical model's per-draw predictive tails come from
-``scipy.special.stdtr``, which that module already loads.
+whose last bits would change every pinned output that reads a Student tail.
 """
 
 from __future__ import annotations

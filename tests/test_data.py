@@ -390,38 +390,62 @@ def outcome(parse, text):
     return runs, folds, [(key, scores.tobytes()) for key, scores in entries.items()]
 
 
-def test_parse_memory_grows_with_the_columns_not_the_fields():
-    # 100,000 rows of about 33 characters: a parse holding a string per field
-    # of the whole text peaks at 11.3 times its length, chunk by chunk at 6.8
+def memory_table(quoted=False):
+    """100,000 rows of about 33 characters; ``quoted`` quotes the fifth record's
+    dataset, which sends the whole text through ``csv.reader``."""
     classifiers = tuple(f"clf{j}" for j in range(10))
     text = make_table(n_datasets=100, classifiers=classifiers, runs=10, folds=10, seed=1).to_csv()
+    if quoted:
+        lines = text.split("\n")
+        dataset, rest = lines[5].split(",", 1)
+        lines[5] = f'"{dataset}",{rest}'
+        text = "\n".join(lines)
+    return text
+
+
+def parse_peak(text, error=None):
+    """The tracemalloc peak of parsing ``text``, above what was allocated before,
+    expecting the ParseError ``error`` when one is given."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        parse_scores(text)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        if error is None:
+            parse_scores(text)
+        else:
+            with pytest.raises(ParseError, match=error):
+                parse_scores(text)
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 9 * len(text)
+
+
+def test_parse_memory_grows_with_the_columns_not_the_fields():
+    # a parse holding a string per field of the whole text peaks at 11.3
+    # times its length, chunk by chunk at 6.8
+    text = memory_table()
+    assert parse_peak(text) < 9 * len(text)
+
+
+def test_parse_memory_grows_with_the_columns_not_the_fields_quoted():
+    # quoted text takes csv.reader over the same chunked lines, with no
+    # StringIO of the whole text
+    text = memory_table(quoted=True)
+    assert parse_peak(text) < 9 * len(text)
 
 
 def test_parse_memory_on_the_error_path():
     # the record loop that names the bad row reads the text one record at a time
     # and keeps only the cells it has seen, so it stays within the same bound
-    classifiers = tuple(f"clf{j}" for j in range(10))
-    text = make_table(n_datasets=100, classifiers=classifiers, runs=10, folds=10, seed=1).to_csv()
+    text = memory_table()
     text = text[:text.rstrip("\n").rindex(",") + 1] + "oops\n"
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        with pytest.raises(ParseError, match="^line 100001: non-numeric score 'oops'$"):
-            parse_scores(text)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak < 9 * len(text)
+    assert parse_peak(text, "^line 100001: non-numeric score 'oops'$") < 9 * len(text)
+
+
+def test_parse_memory_on_the_error_path_quoted():
+    text = memory_table(quoted=True)
+    text = text[:text.rstrip("\n").rindex(",") + 1] + "oops\n"
+    assert parse_peak(text, "^line 100001: non-numeric score 'oops'$") < 9 * len(text)
 
 
 class TestAgainstRowLoop:

@@ -107,14 +107,16 @@ class TestSignTestSampling:
         assert np.all(g[:, 0] == 0.0)
 
     def test_symmetric_thirds(self):
+        # the exact triple of a symmetric posterior is a third each
         probs = sign_test_probs(DirichletParams(1, 1, 1))
-        se = math.sqrt((1 / 3) * (2 / 3) / 60_000)
         for p in probs.as_tuple():
-            assert abs(p - 1 / 3) < 4 * se
+            assert abs(p - 1 / 3) <= 1e-12
 
     def test_concentrated(self):
         probs = sign_test_probs(DirichletParams(100, 1, 1))
-        assert probs.p_left > 0.995
+        expected = (quad_win_prob(100, 1, 1), quad_win_prob(1, 100, 1), quad_win_prob(1, 100, 1))
+        for p, e in zip(probs.as_tuple(), expected):
+            assert abs(p - e) <= 1e-12
 
     def test_zero_component_stays_zero(self):
         samples = sign_test_samples(DirichletParams(0.0, 1.5, 0.0), 1000, RngStream(4))

@@ -153,14 +153,19 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
 
 
 # Runs in a fresh interpreter, so no earlier import in this process can
-# hide a module-level scipy import.
+# hide a module-level scipy import.  A finder placed first on sys.meta_path
+# refuses scipy, so a subcommand that tried to import it would fail.
 SCIPY_PROBE = """
 import json, sys
-import cvcompare
-from cvcompare import cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is not a runtime dependency: {name}")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+from cvcompare import cli
 
 io = ["--input", sys.argv[1], "--output-dir", sys.argv[2]]
 codes = [cli.main(argv + io) for argv in (
@@ -169,18 +174,16 @@ codes = [cli.main(argv + io) for argv in (
     ["wilcoxon", "--all-pairs"],
     ["freq-ttest", "--pair", "alpha", "beta"],
     ["bayes-ttest", "--pair", "alpha", "beta"],
+    ["hierarchical", "--pair", "alpha", "beta", "--chains", "2", "--warmup", "20", "--draws", "20", "--seed", "1"],
 )]
-before = scipy_modules()
-codes.append(cli.main(["hierarchical", "--pair", "alpha", "beta", "--chains", "2", "--warmup", "20",
-                       "--draws", "20", "--seed", "1"] + io))
-print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 
-def test_scipy_loads_only_for_the_methods_that_call_it(tmp_path):
-    # only the hierarchical method uses scipy, for its truncated draws and its
-    # next-dataset Student CDF; importing scipy.special would more than double
-    # the other methods' start-up time
+def test_no_subcommand_loads_scipy(tmp_path):
+    # numpy is the one runtime dependency; scipy serves the tests and the
+    # benchmark as an oracle, and importing scipy.special would more than
+    # double a run's start-up time
     table = make_table(n_datasets=6, classifiers=("alpha", "beta", "gamma"), seed=5)
     (tmp_path / "scores.csv").write_text(table.to_csv(), encoding="utf-8")
     src = str(Path(cvcompare.__file__).resolve().parents[1])
@@ -193,5 +196,4 @@ def test_scipy_loads_only_for_the_methods_that_call_it(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"][:5] == [0, 0, 0, 0, 0]
     assert result["codes"][5] in (0, 2)  # 2: the short fit is flagged unconverged
-    assert result["before"] == []
-    assert "scipy.special" in result["after"]
+    assert result["scipy"] == []
