@@ -290,10 +290,26 @@ def _quoted_chunks(text: str):
 def _quoted_reader(text: str, chunk: list[int]):
     """A ``csv.reader`` over the lines of ``_plain_lines`` with their line
     feeds put back, which read as ``text`` itself; ``chunk[0]`` is kept at the
-    index of the chunk that holds the last line read."""
+    index of the chunk that holds the last line read.
+
+    ``csv.reader`` ends a record at a CR that only line breaks follow.  So a
+    line whose line breaks hold a CR outside a CRLF is joined to the lines
+    after it, up to one with other text, or to a quote at the end of the
+    text: outside a quoted field the reader then fails on that CR, and a
+    quoted field reads the same.
+    """
     def lines():
+        held = ""
         for chunk[0], part in enumerate(_plain_lines(text, 0, "\n")):
-            yield from part
+            for line in part:
+                if held or line.endswith(("\r", "\r\r\n")):
+                    held += line
+                    if "\r" in held[len(held.rstrip("\r\n")):].replace("\r\n", ""):
+                        continue
+                    line, held = held, ""
+                yield line
+        if held:
+            yield held + '"'
 
     return csv.reader(lines())
 
@@ -478,8 +494,9 @@ def _raise_first_fault(text: str) -> NoReturn:
                 for _ in records:  # a record csv.reader cannot read is reported first
                     pass
                 raise ParseError(fault, line=line)
-    except csv.Error as exc:
-        raise ParseError(f"malformed record: {exc}", line=records.line_num) from None
+    except csv.Error as exc:  # the reader's new-line error is always a CR outside a CRLF
+        fault = "carriage return outside a quoted field" if "new-line" in str(exc) else f"malformed record: {exc}"
+        raise ParseError(fault, line=records.line_num) from None
     raise AssertionError("unreachable: a check over whole columns failed, but no row fails one")
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import PairDifferences
 from .errors import DegenerateDataError
-from .kernels import LocScaleStudent, student_sf
+from .kernels import student_tail
 
 __all__ = [
     "TTestResult",
@@ -57,11 +57,11 @@ def correlated_ttest(d: PairDifferences, mu0: float = 0.0) -> TTestResult:
         )
     se = sd * np.sqrt(1.0 / d.n + rho / (1.0 - rho))
     t = (mean - mu0) / se
-    dist = LocScaleStudent(dof=d.n - 1, loc=0.0, scale2=1.0)
+    tail = student_tail(t, d.n - 1)
     return TTestResult(
         t=float(t),
-        p_two_sided=2.0 * student_sf(abs(t), dist),
-        p_one_sided_greater=student_sf(t, dist),
+        p_two_sided=2.0 * tail,
+        p_one_sided_greater=tail if t > 0 else 1.0 - tail,
         dof=d.n - 1,
     )
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .data import PairDifferences, Rope, _csv_text
 from .decisions import TrinomialSamples
-from .kernels import LocScaleStudent, RngStream, student_cdf, student_sf
+from .kernels import RngStream, student_tail
 
 __all__ = [
     "HierConfig",
@@ -483,10 +483,15 @@ def next_dataset_probs(draws: HierDraws, rope: Rope) -> TrinomialSamples:
     that distribution's mass below, inside, and above the rope: two Student tails
     and the rest, clipped at 0, as ``bayes_ttest.rope_probs`` computes them.
     """
-    params = zip(*(draws.pooled(name).tolist() for name in ("mu0", "sigma0", "nu")))
-    posts = [LocScaleStudent(dof=v, loc=m, scale2=s * s) for m, s, v in params]
-    left = np.array([student_cdf(rope.lower, d) for d in posts])
-    right = np.array([student_sf(rope.upper, d) for d in posts])
+    left, right = [], []
+    for m, s, v in zip(*(draws.pooled(name).tolist() for name in ("mu0", "sigma0", "nu"))):
+        t = (rope.lower - m) / s
+        tail = student_tail(t, v)
+        left.append(tail if t < 0 else 1.0 - tail)
+        t = (m - rope.upper) / s
+        tail = student_tail(t, v)
+        right.append(tail if t < 0 else 1.0 - tail)
+    left, right = np.array(left), np.array(right)
     samples = np.column_stack([left, np.maximum(1.0 - (left + right), 0.0), right])
     return TrinomialSamples(samples=samples)
 

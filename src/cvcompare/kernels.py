@@ -15,9 +15,11 @@ dof <= 1e3 and 1e-12 above, down to tails of 1e-300; it is 1/2 exactly at
 t = 0 and 0 at |t| = inf.  A quantile's distance from the centre has that
 error divided by the tail's log-log slope, which tends to dof far out, so
 it meets the same bounds from 1 degree of freedom up and at the levels of
-the highest-density intervals.  These functions take and return floats,
-with one code path; their logarithms come from numpy rather than ``math``,
-whose last bits would change every pinned output that reads a Student tail.
+the highest-density intervals.  These functions take and return floats:
+the two series and the fraction are plain float loops in one function,
+which every tail and quantile reads.  Their logarithms come from numpy
+rather than ``math``, whose last bits would change every pinned output
+that reads a Student tail.
 """
 
 from __future__ import annotations
@@ -113,12 +115,14 @@ class RngStream:
 # x < (a + 1) / (a + 5/2) (DiDonato & Morris 1992, ACM TOMS 18:360) the tail
 # is I_x(a, 1/2) / 2 itself, from the first series where x is small and from
 # the continued fraction (modified Lentz) elsewhere; above it, the tail is
-# 1/2 - I_y(1/2, a) / 2, which is at least 0.04 there.  The logarithms of x
-# come from numpy's log1p and log: a · log x turns one ulp of log x into up to
-# 700 ulps of the tail, and numpy's SIMD loops can round differently from
-# libm's in the last bit, so ``math.log`` would change the ``freq-ttest`` and
-# ``bayes-ttest`` outputs that the golden files pin.  exp, pow and sqrt come
-# from ``math``, at one ulp's cost.
+# 1/2 - I_y(1/2, a) / 2, which is at least 0.04 there.  ``_tail_parts`` runs
+# each as a float loop until a step changes its value by at most _EPS of it; a
+# NaN step stops it at once.  The logarithms of x come from numpy's log1p and
+# log: a · log x turns one ulp of log x into up to 700 ulps of the tail, and
+# numpy's SIMD loops can round differently from libm's in the last bit, so
+# ``math.log`` would change the ``freq-ttest`` and ``bayes-ttest`` outputs
+# that the golden files pin.  exp, pow and sqrt come from ``math``, at one
+# ulp's cost.
 
 _EPS = 2.0**-53
 # x below which the first series converges faster than the continued fraction
@@ -137,21 +141,6 @@ _LOG_MAX = math.log(_MAX_FLOAT)
 _MAX_QUANTILE_STEPS = 60
 # the largest change of log t in one quantile step
 _MAX_LOG_STEP = 50.0
-
-
-def _iterate(step, params, state):
-    """Run ``state = step(n, params, state)`` for n = 0, 1, ... until the step's
-    error is at most one rounding unit of its scale, and return ``state[0]``.
-
-    ``step`` returns the new state, the error and the scale.  A NaN error
-    stops at once.
-    """
-    n = 0.0
-    while True:
-        state, err, scale = step(n, params, state)
-        n += 1.0
-        if not err > _EPS * scale:
-            return state[0]
 
 
 def _gamma_ratio(a):
@@ -182,53 +171,6 @@ def _density_term(a, x, y, log_x):
     return power * math.exp(g) * f * math.sqrt(y / math.pi)
 
 
-def _series_x_step(n, params, state):
-    """One term of sum_n (a + 1/2)_n / (a + 1)_n x^n; each is below x times the one before."""
-    a, x = params
-    total, term = state
-    term = term * ((a + 0.5 + n) / (a + 1.0 + n) * x)
-    total = total + term
-    return (total, term), term, total
-
-
-def _series_y_step(n, params, state):
-    """One term of sum_n (a + 1/2)_n / (3/2)_n y^n, for y (a + 5/2) <= 3/2."""
-    a, y = params
-    total, term = state
-    term = term * ((a + 0.5 + n) / (1.5 + n) * y)
-    total = total + term
-    return (total, term), term, total
-
-
-def _fraction_start(a, y):
-    """The state (h, c, d) of :func:`_fraction_step` after d_1: h = d = 1 / (1 + d_1)."""
-    d = (a + 1.0) / (0.5 + (a + 0.5) * y)
-    return d, 1.0, d
-
-
-def _fraction_step(n, params, state):
-    """One step of a B(a, 1/2) I_x(a, 1/2) / (x^a y^(1/2)) by its continued
-    fraction 1 / (1 + d_1 / (1 + d_2 / (1 + ...))), evaluated forwards by the
-    modified Lentz method; it converges for x < (a + 1) / (a + 5/2).
-
-    Each step takes the even d_2m and the odd d_(2m+1) together.  As x nears
-    1 with ``a`` large, every odd d_(2m+1) nears -1, so 1 + d_(2m+1) is formed
-    from y = 1 - x with positive terms only, and the two-step update needs no
-    other difference of nearly equal numbers.
-    """
-    a, x, y = params
-    h, c, d = state
-    m = n + 1.0
-    even = m * (0.5 - m) * x / ((a - 1.0 + 2.0 * m) * (a + 2.0 * m))
-    odd_plus_one = (a * (2.0 * m + 0.5) + m * (3.0 * m + 1.5) + y * (a + m) * (a + m + 0.5)) / (
-        (a + 2.0 * m) * (a + 2.0 * m + 1.0)
-    )
-    ed, ec = even * d, even / c
-    delta = (odd_plus_one + ec) / (odd_plus_one + ed)
-    state = (h * delta, (odd_plus_one + ec) / (1.0 + ec), (1.0 + ed) / (odd_plus_one + ed))
-    return state, abs(delta - 1.0), 1.0
-
-
 def _tail_parts(t: float, dof: float) -> tuple[float, float, float, float]:
     """(tail, centre, k, y) at finite t > 0: tail = P(T > t), centre = P(0 < T <= t)
     = 1/2 - tail, k = t times the density at t and y = t^2 / (dof + t^2).  Of
@@ -247,12 +189,42 @@ def _tail_parts(t: float, dof: float) -> tuple[float, float, float, float]:
         log_x = float(np.log(dof) - 2.0 * np.log(t) - np.log1p(w))
     k = _density_term(a, x, y, log_x)
     if y * (a + 2.5) > 1.5:
-        if x <= _SERIES_X:
-            tail = k * _iterate(_series_x_step, (a, x), (1.0, 1.0)) / dof
+        if x <= _SERIES_X:  # each term of the x-series is below x times the one before
+            tail = term = 1.0
+            n = 0.0
+            while term > _EPS * tail:
+                term *= (a + 0.5 + n) / (a + 1.0 + n) * x
+                tail += term
+                n += 1.0
         else:
-            tail = k * _iterate(_fraction_step, (a, x, y), _fraction_start(a, y)) / dof
+            # The continued fraction by modified Lentz, from 1 / (1 + d_1) and with the
+            # even d_2m and the odd d_(2m+1) in one step.  As x nears 1 with a large,
+            # every odd d_(2m+1) nears -1, so 1 + d_(2m+1) is formed from y = 1 - x
+            # with positive terms only, and the two-step update needs no other
+            # difference of nearly equal numbers.
+            tail = d = (a + 1.0) / (0.5 + (a + 0.5) * y)
+            c = m = 1.0
+            while True:
+                even = m * (0.5 - m) * x / ((a - 1.0 + 2.0 * m) * (a + 2.0 * m))
+                odd_plus_one = (a * (2.0 * m + 0.5) + m * (3.0 * m + 1.5) + y * (a + m) * (a + m + 0.5)) / (
+                    (a + 2.0 * m) * (a + 2.0 * m + 1.0)
+                )
+                ed, ec = even * d, even / c
+                delta = (odd_plus_one + ec) / (odd_plus_one + ed)
+                tail, c, d = tail * delta, (odd_plus_one + ec) / (1.0 + ec), (1.0 + ed) / (odd_plus_one + ed)
+                m += 1.0
+                if not abs(delta - 1.0) > _EPS:  # a NaN stops at once
+                    break
+        tail = k * tail / dof
         return tail, 0.5 - tail, k, y
-    centre = k * _iterate(_series_y_step, (a, y), (1.0, 1.0))
+    # the y-series, which converges fast where y (a + 5/2) <= 3/2
+    centre = term = 1.0
+    n = 0.0
+    while term > _EPS * centre:
+        term *= (a + 0.5 + n) / (1.5 + n) * y
+        centre += term
+        n += 1.0
+    centre = k * centre
     return 0.5 - centre, centre, k, y
 
 

@@ -205,8 +205,25 @@ class TestParseScores:
         text = csv_for([("d", "a", 0, 0, 0.5)]) + "d\rx,a,0,1,0.25\n"
         with pytest.raises(ParseError, match="^line 3: carriage return"):
             parse_scores(text)
-        with pytest.raises(ParseError, match="^line 3:"):
+        with pytest.raises(ParseError, match="^line 3: carriage return"):
             parse_scores(text.replace("d,a", '"d",a'))
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv-reader"])
+    @pytest.mark.parametrize("end", ["\r", "\r\r\n", "\r\r\n\n", "\n\r"])
+    def test_carriage_return_before_a_line_end(self, quoted, end):
+        # csv.reader would end a record at these CRs
+        text = csv_for([("d", "a", 0, 0, 0.5)]) + "d,a,0,1,0.25" + end
+        if quoted:
+            text = text.replace("d,a", '"d",a')
+        line = 4 if end == "\n\r" else 3
+        with pytest.raises(ParseError, match=f"^line {line}: carriage return outside a quoted field"):
+            parse_scores(text)
+
+    def test_carriage_returns_in_quoted_fields_are_kept(self):
+        text = csv_for(full_grid('"d\r\r\nx\ry"', "a", [[0.5, 0.25]]))
+        assert list(parse_scores(text + "\r\n").entries) == [("d\r\r\nx\ry", "a")]
+        # an open quoted field at the end of the text still ends there
+        assert list(parse_scores(text.rpartition(",")[0] + ',"0.25\r').entries) == [("d\r\r\nx\ry", "a")]
 
     @pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv-reader"])
     def test_leading_byte_order_mark_is_dropped(self, quoted):
@@ -539,7 +556,7 @@ class TestChunkBoundary:
         rows[0][0] = f'"{rows[0][0]}"'  # quoted text goes through csv.reader
         rows[3] = rows[3][:4]
         rows[b + 10][0] = "d\rx"
-        with pytest.raises(ParseError, match=f"^line {b + 12}: malformed record"):
+        with pytest.raises(ParseError, match=f"^line {b + 12}: carriage return outside a quoted field"):
             parse_scores(csv_for(rows))
 
     @pytest.mark.parametrize("fault", [False, True], ids=["table", "fault"])

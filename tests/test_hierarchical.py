@@ -8,6 +8,7 @@ import pytest
 from mpmath import mp
 from scipy import stats
 
+from cvcompare.bayes_ttest import rope_probs
 from cvcompare.data import PairDifferences, Rope
 from cvcompare.decisions import simplex_region_probs
 from cvcompare.hierarchical import (
@@ -28,6 +29,7 @@ from cvcompare.hierarchical import (
     _truncated_gamma,
     _truncated_normal,
 )
+from cvcompare.kernels import LocScaleStudent
 from conftest import mp_tail
 
 RHO = 0.1
@@ -628,6 +630,15 @@ class TestNextDataset:
                     exact = (float(lo), float(hi - lo), float(1 - hi))
                 for got, want in zip(row, exact):
                     assert abs(got - want) <= 1e-15, (rope, loc, scale, dof)
+
+    def test_rows_equal_the_t_test_rope_rule(self):
+        draws = fit(model_data(5, 20, seed=12), small_cfg(seed=83, warmup=50, draws=60))
+        mu0, sigma0, nu = (draws.pooled(name) for name in ("mu0", "sigma0", "nu"))
+        m = float(mu0[3])
+        for rope in (Rope(-0.01, 0.01), Rope(0.0, 0.0), Rope(min(m, 0.0), max(m, 0.0))):
+            samples = next_dataset_probs(draws, rope).samples
+            for row, loc, scale2, dof in zip(samples.tolist(), mu0.tolist(), (sigma0**2).tolist(), nu.tolist()):
+                assert tuple(row) == rope_probs(LocScaleStudent(dof, loc, scale2), rope).as_tuple()
 
     def test_rows_sum_to_one(self):
         data = model_data(6, 20, seed=13)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 
@@ -21,14 +22,6 @@ from cvcompare.kernels import (
 mp.dps = 40
 
 
-def mp_student_cdf(x, dof, loc=0.0, scale=1.0):
-    """High-precision oracle from the incomplete-beta definition."""
-    t = (mp.mpf(x) - mp.mpf(loc)) / mp.mpf(scale)
-    ib = mp.betainc(dof / mp.mpf(2), mp.mpf("0.5"), 0, dof / (dof + t * t), regularized=True)
-    half = ib / 2
-    return float(half if t <= 0 else 1 - half)
-
-
 class TestStudentCdf:
     def test_median_is_half(self):
         d = LocScaleStudent(dof=7, loc=0.3, scale2=2.5)
@@ -50,9 +43,9 @@ class TestStudentCdf:
     @pytest.mark.parametrize("x", [-8.0, -2.5, -0.7, 0.0, 0.3, 1.9, 6.0])
     def test_against_incomplete_beta_oracle(self, dof, x):
         d = LocScaleStudent(dof=dof, loc=0.1, scale2=1.7)
-        assert student_cdf(x, d) == pytest.approx(
-            mp_student_cdf(x, dof, 0.1, math.sqrt(1.7)), abs=1e-12
-        )
+        t = (mp.mpf(x) - mp.mpf(0.1)) / mp.mpf(math.sqrt(1.7))
+        tail = mp_tail(t, dof)
+        assert student_cdf(x, d) == pytest.approx(float(tail if t <= 0 else 1 - tail), abs=1e-12)
 
     def test_monotone_and_symmetric(self):
         d = LocScaleStudent(dof=12, loc=-0.2, scale2=0.5)
@@ -149,7 +142,7 @@ class TestStudentSf:
         from cvcompare.kernels import student_sf
 
         d = LocScaleStudent(dof=99, loc=0.0, scale2=1.0)
-        assert student_sf(3.52, d) == pytest.approx(mp_student_cdf(-3.52, 99), abs=1e-18)
+        assert student_sf(3.52, d) == pytest.approx(float(mp_tail(3.52, 99)), abs=1e-18)
         assert student_sf(-1.0, d) + student_sf(1.0, d) == pytest.approx(1.0, abs=1e-12)
         degenerate = LocScaleStudent(dof=9, loc=0.2, scale2=0.0)
         assert student_sf(0.1, degenerate) == 1.0
@@ -282,3 +275,23 @@ class TestAccuracy:
             if t < math.inf:
                 # one unit of the target, or the tail's own relative error above 1e-311
                 assert abs(student_tail(t, dof) - q) <= max(math.ulp(0.0), 1e-12 * q), (q, dof, t)
+
+
+# Every branch of the tail and the quantile: the x-series, the continued fraction and
+# the y-series; x = w / (1 + w) for |t| beyond 1e154; x^a by pow and by exp of a log x,
+# for normal, subnormal and zero x; Hill's start and the power-law start below 1 degree
+# of freedom; the centre side, subnormal targets and quantiles past the largest float.
+PINNED_DOFS = [math.exp(k / 2) for k in range(-6, 33)] + [0.999, 1.0, 2.0, 1e12, 1e150, 1e200]
+PINNED_TS = [math.exp(k / 4) for k in range(-48, 49)]
+PINNED_TS += [0.0, 1e-300, 1e150, 1.4e154, 1e155, 1e200, 1e300, sys.float_info.max, math.inf]
+PINNED_LEVELS = [1e-315, 1e-300, 1e-100, 1e-30, 1e-10, 1e-3, 0.025, 0.1, 0.25, 0.3, 0.45, 0.4999,
+                 0.5, 0.5001, 0.75, 0.9, 0.975, 1.0 - 1e-10]
+
+
+class TestPinnedBits:
+    def test_tails_and_quantiles_keep_their_bits(self):
+        tails = [student_tail(sign * t, dof) for dof in PINNED_DOFS for t in PINNED_TS for sign in (1.0, -1.0)]
+        quantiles = [student_quantile(p, LocScaleStudent(dof=dof, loc=0.0, scale2=1.0))
+                     for dof in PINNED_DOFS for p in PINNED_LEVELS]
+        digest = hashlib.sha256(np.array(tails + quantiles, dtype=np.float64).tobytes()).hexdigest()
+        assert digest == "5ee6dc0e5f0495e8ea53c0cd10da2076d23a2cc251c15b6ed9980ebcc693f338"
