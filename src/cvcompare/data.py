@@ -293,21 +293,20 @@ def _quoted_reader(text: str, chunk: list[int]):
     index of the chunk that holds the last line read.
 
     ``csv.reader`` ends a record at a CR that only line breaks follow.  So a
-    line whose line breaks hold a CR outside a CRLF is joined to the lines
-    after it, up to one with other text, or to a quote at the end of the
-    text: outside a quoted field the reader then fails on that CR, and a
-    quoted field reads the same.
+    line that ends in a CR outside a CRLF is joined to the lines after it, up
+    to one with other text, or to a quote at the end of the text: outside a
+    quoted field the reader then fails on that CR, and a quoted field reads
+    the same.
     """
     def lines():
         held = ""
         for chunk[0], part in enumerate(_plain_lines(text, 0, "\n")):
             for line in part:
-                if held or line.endswith(("\r", "\r\r\n")):
+                if line.endswith(("\r", "\r\r\n")) or held and not line.strip("\r\n"):
                     held += line
-                    if "\r" in held[len(held.rstrip("\r\n")):].replace("\r\n", ""):
-                        continue
-                    line, held = held, ""
-                yield line
+                    continue
+                yield held + line
+                held = ""
         if held:
             yield held + '"'
 
