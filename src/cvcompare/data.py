@@ -255,7 +255,8 @@ def _tokenize(text: str):
     chunks, one per stretch of records after the header: the fields of the
     chunk's non-blank records, five per record.  It yields None instead
     when the header is not ``CSV_HEADER`` or a record of the chunk has
-    another field count, and raises ``csv.Error`` on a record that
+    another field count, and raises :class:`ParseError` on a carriage return
+    outside a quoted field that does not start a CRLF and on a record that
     ``csv.reader`` cannot read.  Text without a quote is split with
     ``str.split``, which gives the fields ``csv.reader`` would.
     """
@@ -288,29 +289,36 @@ def _quoted_chunks(text: str):
 
 
 def _quoted_reader(text: str, chunk: list[int]):
-    """A ``csv.reader`` over the lines of ``_plain_lines`` with their line
-    feeds put back, which read as ``text`` itself; ``chunk[0]`` is kept at the
-    index of the chunk that holds the last line read.
+    """The records ``csv.reader`` reads from the lines of ``_plain_lines`` with
+    their line feeds put back, which read as ``text`` itself; ``chunk[0]`` is
+    kept at the index of the chunk that holds the last line read.  Raises
+    :class:`ParseError` at the first record the reader cannot read.
 
-    ``csv.reader`` ends a record at a CR that only line breaks follow.  So a
-    line that ends in a CR outside a CRLF is joined to the lines after it, up
-    to one with other text, or to a quote at the end of the text: outside a
-    quoted field the reader then fails on that CR, and a quoted field reads
-    the same.
+    ``csv.reader`` fails on a CR outside a quoted field that text follows on
+    its line, but ends a record at one that only line breaks follow.  Such a
+    record ends on a line that ends in a CR outside a CRLF, where a quoted
+    field would read on, and is refused too.
     """
-    def lines():
-        held = ""
-        for chunk[0], part in enumerate(_plain_lines(text, 0, "\n")):
-            for line in part:
-                if line.endswith(("\r", "\r\r\n")) or held and not line.strip("\r\n"):
-                    held += line
-                    continue
-                yield held + line
-                held = ""
-        if held:
-            yield held + '"'
+    last = [""]
 
-    return csv.reader(lines())
+    def lines():
+        for chunk[0], part in enumerate(_plain_lines(text, 0, "\n")):
+            for last[0] in part:
+                yield last[0]
+        last[0] = ""  # an open quoted field ends at the end of the text
+
+    reader = csv.reader(lines())
+    try:
+        for record in reader:
+            if last[0].endswith(("\r", "\r\r\n")):
+                break
+            yield record
+        else:
+            return
+    except csv.Error as exc:
+        if "new-line" not in str(exc):
+            raise ParseError(f"malformed record: {exc}", line=reader.line_num) from None
+    raise ParseError("carriage return outside a quoted field", line=reader.line_num)
 
 
 def _plain_chunks(text: str):
@@ -375,9 +383,8 @@ def _columns(chunks) -> tuple[tuple[dict, dict], list[np.ndarray]] | None:
     Returns the dataset and classifier texts, each mapped to its position
     in order of first appearance, and the columns, joined over the chunks:
     each row's dataset and classifier position, run, fold and score.
-    Returns None at the first chunk that is None, holds a record
-    ``csv.reader`` cannot read or a value that numpy's string casts do not
-    convert.
+    Returns None at the first chunk that is None or holds a value that
+    numpy's string casts do not convert.
     """
     texts = ({}, {})
     parts = tuple([np.empty(0, dtype)] for dtype in (np.intp, np.intp, np.int64, np.int64, float))
@@ -389,7 +396,7 @@ def _columns(chunks) -> tuple[tuple[dict, dict], list[np.ndarray]] | None:
                 parts[i].append(np.array(fields[i::5], dtype=dtype))
             for i in (0, 1):
                 parts[i].append(_codes(texts[i], fields[i::5]))
-    except (csv.Error, ValueError, OverflowError):
+    except (ValueError, OverflowError):
         return None
     return texts, [np.concatenate(part) for part in parts]
 
@@ -486,16 +493,12 @@ def _raise_first_fault(text: str) -> NoReturn:
         lines = itertools.chain.from_iterable(_plain_lines(text.replace("\r\n", "\n"), 0))
         records = (line.split(",") if line else [] for line in lines)
     seen = set()
-    try:
-        for line, record in enumerate(records, start=1):
-            fault = _header_fault(record) if line == 1 else _row_fault(record, seen)
-            if fault:
-                for _ in records:  # a record csv.reader cannot read is reported first
-                    pass
-                raise ParseError(fault, line=line)
-    except csv.Error as exc:  # the reader's new-line error is always a CR outside a CRLF
-        fault = "carriage return outside a quoted field" if "new-line" in str(exc) else f"malformed record: {exc}"
-        raise ParseError(fault, line=records.line_num) from None
+    for line, record in enumerate(records, start=1):
+        fault = _header_fault(record) if line == 1 else _row_fault(record, seen)
+        if fault:
+            for _ in records:  # a record csv.reader cannot read is reported first
+                pass
+            raise ParseError(fault, line=line)
     raise AssertionError("unreachable: a check over whole columns failed, but no row fails one")
 
 

@@ -224,6 +224,9 @@ class TestParseScores:
         assert list(parse_scores(text + "\r\n").entries) == [("d\r\r\nx\ry", "a")]
         # an open quoted field at the end of the text still ends there
         assert list(parse_scores(text.rpartition(",")[0] + ',"0.25\r').entries) == [("d\r\r\nx\ry", "a")]
+        # a CR outside quotes after them is reported at its own line
+        with pytest.raises(ParseError, match="^line 6: carriage return outside a quoted field"):
+            parse_scores(text + "d\r\r\n")
 
     @pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv-reader"])
     def test_leading_byte_order_mark_is_dropped(self, quoted):
