@@ -9,6 +9,15 @@ machine-readable report outputs.  Every name in a library module's
 
 __version__ = "0.1.0"
 
+import os
+
+# OpenBLAS starts a pool of worker threads when numpy is imported.  No routine
+# here gains from it (the largest products are a (10,000 x 3) @ (3 x 2) and
+# 54-element dots), and the idle pool costs start-up time and CPU in every
+# process.  So one thread, unless the caller chose otherwise; this must run
+# before the first numpy import below.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .bayes_ttest import *
 from .data import *
 from .decisions import *

@@ -6,7 +6,9 @@ result, run and fold as 0-based integers.  Scores may be fractions in
 [0, 1] or percentages in [0, 100]; if any value in the file exceeds 1 the
 whole file is treated as percentages and divided by 100.  The scale rule
 is applied per file, never per row.  Records end at LF or CRLF; a quoted
-field keeps any commas and line breaks it holds.
+field keeps any commas and line breaks it holds.  Quote-free text whose
+numbers are plain decimals is read in bulk from its bytes, exactly as
+Python's int() and float() read each field.
 
 Every method reads a classifier pair as one :class:`PairDifferences`, built
 from the table's score grid by :func:`paired_differences`: the cross-dataset
@@ -253,10 +255,11 @@ def _tokenize(text: str):
 
     Records end at LF or CRLF outside quoted fields.  Returns an iterator of
     chunks, one per stretch of records after the header: the fields of the
-    chunk's non-blank records, five per record.  It yields None instead
-    when the header is not ``CSV_HEADER`` or a record of the chunk has
-    another field count, and raises :class:`ParseError` on a carriage return
-    outside a quoted field that does not start a CRLF and on a record that
+    chunk's non-blank records, five per record, or for quote-free text
+    mostly ``_bulk_columns``' arrays.  It yields None instead when the
+    header is not ``CSV_HEADER`` or a record of the chunk has another field
+    count, and raises :class:`ParseError` on a carriage return outside a
+    quoted field that does not start a CRLF and on a record that
     ``csv.reader`` cannot read.  Text without a quote is split with
     ``str.split``, which gives the fields ``csv.reader`` would.
     """
@@ -277,22 +280,24 @@ def _quoted_chunks(text: str):
     their fields flattened as they are read."""
     chunk = [0]
     reader = _quoted_reader(text, chunk)
-    if _header_fault(next(reader)):
+    if _header_fault(next(reader)[1]):
         yield None
         return
     for _, records in itertools.groupby(reader, lambda _: chunk[0]):
         fields, widths = [], set()
-        for record in filter(None, records):
-            fields += record
-            widths.add(len(record))
+        for _, record in records:
+            if record:
+                fields += record
+                widths.add(len(record))
         yield fields if widths <= {5} else None
 
 
 def _quoted_reader(text: str, chunk: list[int]):
     """The records ``csv.reader`` reads from the lines of ``_plain_lines`` with
-    their line feeds put back, which read as ``text`` itself; ``chunk[0]`` is
-    kept at the index of the chunk that holds the last line read.  Raises
-    :class:`ParseError` at the first record the reader cannot read.
+    their line feeds put back, which read as ``text`` itself, each with the
+    line it starts on; ``chunk[0]`` is kept at the index of the chunk that
+    holds the last line read.  Raises :class:`ParseError` at the first
+    record the reader cannot read.
 
     ``csv.reader`` fails on a CR outside a quoted field that text follows on
     its line, but ends a record at one that only line breaks follow.  Such a
@@ -308,11 +313,13 @@ def _quoted_reader(text: str, chunk: list[int]):
         last[0] = ""  # an open quoted field ends at the end of the text
 
     reader = csv.reader(lines())
+    line = 1
     try:
         for record in reader:
             if last[0].endswith(("\r", "\r\r\n")):
                 break
-            yield record
+            yield line, record
+            line = reader.line_num + 1
         else:
             return
     except csv.Error as exc:
@@ -322,27 +329,143 @@ def _quoted_reader(text: str, chunk: list[int]):
 
 
 def _plain_chunks(text: str):
-    """``_tokenize``'s chunks of quote-free text with LF line ends."""
+    """``_tokenize``'s chunks of quote-free text with LF line ends: each one
+    read from its bytes by ``_bulk_columns``, or split by ``_split_records``
+    where that reader declines it."""
     header = text.partition("\n")[0]
     if _header_fault(header.split(",")):
         yield None
         return
-    for lines in _plain_lines(text, len(header) + 1):
-        rows = list(filter(None, lines))
-        if rows:
-            widths = set(map(str.count, rows, itertools.repeat(",")))
-            yield ",".join(rows).split(",") if widths <= {4} else None
+    for part in _plain_parts(text, len(header) + 1):
+        columns = _bulk_columns(part)
+        yield _split_records(part) if columns is None else columns
 
 
-def _plain_lines(text: str, start: int, end: str = ""):
-    """The lines of ``text`` with LF line ends from ``start`` on, in chunks
-    that end with the line holding each chunk's ``_CHUNK``-th character.
-    Each line's line feed is replaced by ``end``; a last line without one
-    gets none."""
+def _split_records(part: str) -> list[str] | None:
+    """The fields of the non-blank records of ``part``, five per record, or
+    None when a record has another field count."""
+    rows = list(filter(None, part.split("\n")))
+    if set(map(str.count, rows, itertools.repeat(","))) - {4}:
+        return None
+    return ",".join(rows).split(",") if rows else []
+
+
+# 10**k for k = 0, ..., 16, each exact in binary64, from literals rather than pow
+_POW10 = np.array([1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16])
+# the first k bytes of a little-endian 8-byte word, for k = 0, ..., 8
+_FIRST_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def _bulk_columns(part: str):
+    """The records of ``part``, quote-free lines with LF ends, read from its
+    UTF-8 bytes by a few passes over whole byte columns, or None when a
+    record lies outside this reader's grammar:
+
+    - a non-blank line holds exactly four commas;
+    - run and fold are 1 to 18 ASCII digits, which int64 holds;
+    - a score is at most 17 ASCII digits and points, with at most one point
+      and at least one digit, whose digits read as an integer m <= 2**53.
+
+    Run and fold then equal int() of their text.  A score is m / 10**k, with
+    k the digits after its point; both operands are exact, so the quotient is
+    the correctly rounded decimal, equal to float() of the text (Clinger 1990,
+    "How to read floating point numbers accurately").  Signs, spaces,
+    underscores, exponents, other digits and longer fields are left to
+    ``_split_records`` and numpy's string casts; a field that is too long
+    declines the chunk before any digit is read.
+
+    Returns ``(repeats, (datasets, classifiers, run, fold, score))``: the
+    dataset and classifier texts only at the records whose
+    ``dataset,classifier`` bytes differ from the record before, each holding
+    for ``repeats`` records, and the numbers of every record.
+    """
+    try:
+        buf = part.encode()
+    except UnicodeEncodeError:  # a lone surrogate
+        return None
+    if not buf.endswith(b"\n"):
+        buf += b"\n"
+    a = np.frombuffer(buf, np.uint8)
+    end = np.flatnonzero(a == ord("\n"))
+    start = np.concatenate(([0], end[:-1] + 1))
+    full = start < end  # blank lines are skipped
+    start, end = start[full], end[full]
+    n = len(start)
+    commas = np.flatnonzero(a == ord(","))
+    if len(commas) != 4 * n:
+        return None
+    # the commas, four per line in order, each line's four inside it
+    comma = commas.reshape(n, 4).T
+    if (comma[0] < start).any() or (comma[3] > end).any():
+        return None
+    lengths = (comma[2] - comma[1] - 1, comma[3] - comma[2] - 1, end - comma[3] - 1)
+    if (lengths[2] > 17).any() or (lengths[0] > 18).any() or (lengths[1] > 18).any():
+        return None
+    buf += bytes(32)  # room for the reads below, which run at most 17 bytes past the last line
+    a = np.frombuffer(buf, np.uint8)
+    numbers = [_digits(a, comma[i] + 1, length) for i, length in zip((1, 2, 3), lengths)]
+    if None in numbers:
+        return None
+    (run, _, run_point), (fold, _, fold_point), (m, after, _) = numbers
+    if run_point.any() or fold_point.any() or (m > 2**53).any():
+        return None
+
+    # a record starts a new stretch of one key where its key's length or bytes differ
+    key_length = comma[1] - start
+    new = np.ones(n, bool)
+    new[1:] = key_length[1:] != key_length[:-1]
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))  # the 8 bytes from each offset
+    for j in range(0, int(key_length.max(initial=0)), 8):
+        word = words[np.minimum(start + j, len(words) - 1)] & _FIRST_BYTES[np.clip(key_length - j, 0, 8)]
+        new[1:] |= word[1:] != word[:-1]
+    first = np.flatnonzero(new)
+    bounds = start[first].tolist(), comma[0][first].tolist(), comma[1][first].tolist()
+    datasets = [buf[i:j].decode() for i, j in zip(bounds[0], bounds[1])]
+    classifiers = [buf[i + 1:j].decode() for i, j in zip(bounds[1], bounds[2])]
+    return np.diff(first, append=n), (datasets, classifiers, run, fold, m / _POW10[after])
+
+
+def _digits(a: np.ndarray, start: np.ndarray, length: np.ndarray):
+    """The ASCII fields of ``a`` at ``start`` of ``length`` bytes read by
+    Horner's rule, one pass per byte position, skipping a point: the integer
+    their digits read as, the count of digits after the point and whether
+    there is one.  None when a field holds another byte, two points or no
+    digit."""
+    m = np.zeros(len(start), np.int64)
+    after = np.zeros(len(start), np.int64)
+    point = np.zeros(len(start), bool)
+    bad = np.zeros(len(start), bool)
+    for j in range(int(length.max(initial=0))):
+        inside = j < length
+        byte = a[start + j] - ord("0")  # uint8: "." reads 254, and the bytes below "0" wrap above 9
+        digit = inside & (byte <= 9)
+        is_point = inside & (byte == 254)
+        bad |= (inside ^ digit ^ is_point) | (is_point & point)
+        m = np.where(digit, m * 10 + byte, m)
+        after += digit & point
+        point |= is_point
+    if (bad | (length <= point)).any():
+        return None
+    return m, after, point
+
+
+def _plain_parts(text: str, start: int):
+    """The text of ``text`` from ``start`` on, in chunks of whole LF-ended
+    lines that end with the line holding each chunk's ``_CHUNK``-th
+    character; the last may lack its line feed."""
     while start < len(text):
         stop = text.find("\n", start + _CHUNK)
         stop = len(text) if stop < 0 else stop + 1
-        lines = text[start:stop].split("\n")
+        yield text[start:stop]
+        start = stop
+
+
+def _plain_lines(text: str, start: int, end: str = ""):
+    """The lines of ``_plain_parts(text, start)``, a list per chunk.  Each
+    line's line feed is replaced by ``end``; a last line without one gets
+    none."""
+    for part in _plain_parts(text, start):
+        lines = part.split("\n")
         last = lines.pop()  # "" after the line break ending the chunk's last line
         if end:
             for i, line in enumerate(lines):  # in place, so the chunk's lines are held once
@@ -350,7 +473,6 @@ def _plain_lines(text: str, start: int, end: str = ""):
         if last:
             lines.append(last)
         yield lines
-        start = stop
 
 
 def _header_fault(header: list[str]) -> str | None:
@@ -389,13 +511,16 @@ def _columns(chunks) -> tuple[tuple[dict, dict], list[np.ndarray]] | None:
     texts = ({}, {})
     parts = tuple([np.empty(0, dtype)] for dtype in (np.intp, np.intp, np.int64, np.int64, float))
     try:
-        for fields in chunks:
-            if fields is None:
+        for chunk in chunks:
+            if chunk is None:
                 return None
-            for i, dtype in ((2, np.int64), (3, np.int64), (4, float)):
-                parts[i].append(np.array(fields[i::5], dtype=dtype))
-            for i in (0, 1):
-                parts[i].append(_codes(texts[i], fields[i::5]))
+            # split fields, five per record, or _bulk_columns' ids and numbers
+            repeats, columns = (1, (chunk[i::5] for i in range(5))) if isinstance(chunk, list) else chunk
+            for i, values in enumerate(columns):
+                if i < 2:
+                    parts[i].append(np.repeat(_codes(texts[i], values), repeats))
+                else:
+                    parts[i].append(np.asarray(values, dtype=parts[i][0].dtype))
     except (ValueError, OverflowError):
         return None
     return texts, [np.concatenate(part) for part in parts]
@@ -484,16 +609,18 @@ def _raise_first_fault(text: str) -> NoReturn:
     over whole columns has failed.
 
     A record that ``csv.reader`` cannot read is reported first, wherever it
-    lies.  Run, fold and score convert by Python's int() and float() and
-    int64's range, the rules of numpy's string casts.
+    lies.  A fault is named by the line its record starts on, so a quoted
+    field holding a line break moves the records after it one line down.
+    Run, fold and score convert by Python's int() and float() and int64's
+    range, the rules of numpy's string casts.
     """
     if '"' in text:
         records = _quoted_reader(text, [0])
     else:  # split as _tokenize splits; it has rejected a carriage return outside a CRLF
         lines = itertools.chain.from_iterable(_plain_lines(text.replace("\r\n", "\n"), 0))
-        records = (line.split(",") if line else [] for line in lines)
+        records = enumerate((line.split(",") if line else [] for line in lines), start=1)
     seen = set()
-    for line, record in enumerate(records, start=1):
+    for line, record in records:
         fault = _header_fault(record) if line == 1 else _row_fault(record, seen)
         if fault:
             for _ in records:  # a record csv.reader cannot read is reported first
@@ -511,14 +638,18 @@ def parse_scores(source) -> ScoreTable:
     matrices.
 
     Each check first runs over whole columns and answers only whether some
-    row fails it.  The text is split and converted about ``_CHUNK``
-    characters of records at a time, so besides the input text its peak
-    memory holds one chunk's field strings and the column arrays (five
-    8-byte values per row), not a string per field of the whole file; the
-    table keeps the score grid the parse fills, with no second copy.  Only
-    when a check fails is the text read again, one record at a time,
-    applying the checks in the order they apply to one row, to name the
-    first row that fails and its line.
+    row fails it.  The text is read about ``_CHUNK`` characters of records
+    at a time, so besides the input text its peak memory holds one chunk's
+    fields and the column arrays (five 8-byte values per row), not a string
+    per field of the whole file; the table keeps the score grid the parse
+    fills, with no second copy.  A quote-free chunk of plain decimal
+    numbers is read from its UTF-8 bytes in a few passes over whole byte
+    columns, decoding the ids only where the ``dataset,classifier`` key
+    changes; any other chunk is split into field strings and converted by
+    numpy's string casts.  Both give the same values.  Only when a check
+    fails is the text read again, one record at a time, applying the checks
+    in the order they apply to one row, to name the first row that fails
+    and the line its record starts on.
     """
     text = _read_text(source)
     table = _table(text)

@@ -108,6 +108,7 @@ def test_roots_mode_writes_the_record_from_its_own_runs(tmp_path, monkeypatch):
     assert (bench["parent"]["git_sha"], bench["change"]["git_sha"]) == ("parent", "change")
     assert [(w["workload"], w["seed"], w["pairs"]) for w in bench["workloads"]] == [("hier-fit", 7, 2), ("hier-fit", 23, 2)]
     assert all(m["change_wins"] == 2 for w in bench["workloads"] for m in w["metrics"].values())
+    assert all(m["gain_rule_met"] and not m["worse_than_bound"] for w in bench["workloads"] for m in w["metrics"].values())
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -120,3 +121,35 @@ def test_mode_arguments_are_checked(argv, message, capsys):
     with pytest.raises(SystemExit):
         bench_record.main(["--pr", "4", "--pytest-log", "tier1.log"] + argv)
     assert message in capsys.readouterr().err
+
+
+def runs_of(values, name="cpu_s"):
+    return [{"metrics": {name: {"value": v}}} for v in values]
+
+
+# median 1.0, quartiles 0.9125 and 1.0875
+PARENT = [0.8, 0.85, 0.9, 0.95, 1.0, 1.0, 1.05, 1.1, 1.15, 1.2]
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+@pytest.mark.parametrize("change, gain, worse", [
+    # wins all ten pairs by more than the parent's q3 - q1
+    ([0.5] * 10, True, False),
+    # wins nine of ten pairs: nine tenths is enough
+    ([0.5] * 9 + [1.3], True, False),
+    # wins eight of ten pairs
+    ([0.5] * 8 + [1.3] * 2, False, False),
+    # wins every pair, by less than the parent's q3 - q1
+    ([v - 0.01 for v in PARENT], False, False),
+    # loses every pair, by 20% and by 30% of the parent's median, with bound 0.25
+    ([1.2] * 10, False, False),
+    ([1.3] * 10, False, True),
+], ids=["all-pairs", "nine-pairs", "eight-pairs", "within-spread", "worse-within-bound", "worse-beyond-bound"])
+def test_verdicts(change, gain, worse, better):
+    parent = PARENT
+    if better == "higher":  # the same runs, mirrored about the parent's median
+        parent, change = [2.0 - v for v in parent], [2.0 - v for v in change]
+    metric = {"name": "cpu_s", "unit": "s", "better": better, "bound": 0.25}
+    result = bench_record.compare(runs_of(parent), runs_of(change), [metric])["cpu_s"]
+    assert result["parent"]["q3"] - result["parent"]["q1"] == pytest.approx(0.175)
+    assert (result["gain_rule_met"], result["worse_than_bound"]) == (gain, worse)

@@ -219,6 +219,14 @@ class TestParseScores:
         with pytest.raises(ParseError, match=f"^line {line}: carriage return outside a quoted field"):
             parse_scores(text)
 
+    @pytest.mark.parametrize("bad, line", [("d3,a,x,0,0.5", 5), ('"d3\n\ny",a,x,0,0.5', 5)])
+    def test_rows_are_named_by_the_line_their_record_starts_on(self, bad, line):
+        # the quoted field on lines 2 and 3 holds a line break
+        text = f'dataset,classifier,run,fold,score\n"d\nx",a,0,0,0.5\nd2,a,0,0,0.5\n{bad}\n'
+        with pytest.raises(ParseError, match=f"^line {line}: run/fold must be integers"):
+            parse_scores(text)
+        assert outcome(parse_scores, text) == outcome(reference_parse, text)
+
     def test_carriage_returns_in_quoted_fields_are_kept(self):
         text = csv_for(full_grid('"d\r\r\nx\ry"', "a", [[0.5, 0.25]]))
         assert list(parse_scores(text + "\r\n").entries) == [("d\r\r\nx\ry", "a")]
@@ -314,15 +322,20 @@ class TestParseScores:
 
 def reference_parse(text):
     """The row-at-a-time parser the columnar one replaced, kept as the
-    reference: same checks in the same order, first bad row raises."""
-    rows = list(csv.reader(io.StringIO(text, newline="\n")))
+    reference: same checks in the same order, first bad row raises, named
+    by the line its record starts on."""
+    reader = csv.reader(io.StringIO(text, newline="\n"))
+    rows, start = [], 1
+    for row in reader:
+        rows.append((start, row))
+        start = reader.line_num + 1
     if not rows:
         raise ParseError("no rows")
-    header = tuple(h.strip().lower() for h in rows[0])
+    header = tuple(h.strip().lower() for h in rows[0][1])
     if header != ("dataset", "classifier", "run", "fold", "score"):
-        raise ParseError(f"expected header dataset,classifier,run,fold,score, got {','.join(rows[0])}", line=1)
+        raise ParseError(f"expected header dataset,classifier,run,fold,score, got {','.join(rows[0][1])}", line=1)
     cells = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if not row:
             continue
         if len(row) != 5:
@@ -334,6 +347,8 @@ def reference_parse(text):
             run, fold = int(row[2]), int(row[3])
         except ValueError:
             raise ParseError(f"run/fold must be integers, got {row[2]!r}/{row[3]!r}", line=lineno) from None
+        if not (-(2**63) <= run < 2**63 and -(2**63) <= fold < 2**63):
+            raise ParseError(f"run/fold {row[2]!r}/{row[3]!r} do not fit in 64 bits", line=lineno)
         if run < 0 or fold < 0:
             raise ParseError("run and fold must be non-negative", line=lineno)
         try:
@@ -571,6 +586,118 @@ class TestChunkBoundary:
         if fault:
             rows[b + 300][4] = "oops"
         text = csv_for(rows)
+        assert outcome(parse_scores, text) == outcome(reference_parse, text)
+
+
+BULK_ROWS = [
+    [dataset, "a", str(run), str(fold), score]
+    for dataset in ("d", "e")
+    for (run, fold), score in zip(itertools.product(range(2), repeat=2), ("0.5", "0.25", "0.75", "1"))
+]
+
+
+def bulk_text(*edits, order=range(8), blank=(), eol="\n"):
+    """``BULK_ROWS`` as a score file: each (row, field, text) edit applied,
+    the rows in ``order``, a blank line before each row in ``blank``, and
+    ``eol`` after every line but the last, which gets it unless it is ""."""
+    rows = [list(row) for row in BULK_ROWS]
+    for row, field, value in edits:
+        rows[row][field] = value
+    lines = ["dataset,classifier,run,fold,score"]
+    for i in order:
+        lines += [""] * (i in blank) + [",".join(rows[i])]
+    return "\n".join(lines) + (eol or "")
+
+
+def renamed(field, names):
+    """Edits giving rows 0-3 the first of ``names`` in ``field`` and rows 4-7 the second."""
+    return [(row, field, names[row // 4]) for row in range(8)]
+
+
+class TestBulkReader:
+    """Quote-free chunks are read from their bytes when they keep to the bulk
+    reader's grammar and split field by field when not; either way a file
+    gives the row loop's table or error."""
+
+    @pytest.mark.parametrize("chunk", [None, 1, 40], ids=["whole", "chunk-1", "chunk-40"])
+    @pytest.mark.parametrize("text, bulk", [
+        pytest.param(bulk_text(), True, id="valid"),
+        pytest.param(bulk_text((5, 2, "000"), (5, 3, "0001"), (5, 4, "0000.5000")), True, id="leading-zeros"),
+        pytest.param(bulk_text((5, 4, "5.")), True, id="point-last"),
+        pytest.param(bulk_text((5, 4, ".5")), True, id="point-first"),
+        pytest.param(bulk_text((5, 4, ".")), False, id="point-alone"),
+        pytest.param(bulk_text((5, 4, ".9007199254740991")), True, id="mantissa-below-2^53"),
+        pytest.param(bulk_text((5, 4, ".9007199254740992")), True, id="mantissa-2^53"),
+        pytest.param(bulk_text((5, 4, ".9007199254740993")), False, id="mantissa-above-2^53"),
+        pytest.param(bulk_text((5, 4, "9007199254740992")), True, id="whole-2^53"),
+        pytest.param(bulk_text((5, 4, "00000000000000.25")), True, id="score-17-bytes"),
+        pytest.param(bulk_text((5, 4, "000000000000000.25")), False, id="score-18-bytes"),
+        pytest.param(bulk_text((5, 2, "000000000000000000")), True, id="run-18-digits"),
+        pytest.param(bulk_text((5, 2, "0000000000000000000")), False, id="run-19-digits"),
+        pytest.param(bulk_text((5, 2, "999999999999999999")), True, id="run-18-nines"),
+        pytest.param(bulk_text((5, 2, "9223372036854775807")), False, id="run-int64-max"),
+        pytest.param(bulk_text((5, 2, "9223372036854775808")), False, id="run-beyond-int64"),
+        pytest.param(bulk_text((5, 2, "-0")), False, id="minus-zero"),
+        pytest.param(bulk_text((5, 3, "+1")), False, id="plus-sign"),
+        pytest.param(bulk_text((5, 3, " 1 ")), False, id="spaces"),
+        pytest.param(bulk_text((7, 2, "0_1")), False, id="underscore"),
+        pytest.param(bulk_text((7, 3, "\u0661")), False, id="arabic-indic-digit"),  # ARABIC-INDIC DIGIT ONE
+        pytest.param(bulk_text((5, 4, "25e-2")), False, id="exponent"),
+        pytest.param(bulk_text((5, 4, "nan")), False, id="nan"),
+        pytest.param(bulk_text((5, 4, "")), False, id="empty-score"),
+        pytest.param(bulk_text((5, 2, "")), False, id="empty-run"),
+        pytest.param(bulk_text((5, 4, "0.2.5")), False, id="two-points"),
+        pytest.param(bulk_text(*renamed(0, ("dä", "数据"))), True, id="non-ascii-datasets"),
+        pytest.param(bulk_text(*renamed(1, ("ä", "ö"))), True, id="non-ascii-classifiers"),
+        pytest.param(bulk_text((4, 0, " e"), (5, 0, "e\t"), (6, 0, "\te "), (1, 1, "a ")), True, id="spaced-ids"),
+        pytest.param(bulk_text((4, 0, " ")), True, id="blank-id"),
+        # keys of one length that differ only in their second or third 8 bytes
+        pytest.param(bulk_text(*renamed(0, ("dataset-number-one", "dataset-number-two"))), True, id="long-datasets"),
+        pytest.param(bulk_text(*renamed(1, ("classifier-a-1", "classifier-a-2"))), True, id="long-classifiers"),
+        pytest.param(bulk_text(*renamed(0, ("ds,", "d,s"))), False, id="wrong-width"),
+        # a key that recurs after another
+        pytest.param(bulk_text(order=(0, 1, 4, 5, 2, 3, 6, 7)), True, id="recurring-key"),
+        pytest.param(bulk_text(order=(0, 4, 1, 5, 2, 6, 3, 7), blank=(0, 5, 7)), True, id="interleaved-keys-and-blank-lines"),
+        pytest.param(bulk_text(eol=""), True, id="no-final-lf"),
+        pytest.param(bulk_text(eol="\r\n"), True, id="crlf"),
+        pytest.param(bulk_text(blank=(7,), eol="\n\n"), True, id="trailing-blank-line"),
+        pytest.param(bulk_text((5, 4, "oops")), False, id="non-numeric-score"),
+        pytest.param(bulk_text((5, 4, "101")), True, id="score-above-100"),
+        pytest.param(bulk_text((5, 3, "0")), True, id="duplicate-cell"),
+    ])
+    def test_same_table_or_same_error(self, text, bulk, chunk, monkeypatch):
+        body = text.replace("\r\n", "\n").partition("\n")[2]
+        assert (data._bulk_columns(body) is not None) == bulk
+        if chunk:
+            monkeypatch.setattr(data, "_CHUNK", chunk)
+        assert outcome(parse_scores, text) == outcome(reference_parse, text)
+
+    def test_numbers_equal_int_and_float_of_their_text(self):
+        rng = random.Random(11)
+        runs, scores = [], []
+        for _ in range(20000):
+            digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 18)))
+            runs.append(digits)
+            n = rng.randint(1, 16)  # the digits read as an integer up to 2**53
+            digits = str(rng.randrange(min(10**n, 2**53 + 1))).zfill(n)
+            point = rng.randint(0, len(digits))
+            scores.append(digits[:point] + "." * (rng.random() < 0.8) + digits[point:])
+        scores[:4] = ["9007199254740992", ".9007199254740992", "4.503599627370497", "0.1"]
+        body = "".join(f"d,a,{run},{run},{score}\n" for run, score in zip(runs, scores))
+        repeats, (datasets, classifiers, run, fold, score) = data._bulk_columns(body)
+        assert (list(repeats), datasets, classifiers) == ([20000], ["d"], ["a"])
+        assert run.tolist() == fold.tolist() == [int(text) for text in runs]
+        assert score.tobytes() == np.array([float(text) for text in scores]).tobytes()
+
+    def test_benchmark_shaped_table_is_read_in_bulk(self, monkeypatch):
+        def split(part):
+            raise AssertionError("a chunk of a benchmark-shaped table was split field by field")
+
+        table = make_table(n_datasets=40, classifiers=tuple(f"clf{j}" for j in range(5)), runs=10, folds=10, seed=3)
+        entries = {key: np.round(scores, 4) for key, scores in table.entries.items()}
+        text = ScoreTable(entries, table.runs, table.folds).to_csv()
+        monkeypatch.setattr(data, "_split_records", split)
+        monkeypatch.setattr(data, "_CHUNK", 4096)
         assert outcome(parse_scores, text) == outcome(reference_parse, text)
 
 

@@ -197,3 +197,27 @@ def test_no_subcommand_loads_scipy(tmp_path):
     assert result["codes"][:5] == [0, 0, 0, 0, 0]
     assert result["codes"][5] in (0, 2)  # 2: the short fit is flagged unconverged
     assert result["scipy"] == []
+
+
+THREAD_PROBE = """
+import os, cvcompare
+tasks = "/proc/self/task"
+print(os.environ["OPENBLAS_NUM_THREADS"], len(os.listdir(tasks)) if os.path.isdir(tasks) else -1)
+"""
+
+
+def test_openblas_runs_on_one_thread_unless_the_caller_sets_it():
+    # numpy's OpenBLAS starts an idle worker pool at import unless told not to
+    src = str(Path(cvcompare.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for preset, expected in ((None, "1"), ("2", "2")):
+        if preset:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        value, threads = proc.stdout.split()
+        assert value == expected
+        if preset is None and threads != "-1":
+            assert threads == "1"

@@ -12,8 +12,12 @@ when i is even.
 
 ``BENCH_N.json`` is written in the working directory.  For
 each end-to-end metric that ``BENCHMARK.json`` declares, it holds each
-side's median and quartiles and the number of pairs the change won (ties
-count for neither).  It also holds each side's commit, source digest,
+side's median and quartiles, the number of pairs the change won (ties
+count for neither) and two verdicts: ``gain_rule_met``, when the change
+won at least nine tenths of the pairs and its median is better than the
+parent's by more than the parent's q3 - q1, and ``worse_than_bound``,
+when its median is worse than the parent's by more than the metric's
+``bound`` times the parent's median.  It also holds each side's commit, source digest,
 versions and processor count, read from the records' ``env``, and from
 the pytest log the Tier-1 counts, time and five slowest tests.  Standard
 library only.
@@ -90,16 +94,21 @@ def summary(values: list[float]) -> dict:
 
 
 def compare(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict:
+    """Each metric's summaries, wins and verdicts over the pairs (parent[i], change[i])."""
     out = {}
     for metric in metrics:
         name = metric["name"]
         p = [r["metrics"][name]["value"] for r in parent]
         c = [r["metrics"][name]["value"] for r in change]
         sign = 1.0 if metric["better"] == "lower" else -1.0
+        ps, cs = summary(p), summary(c)
+        wins = sum(sign * (pv - cv) > 0 for pv, cv in zip(p, c))
+        gain = sign * (ps["median"] - cs["median"])
         out[name] = {
             "unit": metric["unit"], "better": metric["better"],
-            "parent": summary(p), "change": summary(c),
-            "change_wins": sum(sign * (pv - cv) > 0 for pv, cv in zip(p, c)),
+            "parent": ps, "change": cs, "change_wins": wins,
+            "gain_rule_met": 10 * wins >= 9 * len(p) and gain > ps["q3"] - ps["q1"],
+            "worse_than_bound": -gain > metric["bound"] * abs(ps["median"]),
         }
     return out
 
