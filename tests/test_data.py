@@ -596,17 +596,17 @@ BULK_ROWS = [
 ]
 
 
-def bulk_text(*edits, order=range(8), blank=(), eol="\n"):
+def bulk_text(*edits, order=range(8), blank=(), eol="\n", final=True):
     """``BULK_ROWS`` as a score file: each (row, field, text) edit applied,
     the rows in ``order``, a blank line before each row in ``blank``, and
-    ``eol`` after every line but the last, which gets it unless it is ""."""
+    ``eol`` after every line, the last one only when ``final``."""
     rows = [list(row) for row in BULK_ROWS]
     for row, field, value in edits:
         rows[row][field] = value
     lines = ["dataset,classifier,run,fold,score"]
     for i in order:
         lines += [""] * (i in blank) + [",".join(rows[i])]
-    return "\n".join(lines) + (eol or "")
+    return eol.join(lines) + eol * final
 
 
 def renamed(field, names):
@@ -658,9 +658,9 @@ class TestBulkReader:
         # a key that recurs after another
         pytest.param(bulk_text(order=(0, 1, 4, 5, 2, 3, 6, 7)), True, id="recurring-key"),
         pytest.param(bulk_text(order=(0, 4, 1, 5, 2, 6, 3, 7), blank=(0, 5, 7)), True, id="interleaved-keys-and-blank-lines"),
-        pytest.param(bulk_text(eol=""), True, id="no-final-lf"),
+        pytest.param(bulk_text(final=False), True, id="no-final-lf"),
         pytest.param(bulk_text(eol="\r\n"), True, id="crlf"),
-        pytest.param(bulk_text(blank=(7,), eol="\n\n"), True, id="trailing-blank-line"),
+        pytest.param(bulk_text(blank=(7,)) + "\n", True, id="trailing-blank-line"),
         pytest.param(bulk_text((5, 4, "oops")), False, id="non-numeric-score"),
         pytest.param(bulk_text((5, 4, "101")), True, id="score-above-100"),
         pytest.param(bulk_text((5, 3, "0")), True, id="duplicate-cell"),
